@@ -295,10 +295,6 @@ class Tensor:
                     raise NonFiniteGradient("non-finite gradient in backward")
 
 
-def parameter(data, rng: Optional[np.random.Generator] = None) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-
-
 def mean_rows(table: Tensor, id_lists: Sequence[Sequence[int]], null_row: int) -> Tensor:
     """Mean-pooled table rows per id list; empty lists use the null row.
 

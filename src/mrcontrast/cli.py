@@ -12,10 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import dicom, synth
-from .errors import DataError, MrContrastError, NumericalError
+from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
 from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
 from .records import parse_manifest_line
 from .train import (
@@ -158,7 +156,10 @@ def cmd_build_labels(args) -> int:
 
 
 def _load_space(path: str) -> LabelSpace:
-    return LabelSpace.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return LabelSpace.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise LabelDecodeFailure(f"{path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:

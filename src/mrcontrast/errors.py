@@ -70,7 +70,7 @@ class NonFiniteInput(NumericalError):
 # --- prompts ----------------------------------------------------------------
 
 class TokenIdOutOfRange(DataError):
-    """Token id outside [0, vocab_size)."""
+    """Token id outside [0, VOCAB_SIZE)."""
 
 
 # --- encoder / loss ---------------------------------------------------------
@@ -103,6 +103,11 @@ class NonFiniteGradient(NumericalError):
 
 class EmptyProtocolList(DataError):
     """Protocol list must contain at least one entry."""
+
+
+class MalformedFeatures(DataError):
+    """A dataset line's features are missing, not a list of numbers, or
+    differ in length from the first line's."""
 
 
 # --- evaluation -------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -176,14 +176,40 @@ def _field_value(record: MetadataRecord, name: str, config: LabelConfig):
         return record.sequence_variant
     if name == "flip_angle":
         return round(record.flip_angle_deg, 1)
-    te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
-    if name == "te_bin":
-        return te_bin
-    if name == "tr_bin":
-        return tr_bin
     if name == "ti_bin":
         return bin_ti(record.ti_ms, config.ti_edges)
     raise KeyError(name)
+
+
+def label_keys(
+    records: Sequence[MetadataRecord],
+    config: LabelConfig,
+    grouper: Optional[KMeansGrouper] = None,
+) -> list[tuple]:
+    """Label key per record: its value for each of ``config.key_fields``.
+
+    TE/TR are quantized once per record; k-means cluster ids come from the
+    grouper in one call for the whole batch.
+    """
+    fields = config.key_fields
+    clusters = [None] * len(records)
+    if "cluster" in fields:
+        clusters = grouper.cluster_ids(records).tolist()
+    binned = "te_bin" in fields or "tr_bin" in fields
+    keys = []
+    for record, cluster in zip(records, clusters):
+        derived = {"cluster": cluster}
+        if binned:
+            derived["te_bin"], derived["tr_bin"] = quantize_te_tr(
+                record.te_ms, record.tr_ms, config.grid
+            )
+        keys.append(
+            tuple(
+                derived[f] if f in derived else _field_value(record, f, config)
+                for f in fields
+            )
+        )
+    return keys
 
 
 def kmeans_features(records: Sequence[MetadataRecord]) -> np.ndarray:
@@ -297,34 +323,10 @@ class LabelSpace:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def key_of(self, record: MetadataRecord) -> tuple:
-        if self.config.grouping == "kmeans":
-            cats = tuple(
-                _field_value(record, f, self.config)
-                for f in self.config.fields
-                if f in CATEGORICAL_FIELDS
-            )
-            cluster = int(self.grouper.cluster_ids([record])[0])
-            return cats + (cluster,)
-        return tuple(
-            _field_value(record, f, self.config) for f in self.config.fields
-        )
-
     def assign(self, records: Sequence[MetadataRecord]) -> np.ndarray:
         """Label ids for records; unseen keys raise LabelDecodeFailure."""
-        if self.config.grouping == "kmeans":
-            clusters = self.grouper.cluster_ids(records)
-            keys = []
-            cat_fields = [
-                f for f in self.config.fields if f in CATEGORICAL_FIELDS
-            ]
-            for r, c in zip(records, clusters):
-                cats = tuple(_field_value(r, f, self.config) for f in cat_fields)
-                keys.append(cats + (int(c),))
-        else:
-            keys = [self.key_of(r) for r in records]
         ids = np.empty(len(records), dtype=np.int64)
-        for i, key in enumerate(keys):
+        for i, key in enumerate(label_keys(records, self.config, self.grouper)):
             if key not in self._key_to_id:
                 raise LabelDecodeFailure(f"key not in label space: {key!r}")
             ids[i] = self._key_to_id[key]
@@ -384,39 +386,45 @@ class LabelSpace:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        cfg = obj["config"]
-        config = LabelConfig(
-            grid=GridSpec(**cfg["grid"]),
-            ti_edges=tuple(cfg["ti_edges"]),
-            fields=tuple(cfg["fields"]),
-            grouping=cfg["grouping"],
-            n_clusters=cfg["n_clusters"],
-            kmeans_seed=cfg["kmeans_seed"],
-        )
-        grouper = None
-        if obj.get("kmeans") is not None:
-            km = obj["kmeans"]
-            grouper = KMeansGrouper(
-                mins=np.asarray(km["mins"], dtype=np.float64),
-                ranges=np.asarray(km["ranges"], dtype=np.float64),
-                model=KMeansModel(
-                    centroids=np.asarray(km["centroids"], dtype=np.float64),
-                    inertia_history=[0.0],
-                ),
+        """Inverse of `to_json_dict`; a missing or wrongly typed entry raises
+        LabelDecodeFailure."""
+        try:
+            cfg = obj["config"]
+            config = LabelConfig(
+                grid=GridSpec(**cfg["grid"]),
+                ti_edges=tuple(cfg["ti_edges"]),
+                fields=tuple(cfg["fields"]),
+                grouping=cfg["grouping"],
+                n_clusters=cfg["n_clusters"],
+                kmeans_seed=cfg["kmeans_seed"],
             )
-        keys_with_counts = {
-            tuple(lab["key"]): lab["count"] for lab in obj["labels"]
-        }
-        reps_by_key = {
-            tuple(lab["key"]): tuple(lab["rep"])
-            for lab in obj["labels"]
-            if lab.get("rep") is not None
-        }
-        space = LabelSpace(config, keys_with_counts, grouper, reps_by_key or None)
-        # ids must round-trip exactly
-        for lab in obj["labels"]:
-            if space._key_to_id[tuple(lab["key"])] != lab["id"]:
-                raise LabelDecodeFailure("label ids do not match sorted order")
+            grouper = None
+            if config.grouping == "kmeans":
+                km = obj["kmeans"]
+                grouper = KMeansGrouper(
+                    mins=np.asarray(km["mins"], dtype=np.float64),
+                    ranges=np.asarray(km["ranges"], dtype=np.float64),
+                    model=KMeansModel(
+                        centroids=np.asarray(km["centroids"], dtype=np.float64),
+                        inertia_history=[0.0],
+                    ),
+                )
+            keys_with_counts = {
+                tuple(lab["key"]): lab["count"] for lab in obj["labels"]
+            }
+            reps_by_key = {
+                tuple(lab["key"]): tuple(lab["rep"])
+                for lab in obj["labels"]
+                if lab.get("rep") is not None
+            }
+            space = LabelSpace(config, keys_with_counts, grouper, reps_by_key or None)
+            ids_in_order = all(
+                space._key_to_id[tuple(lab["key"])] == lab["id"] for lab in obj["labels"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LabelDecodeFailure(f"malformed label space: {exc!r}") from exc
+        if not ids_in_order:
+            raise LabelDecodeFailure("label ids do not match sorted order")
         return space
 
 
@@ -498,17 +506,7 @@ def build_label_space(
     grouper = None
     if config.grouping == "kmeans":
         grouper = KMeansGrouper.fit(records, config.n_clusters, config.kmeans_seed)
-        clusters = grouper.cluster_ids(records)
-        cat_fields = [f for f in config.fields if f in CATEGORICAL_FIELDS]
-        keys = [
-            tuple(_field_value(r, f, config) for f in cat_fields) + (int(c),)
-            for r, c in zip(records, clusters)
-        ]
-    else:
-        keys = [
-            tuple(_field_value(r, f, config) for f in config.fields)
-            for r in records
-        ]
+    keys = label_keys(records, config, grouper)
     counts = Counter(keys)
     member_values: dict[tuple, list] = {}
     for record, key in zip(records, keys):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, mean_rows, unit_rows
 from .errors import ShapeMismatch, TokenIdOutOfRange
+from .prompts import VOCAB_SIZE
 
 TAU_MIN = 0.01
 TAU_MAX = 1.0
@@ -25,18 +26,10 @@ class ModelConfig:
     d_hidden: int = 64
     d_emb: int = 32
     d_tok: int = 32
-    vocab_size: int = 8192
     tau_init: float = 0.07
 
     def to_dict(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "d_hidden": self.d_hidden,
-            "d_emb": self.d_emb,
-            "d_tok": self.d_tok,
-            "vocab_size": self.vocab_size,
-            "tau_init": self.tau_init,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -47,7 +40,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 class DualEncoder:
     """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP].
 
-    The token table has vocab_size + 1 rows; the extra row is a learned null
+    The token table has VOCAB_SIZE + 1 rows; the extra row is a learned null
     token used when a prompt has no tokens at all.
     """
 
@@ -60,7 +53,7 @@ class DualEncoder:
         self.img_w2 = Tensor(_glorot(rng, c.d_hidden, c.d_emb), True)
         self.img_b2 = Tensor(np.zeros(c.d_emb), True)
         self.tok_table = Tensor(
-            rng.normal(0.0, 0.1, size=(c.vocab_size + 1, c.d_tok)), True
+            rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, c.d_tok)), True
         )
         self.txt_w1 = Tensor(_glorot(rng, c.d_tok, c.d_hidden), True)
         self.txt_b1 = Tensor(np.zeros(c.d_hidden), True)
@@ -109,12 +102,11 @@ class DualEncoder:
     def encode_texts(self, token_lists: Sequence[Sequence[int]]) -> Tensor:
         """Token id lists -> (N, d_emb) unit embeddings (order-invariant
         pooling; an empty list maps to the learned null token)."""
-        v = self.config.vocab_size
         for ids in token_lists:
             for t in ids:
-                if not (0 <= t < v):
-                    raise TokenIdOutOfRange(f"token id {t} outside [0, {v})")
-        pooled = mean_rows(self.tok_table, token_lists, null_row=v)
+                if not (0 <= t < VOCAB_SIZE):
+                    raise TokenIdOutOfRange(f"token id {t} outside [0, {VOCAB_SIZE})")
+        pooled = mean_rows(self.tok_table, token_lists, null_row=VOCAB_SIZE)
         return self._mlp(
             pooled, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2
         )

@@ -20,16 +20,6 @@ class AdamConfig:
     weight_decay: float = 0.2
     warmup_steps: int = 2000
 
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "warmup_steps": self.warmup_steps,
-        }
-
 
 def effective_lr(config: AdamConfig, t: int) -> float:
     """lr * t / warmup_steps while warming up, lr afterwards (t is 1-based)."""

@@ -1,20 +1,19 @@
 """Prompt rendering and tokenization for metadata records.
 
 A prompt is a single sentence assembled from clauses, one clause per metadata
-field group. Dropout removes whole clauses (never the TE, TR or flip-angle
-ones) so the encoder learns to handle partially described acquisitions.
+field group. Training dropout (`PromptBank`) removes whole clauses (never
+the TE, TR or flip-angle ones) so the encoder learns to handle partially
+described acquisitions; `render_prompt` never drops clauses.
 Tokens are hashed into a fixed vocabulary; there is no trained tokenizer
 state to ship.
 """
 from __future__ import annotations
 
 import hashlib
-import random
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import TokenIdOutOfRange
 from .records import MetadataRecord, plane_for_record
 
 VOCAB_SIZE = 8192
@@ -39,7 +38,6 @@ _HEAD_CLAUSES = frozenset({"scanner", "field"})
 @dataclass(frozen=True)
 class PromptConfig:
     dropout: float = 0.0
-    seed: int = 0
     include_series_description: bool = False
     numerical_only: bool = False
     restrict_clauses: Optional[frozenset[str]] = None
@@ -48,8 +46,6 @@ class PromptConfig:
 @dataclass(frozen=True)
 class Prompt:
     text: str
-    token_ids: tuple[int, ...]
-    fields_included: frozenset[str]
 
 
 def format_number(value: float) -> str:
@@ -124,28 +120,10 @@ def assemble(pieces: Sequence[Piece]) -> str:
     return head + "."
 
 
-def dropout_mask(
-    n_droppable: int, dropout: float, rng: random.Random
-) -> list[bool]:
-    """True = keep. One uniform draw per droppable clause, in clause order."""
-    return [rng.random() >= dropout for _ in range(n_droppable)]
-
-
 def render_prompt(record: MetadataRecord, config: PromptConfig) -> Prompt:
-    """Render one prompt; dropout is deterministic given config.seed."""
-    pieces = prompt_pieces(record, config)
-    if config.dropout > 0.0:
-        rng = random.Random(config.seed)
-        droppable = [p for p in pieces if p.clause not in NEVER_DROPPED]
-        mask = dropout_mask(len(droppable), config.dropout, rng)
-        keep_map = {id(p): keep for p, keep in zip(droppable, mask)}
-        pieces = [p for p in pieces if keep_map.get(id(p), True)]
-    text = assemble(pieces)
-    return Prompt(
-        text=text,
-        token_ids=tuple(tokenize(text)),
-        fields_included=frozenset(p.clause for p in pieces),
-    )
+    """Render every clause the config selects; ``config.dropout`` is not
+    applied here (training draws dropout through `PromptBank`)."""
+    return Prompt(text=assemble(prompt_pieces(record, config)))
 
 
 _TOKEN_RE = re.compile(r"[a-z]+|[0-9]+(?:\.[0-9]+)?")
@@ -156,20 +134,14 @@ def _hash_token(token: str) -> int:
     return int.from_bytes(digest, "little") % VOCAB_SIZE
 
 
-def tokenize(text: str, vocab_size: int = VOCAB_SIZE) -> list[int]:
+def tokenize(text: str) -> list[int]:
     """Lowercase, split on whitespace/punctuation (numbers detach from
-    units, decimals stay whole), then hash each token into [0, vocab_size).
+    units, decimals stay whole), then hash each token into [0, VOCAB_SIZE).
 
     The hash is a fixed 64-bit digest, so ids are stable across platforms
     and interpreter runs.
     """
-    ids = []
-    for token in _TOKEN_RE.findall(text.lower()):
-        h = _hash_token(token)
-        if vocab_size != VOCAB_SIZE:
-            h = h % vocab_size
-        ids.append(h)
-    return ids
+    return [_hash_token(token) for token in _TOKEN_RE.findall(text.lower())]
 
 
 class PromptBank:
@@ -213,9 +185,3 @@ class PromptBank:
 
     def n_droppable(self, index: int) -> int:
         return sum(self._entries[index][1])
-
-
-def validate_token_ids(ids: Sequence[int], vocab_size: int = VOCAB_SIZE) -> None:
-    for t in ids:
-        if not (0 <= t < vocab_size):
-            raise TokenIdOutOfRange(f"token id {t} outside [0, {vocab_size})")

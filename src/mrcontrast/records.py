@@ -196,17 +196,22 @@ _RECORD_FIELDS = {
 
 
 def parse_manifest_line(line: str) -> MetadataRecord:
-    """Parse one JSON-lines manifest entry into a canonical record.
-
-    Unknown keys are ignored so feature-bearing dataset files remain valid
-    manifests. Raises MalformedJson when the line is not a JSON object or
-    lacks source_id/te_ms/tr_ms; numeric validation errors propagate from
-    make_record.
-    """
+    """`record_from_dict` of one JSON-lines entry; bad JSON raises MalformedJson."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
+    return record_from_dict(obj)
+
+
+def record_from_dict(obj: Any) -> MetadataRecord:
+    """Validate one decoded manifest entry into a canonical record.
+
+    Unknown keys are ignored so feature-bearing dataset files remain valid
+    manifests. Raises MalformedJson when the value is not a JSON object or
+    lacks source_id/te_ms/tr_ms; numeric validation errors propagate from
+    make_record.
+    """
     if not isinstance(obj, dict):
         raise MalformedJson("manifest line must be a JSON object")
     for required in ("source_id", "te_ms", "tr_ms"):
@@ -245,16 +250,3 @@ def plane_for_record(record: MetadataRecord) -> Plane:
     if record.voxel_spacing_mm is None:
         return Plane.AXIAL
     return infer_plane(record.voxel_spacing_mm)
-
-
-def select_slice_indices(depth: int) -> list[int]:
-    """Every second slice from the centered window of at most 100 slices.
-
-    The window has width w = min(depth, 100) starting at floor((depth-w)/2);
-    indices step by 2 across the window, giving ceil(w/2) of them.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    width = min(depth, 100)
-    start = (depth - width) // 2
-    return list(range(start, start + width, 2))

@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyProtocolList
-from .records import MetadataRecord, make_record, plane_for_record
+from .errors import EmptyProtocolList, MalformedFeatures, MalformedJson, NonFiniteInput
+from .records import MetadataRecord, make_record, plane_for_record, record_from_dict
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,6 @@ class SynthConfig:
     mix_hi: float = 1.05
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_scans": self.n_scans,
-            "slices_per_scan": self.slices_per_scan,
-            "noise_sigma": self.noise_sigma,
-            "mix_lo": self.mix_lo,
-            "mix_hi": self.mix_hi,
-            "seed": self.seed,
-        }
-
 
 def generate_dataset(
     protocols: Sequence[MetadataRecord],
@@ -175,8 +165,7 @@ def generate_dataset(
             source_id=f"scan{scan_id:05d}",
             num_slices=config.slices_per_scan,
         )
-        base = np.array([signal(t, record) for t in tissues], dtype=np.float64)
-        base = base * channel_gain(record, k)
+        base = expected_features(record, tissues)
         for s in range(config.slices_per_scan):
             mix = rng.uniform(config.mix_lo, config.mix_hi, size=k)
             noise = rng.normal(0.0, config.noise_sigma, size=k)
@@ -248,23 +237,33 @@ def write_dataset(slices: Iterable[SyntheticSlice], path: str) -> None:
 
 
 def load_dataset(path: str) -> list[SyntheticSlice]:
-    """Read a JSON-lines dataset back into slices (features required)."""
-    from .records import parse_manifest_line
+    """Read a JSON-lines dataset back into slices, decoding each line once.
 
+    Every line needs ``features``: a list of numbers as long as the first
+    line's (else MalformedJson or MalformedFeatures), all of them finite
+    (else NonFiniteInput, a numerical error like other non-finite input).
+    """
     out: list[SyntheticSlice] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            record = parse_manifest_line(line)
-            obj = json.loads(line)
-            out.append(
-                SyntheticSlice(
-                    record=record,
-                    scan_id=int(obj.get("scan_id", 0)),
-                    slice_index=int(obj.get("slice_index", 0)),
-                    features=np.asarray(obj["features"], dtype=np.float64),
-                )
-            )
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedJson(f"line {number}: invalid JSON: {exc}") from exc
+            record = record_from_dict(obj)
+            try:
+                features = np.asarray(obj["features"], dtype=np.float64)
+                scan_id = int(obj.get("scan_id", 0))
+                slice_index = int(obj.get("slice_index", 0))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise MalformedFeatures(f"line {number}: {exc!r}") from exc
+            if features.ndim != 1 or features.size == 0:
+                raise MalformedFeatures(f"line {number}: features must be a non-empty list")
+            if out and features.size != out[0].features.size:
+                raise MalformedFeatures(f"line {number}: feature count differs from row 1's")
+            if not np.isfinite(features).all():
+                raise NonFiniteInput(f"line {number}: non-finite features")
+            out.append(SyntheticSlice(record, scan_id, slice_index, features))
     return out

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import BadCheckpoint, DataError
 from .labels import LabelSpace
 from .loss import ShardPlan, loss_graph
@@ -24,7 +25,7 @@ from .prompts import PromptBank, PromptConfig
 from .synth import SyntheticSlice
 
 CHECKPOINT_MAGIC = b"MRCC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class RunConfig:
     d_hidden: int = 64
     d_emb: int = 32
     d_tok: int = 32
-    vocab_size: int = 8192
     tau_init: float = 0.07
 
     def to_dict(self) -> dict:
@@ -95,15 +95,10 @@ class TrainState:
     log_lines: list[str] = field(default_factory=list)
 
 
-def _new_state(run: RunConfig, d_in: int) -> TrainState:
-    model_config = ModelConfig(
-        d_in=d_in,
-        d_hidden=run.d_hidden,
-        d_emb=run.d_emb,
-        d_tok=run.d_tok,
-        vocab_size=run.vocab_size,
-        tau_init=run.tau_init,
-    )
+def _build_state(
+    run: RunConfig, model_config: ModelConfig, rng: np.random.Generator, epochs_done: int
+) -> TrainState:
+    """The seeded model and its optimizer, as the run config sets them up."""
     model = DualEncoder(model_config, seed=run.seed)
     adam = Adam(
         model.parameters(),
@@ -115,8 +110,7 @@ def _new_state(run: RunConfig, d_in: int) -> TrainState:
             warmup_steps=run.warmup_steps,
         ),
     )
-    rng = np.random.Generator(np.random.PCG64(run.seed))
-    return TrainState(model=model, optimizer=adam, rng=rng, epochs_done=0)
+    return TrainState(model=model, optimizer=adam, rng=rng, epochs_done=epochs_done)
 
 
 def train_model(
@@ -154,7 +148,15 @@ def train_model(
             raise BadCheckpoint("checkpoint was trained on a different label space")
         state = resume_from.restore()
     else:
-        state = _new_state(run, features.shape[1])
+        model_config = ModelConfig(
+            d_in=features.shape[1],
+            d_hidden=run.d_hidden,
+            d_emb=run.d_emb,
+            d_tok=run.d_tok,
+            tau_init=run.tau_init,
+        )
+        rng = np.random.Generator(np.random.PCG64(run.seed))
+        state = _build_state(run, model_config, rng, epochs_done=0)
 
     n_train = train_rows.size
     step = state.optimizer.t
@@ -219,30 +221,20 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray]
 
     def restore(self) -> TrainState:
-        model = DualEncoder(self.model_config, seed=self.run.seed)
-        for name, p, _ in model.parameters():
-            p.data = self.params[name].copy()
-        adam = Adam(
-            model.parameters(),
-            AdamConfig(
-                lr=self.run.lr,
-                beta1=self.run.beta1,
-                beta2=self.run.beta2,
-                weight_decay=self.run.weight_decay,
-                warmup_steps=self.run.warmup_steps,
-            ),
-        )
-        adam.load_state_dict(
-            {"t": self.adam_t, "m": self.adam_m, "v": self.adam_v}
-        )
+        """Rebuild the state; tensors that disagree with the model config
+        raise BadCheckpoint."""
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng_state
-        return TrainState(
-            model=model,
-            optimizer=adam,
-            rng=rng,
-            epochs_done=self.epochs_done,
+        state = _build_state(self.run, self.model_config, rng, self.epochs_done)
+        shapes = {name: p.data.shape for name, p, _ in state.model.parameters()}
+        if {name: a.shape for name, a in self.params.items()} != shapes:
+            raise BadCheckpoint("tensor manifest does not match the model config")
+        for name, p, _ in state.model.parameters():
+            p.data = self.params[name].copy()
+        state.optimizer.load_state_dict(
+            {"t": self.adam_t, "m": self.adam_m, "v": self.adam_v}
         )
+        return state
 
 
 def checkpoint_bytes(
@@ -275,8 +267,17 @@ def checkpoint_bytes(
 def save_checkpoint(
     path: str, state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
 ) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(state, run, label_space_hash, cfg_hash))
+    """Write through a temporary file in the same directory and os.replace,
+    so a failed or interrupted write leaves any previous checkpoint intact."""
+    blob = checkpoint_bytes(state, run, label_space_hash, cfg_hash)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _rng_state_to_json(state: dict) -> dict:
@@ -305,45 +306,52 @@ def _rng_state_from_json(obj: dict) -> dict:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return checkpoint_from_bytes(fh.read())
+
+
+def checkpoint_from_bytes(data: bytes) -> Checkpoint:
+    """Inverse of `checkpoint_bytes`; every malformed input raises BadCheckpoint."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
+    if len(data) < 12:
+        raise BadCheckpoint("checkpoint ends inside its 12-byte prefix")
     version, head_len = struct.unpack("<II", data[4:12])
     if version != CHECKPOINT_VERSION:
         raise BadCheckpoint(f"unknown checkpoint version {version}")
     try:
         header = json.loads(data[12 : 12 + head_len])
-    except json.JSONDecodeError as exc:
-        raise BadCheckpoint(f"corrupt header: {exc}") from exc
+        for key, cls in (("run", RunConfig), ("model", ModelConfig)):
+            names = set(cls.__dataclass_fields__)
+            if set(header[key]) != names:
+                raise BadCheckpoint(f"{key} keys differ from {sorted(names)}")
+        manifest = [
+            (str(name), tuple(int(d) for d in shape)) for name, shape in header["params"]
+        ]
+        rng_state = _rng_state_from_json(header["rng_state"])
+        np.random.PCG64(0).state = rng_state  # rejects a malformed state here
+        checkpoint = Checkpoint(
+            run=RunConfig(**header["run"]),
+            model_config=ModelConfig(**header["model"]),
+            epochs_done=int(header["epochs_done"]),
+            rng_state=rng_state,
+            label_space_hash=header["label_space_hash"],
+            config_hash=header["config_hash"],
+            params={},
+            adam_t=int(header["adam_t"]),
+            adam_m={},
+            adam_v={},
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BadCheckpoint(f"corrupt header: {exc!r}") from exc
+    if any(d < 0 for _, shape in manifest for d in shape):
+        raise BadCheckpoint("negative tensor dimension in the manifest")
+    sizes = [8 * math.prod(shape) for _, shape in manifest]
     offset = 12 + head_len
-    manifest = [(name, tuple(shape)) for name, shape in header["params"]]
-
-    def read_arrays() -> dict[str, np.ndarray]:
-        nonlocal offset
-        out = {}
-        for name, shape in manifest:
-            n = int(np.prod(shape)) if shape else 1
-            raw = data[offset : offset + 8 * n]
-            if len(raw) != 8 * n:
-                raise BadCheckpoint(f"truncated tensor data for {name}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            offset += 8 * n
-        return out
-
-    params = read_arrays()
-    adam_m = read_arrays()
-    adam_v = read_arrays()
-    run = RunConfig(**header["run"])
-    model_config = ModelConfig(**header["model"])
-    return Checkpoint(
-        run=run,
-        model_config=model_config,
-        epochs_done=int(header["epochs_done"]),
-        rng_state=_rng_state_from_json(header["rng_state"]),
-        label_space_hash=header["label_space_hash"],
-        config_hash=header["config_hash"],
-        params=params,
-        adam_t=int(header["adam_t"]),
-        adam_m=adam_m,
-        adam_v=adam_v,
-    )
+    if len(data) != offset + 3 * sum(sizes):
+        raise BadCheckpoint(f"checkpoint size {len(data)} disagrees with its manifest")
+    for arrays in (checkpoint.params, checkpoint.adam_m, checkpoint.adam_v):
+        for (name, shape), size in zip(manifest, sizes):
+            raw = data[offset : offset + size]
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            offset += size
+    return checkpoint

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrcontrast.autodiff import Tensor, mean_rows, parameter, unit_rows
+from mrcontrast.autodiff import Tensor, mean_rows, unit_rows
 from mrcontrast.errors import NonFiniteGradient
 
 EPS = 1e-6
@@ -252,9 +252,6 @@ class TestGraphMechanics:
         with np.errstate(divide="ignore"):
             with pytest.raises(NonFiniteGradient):
                 t.log().sum().backward()
-
-    def test_parameter_requires_grad(self):
-        assert parameter(np.ones(2)).requires_grad
 
 
 class TestFloat64Discipline:

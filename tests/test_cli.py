@@ -233,6 +233,71 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b[:6],
+            lambda b: b[:40],
+            lambda b: b[: len(b) // 2],
+            lambda b: b + b"\0",
+            lambda b: b.replace(b'"adam_t"', b'"adam_u"', 1),
+            lambda b: b.replace(b'"params": [["img_w1", [', b'"params": [["img_w1", [[', 1),
+        ],
+        ids=["prefix", "header", "tensors", "trailing", "header-key", "manifest"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys, corrupt):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(corrupt(open(pipeline["ckpt"], "rb").read()))
+        code = main([
+            "eval", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", str(ckpt),
+        ])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.pop("features"),
+            lambda o: o.update(features=["x"] * len(o["features"])),
+            lambda o: o.update(features=o["features"][1:]),
+        ],
+        ids=["missing", "non-numeric", "ragged"],
+    )
+    def test_malformed_dataset_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        lines = open(pipeline["data"]).read().splitlines()
+        obj = json.loads(lines[-1])
+        edit(obj)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:-1] + [json.dumps(obj)]) + "\n")
+        code = main([
+            "train", "--dataset", str(bad), "--labels", pipeline["labels"],
+            "--checkpoint", str(tmp_path / "bad.ckpt"),
+        ] + TRAIN_FLAGS)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.pop("config"),
+            lambda o: o["labels"][0].update(key=7),
+            lambda o: "not json",
+        ],
+        ids=["missing-key", "wrong-type", "not-json"],
+    )
+    def test_malformed_label_file_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        obj = json.loads(open(pipeline["labels"]).read())
+        result = edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(result if isinstance(result, str) else json.dumps(obj))
+        code = main([
+            "train", "--dataset", pipeline["data"], "--labels", str(bad),
+            "--checkpoint", str(tmp_path / "bad.ckpt"),
+        ] + TRAIN_FLAGS)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_non_finite_training_is_numerical_error(self, pipeline, tmp_path):
         poisoned = tmp_path / "poisoned.jsonl"
         out = []

@@ -289,6 +289,34 @@ class TestLabelSpace:
         assert [l.rep for l in again.labels] == [l.rep for l in space.labels]
         assert [l.count for l in again.labels] == [l.count for l in space.labels]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.pop("config"),
+            lambda o: o.pop("labels"),
+            lambda o: o["config"].pop("grid"),
+            lambda o: o["config"]["grid"].update(n_te="many"),
+            lambda o: o["config"].update(fields=["bogus"]),
+            lambda o: o["config"].update(grouping="kmeans"),
+            lambda o: o.update(labels=[1, 2]),
+            lambda o: o["labels"][0].pop("key"),
+            lambda o: o["labels"][0].update(key=[[1], 2]),
+            lambda o: o["labels"][0].update(rep=5),
+            lambda o: o["labels"][0].pop("id"),
+        ],
+        ids=[
+            "no-config", "no-labels", "no-grid", "grid-type", "unknown-field",
+            "kmeans-without-centroids", "labels-not-objects", "no-key",
+            "unhashable-key", "rep-type", "no-id",
+        ],
+    )
+    def test_malformed_json_raises_decode_failure(self, edit):
+        space, _ = build_label_space(self.records(), LabelConfig())
+        obj = json.loads(json.dumps(space.to_json_dict()))
+        edit(obj)
+        with pytest.raises(LabelDecodeFailure):
+            LabelSpace.from_json_dict(obj)
+
     def test_hash_changes_with_contents(self):
         space, _ = build_label_space(self.records(), LabelConfig())
         other, _ = build_label_space(self.records()[:3], LabelConfig())
@@ -328,13 +356,14 @@ class TestKMeansGrouping:
 
     def test_json_round_trip_for_kmeans_space(self):
         config = LabelConfig(grouping="kmeans", n_clusters=3, kmeans_seed=0)
-        space, _ = build_label_space(self.records(), config)
+        space, ids = build_label_space(self.records(), config)
         again = LabelSpace.from_json_dict(
             json.loads(json.dumps(space.to_json_dict()))
         )
         assert again.hash_hex == space.hash_hex
         assert [l.canonical_text for l in again.labels] == \
             [l.canonical_text for l in space.labels]
+        np.testing.assert_array_equal(again.assign(self.records()), ids)
 
 
 class TestCoarsenedSpace:

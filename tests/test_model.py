@@ -5,11 +5,12 @@ import pytest
 
 from mrcontrast.errors import ShapeMismatch, TokenIdOutOfRange
 from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
+from mrcontrast.prompts import VOCAB_SIZE
 
 
 def small_model(seed=0):
     return DualEncoder(
-        ModelConfig(d_in=6, d_hidden=16, d_emb=8, d_tok=8, vocab_size=64),
+        ModelConfig(d_in=6, d_hidden=16, d_emb=8, d_tok=8),
         seed=seed,
     )
 
@@ -53,7 +54,7 @@ class TestEncoding:
 
     def test_out_of_range_token_raises(self):
         with pytest.raises(TokenIdOutOfRange):
-            small_model().encode_texts([[64]])
+            small_model().encode_texts([[VOCAB_SIZE]])
         with pytest.raises(TokenIdOutOfRange):
             small_model().encode_texts([[0], [-1]])
 
@@ -103,7 +104,7 @@ class TestParameters:
 
     def test_token_table_has_null_row(self):
         model = small_model()
-        assert model.tok_table.shape == (65, 8)
+        assert model.tok_table.shape == (VOCAB_SIZE + 1, 8)
 
     def test_biases_start_at_zero(self):
         model = small_model()

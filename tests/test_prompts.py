@@ -3,9 +3,7 @@
 import hashlib
 
 import numpy as np
-import pytest
 
-from mrcontrast.errors import TokenIdOutOfRange
 from mrcontrast.prompts import (
     NEVER_DROPPED,
     VOCAB_SIZE,
@@ -17,7 +15,6 @@ from mrcontrast.prompts import (
     prompt_pieces,
     render_prompt,
     tokenize,
-    validate_token_ids,
 )
 from mrcontrast.records import make_record
 
@@ -87,31 +84,15 @@ class TestRenderPrompt:
         assert "sagittal plane" in render_prompt(sag, PromptConfig(dropout=0.0)).text
 
     def test_dropout_zero_is_deterministic(self):
-        config = PromptConfig(dropout=0.0, seed=3)
+        config = PromptConfig(dropout=0.0)
         texts = {render_prompt(full_record(), config).text for _ in range(5)}
         assert len(texts) == 1
 
-    def test_dropout_never_removes_protected_clauses(self):
-        assert NEVER_DROPPED == {"te", "tr", "flip_angle"}
-        for seed in range(50):
-            config = PromptConfig(dropout=0.9, seed=seed)
-            text = render_prompt(full_record(), config).text
-            assert "echo time 20 ms" in text
-            assert "repetition time 3000 ms" in text
-            assert "flip angle 90 degrees" in text
-
-    def test_dropout_eventually_removes_droppable_clauses(self):
-        texts = [
-            render_prompt(full_record(), PromptConfig(dropout=0.9, seed=s)).text
-            for s in range(30)
-        ]
-        assert any("tesla" not in t for t in texts)
-        assert any("plane" not in t for t in texts)
-
-    def test_same_seed_same_mask(self):
-        config = PromptConfig(dropout=0.5, seed=11)
-        texts = {render_prompt(full_record(), config).text for _ in range(5)}
-        assert len(texts) == 1
+    def test_render_prompt_never_drops_clauses(self):
+        full = render_prompt(full_record(), PromptConfig(dropout=0.0)).text
+        for dropout in (0.5, 0.9, 1.0):
+            config = PromptConfig(dropout=dropout)
+            assert render_prompt(full_record(), config).text == full
 
     def test_restrict_clauses(self):
         config = PromptConfig(
@@ -155,13 +136,6 @@ class TestTokenize:
         text = render_prompt(full_record(), PromptConfig(dropout=0.0)).text
         ids = tokenize(text)
         assert all(0 <= t < VOCAB_SIZE for t in ids)
-        validate_token_ids(ids)
-
-    def test_validate_rejects_out_of_range(self):
-        with pytest.raises(TokenIdOutOfRange):
-            validate_token_ids([0, VOCAB_SIZE])
-        with pytest.raises(TokenIdOutOfRange):
-            validate_token_ids([-1])
 
     def test_distinct_numerals_get_distinct_token_streams(self):
         seen = {}
@@ -180,7 +154,7 @@ class TestPromptBank:
         ]
 
     def test_tokens_full_matches_rendered_sentence(self):
-        config = PromptConfig(dropout=0.5, seed=7)
+        config = PromptConfig(dropout=0.5)
         bank = PromptBank(self.records(), config)
         rendered = PromptConfig(
             dropout=0.0,
@@ -192,7 +166,7 @@ class TestPromptBank:
             assert bank.tokens_full(i) == want
 
     def test_dropout_uniforms_control_clauses(self):
-        config = PromptConfig(dropout=0.5, seed=0)
+        config = PromptConfig(dropout=0.5)
         bank = PromptBank(self.records(), config)
         n = bank.n_droppable(0)
         assert n > 0
@@ -202,7 +176,7 @@ class TestPromptBank:
         assert len(drop_all) < len(keep_all)
 
     def test_dropped_tokens_are_a_subsequence(self):
-        config = PromptConfig(dropout=0.5, seed=0)
+        config = PromptConfig(dropout=0.5)
         bank = PromptBank(self.records(), config)
         rng = np.random.default_rng(0)
         full = bank.tokens_full(0)
@@ -212,8 +186,31 @@ class TestPromptBank:
             assert all(tok in it for tok in sub)
 
     def test_protected_clause_tokens_survive_full_dropout(self):
-        config = PromptConfig(dropout=0.5, seed=0)
+        config = PromptConfig(dropout=0.5)
         bank = PromptBank(self.records(), config)
         drop_all = bank.tokens_with_dropout(1, np.zeros(bank.n_droppable(1)))
         for word in ("echo", "repetition", "flip"):
             assert reference_token(word) in drop_all
+
+    def test_dropout_never_removes_protected_clauses(self):
+        assert NEVER_DROPPED == {"te", "tr", "flip_angle"}
+        bank = PromptBank([full_record()], PromptConfig(dropout=0.9))
+        protected = [
+            tokenize(text)
+            for text in ("flip angle 90 degrees", "echo time 20 ms", "repetition time 3000 ms")
+        ]
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            tokens = bank.tokens_with_dropout(0, rng.uniform(size=bank.n_droppable(0)))
+            for clause in protected:
+                assert all(t in tokens for t in clause)
+
+    def test_dropout_eventually_removes_droppable_clauses(self):
+        bank = PromptBank([full_record()], PromptConfig(dropout=0.9))
+        rng = np.random.default_rng(0)
+        draws = [
+            bank.tokens_with_dropout(0, rng.uniform(size=bank.n_droppable(0)))
+            for _ in range(30)
+        ]
+        for word in ("acquired", "tesla", "plane", "sequence", "inversion"):
+            assert any(reference_token(word) not in tokens for tokens in draws)

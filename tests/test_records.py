@@ -1,7 +1,6 @@
 """Tests for metadata records: validation, manifests, plane inference."""
 
 import json
-import math
 
 import pytest
 
@@ -18,7 +17,6 @@ from mrcontrast.records import (
     make_record,
     parse_manifest_line,
     plane_for_record,
-    select_slice_indices,
 )
 
 
@@ -198,28 +196,3 @@ class TestPlaneInference:
     def test_plane_axis_and_names(self):
         assert [p.axis for p in Plane] == [0, 1, 2]
         assert Plane.AXIAL.word == "axial"
-
-
-class TestSliceSelection:
-    def test_small_stack_takes_every_second(self):
-        assert select_slice_indices(1) == [0]
-        assert select_slice_indices(2) == [0]
-        assert select_slice_indices(5) == [0, 2, 4]
-        assert select_slice_indices(6) == [0, 2, 4]
-
-    def test_large_stack_centers_window(self):
-        idx = select_slice_indices(300)
-        assert idx[0] == 100
-        assert idx[-1] == 198
-        assert len(idx) == 50
-
-    def test_window_width_matches_formula(self):
-        for depth in (1, 7, 99, 100, 101, 250):
-            width = min(depth, 100)
-            expected = list(range((depth - width) // 2, (depth - width) // 2 + width, 2))
-            assert select_slice_indices(depth) == expected
-            assert len(expected) == math.ceil(width / 2)
-
-    def test_zero_depth_raises(self):
-        with pytest.raises(ValueError):
-            select_slice_indices(0)

@@ -1,11 +1,17 @@
 """Synthetic data generator tests against a literal signal reference."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mrcontrast.errors import EmptyProtocolList
+from mrcontrast.errors import (
+    EmptyProtocolList,
+    MalformedFeatures,
+    MalformedJson,
+    NonFiniteInput,
+)
 from mrcontrast.records import make_record
 from mrcontrast.synth import (
     DEFAULT_TISSUES,
@@ -264,3 +270,38 @@ class TestDatasetIO:
         line = open(path).readline()
         keys = list(__import__("json").loads(line).keys())
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda o: o.pop("features"), MalformedFeatures),
+            (lambda o: o.update(features=["a"] * 12), MalformedFeatures),
+            (lambda o: o.update(features={"gm": 1.0}), MalformedFeatures),
+            (lambda o: o.update(features=[]), MalformedFeatures),
+            (lambda o: o.update(features=[o["features"]]), MalformedFeatures),
+            (lambda o: o.update(features=o["features"][:-1]), MalformedFeatures),
+            (lambda o: o.update(scan_id="first"), MalformedFeatures),
+            (lambda o: o.update(features=[float("nan")] * 12), NonFiniteInput),
+            (lambda o: o["features"].__setitem__(3, float("inf")), NonFiniteInput),
+        ],
+        ids=[
+            "missing", "strings", "object", "empty", "nested", "ragged",
+            "bad-scan-id", "nan", "inf",
+        ],
+    )
+    def test_malformed_line_raises_typed_error(self, tmp_path, edit, error):
+        slices = generate_dataset(default_protocols(), SynthConfig(n_scans=2, slices_per_scan=1))
+        path = tmp_path / "data.jsonl"
+        write_dataset(slices, str(path))
+        first, second = path.read_text().splitlines()
+        obj = json.loads(second)
+        edit(obj)
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(error):
+            load_dataset(str(path))
+
+    def test_invalid_json_line_raises_malformed_json(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"source_id": "a", "te_ms": 1,\n')
+        with pytest.raises(MalformedJson):
+            load_dataset(str(path))

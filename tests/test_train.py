@@ -2,16 +2,21 @@
 
 import hashlib
 import json
+import os
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mrcontrast import train
 from mrcontrast.errors import BadCheckpoint, DataError
 from mrcontrast.model import TAU_MAX, TAU_MIN
 from mrcontrast.train import (
+    CHECKPOINT_VERSION,
     RunConfig,
     checkpoint_bytes,
+    checkpoint_from_bytes,
     config_hash,
     dataset_arrays,
     load_checkpoint,
@@ -22,6 +27,25 @@ from mrcontrast.train import (
 
 
 TINY_RUN = RunConfig(batch_size=64, epochs=4, seed=0, warmup_steps=10)
+
+
+@pytest.fixture(scope="module")
+def small_blob(tiny_dataset):
+    """Checkpoint bytes of a one-epoch run with the narrowest towers, so the
+    blob is little more than the 8,193-row token table (about 200 KB)."""
+    slices, space, ids = tiny_dataset
+    run = RunConfig(batch_size=64, epochs=1, d_hidden=2, d_emb=2, d_tok=1)
+    state = train_model(slices, space, ids, run)
+    return checkpoint_bytes(state, run, space.hash_hex, config_hash(run, space.hash_hex))
+
+
+def rewrite_header(blob: bytes, edit, version: int = CHECKPOINT_VERSION) -> bytes:
+    """The blob with its JSON header passed through ``edit`` (in place)."""
+    head_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12 : 12 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode()
+    return blob[:4] + struct.pack("<II", version, len(head)) + head + blob[12 + head_len :]
 
 
 class TestSplitByScan:
@@ -239,3 +263,105 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 100])
         with pytest.raises(BadCheckpoint):
             load_checkpoint(str(path))
+
+    def test_every_truncation_is_rejected(self, small_blob):
+        """Modelled on acceptance criterion 10. Every cut through the prefix,
+        the header and the first 4 KiB of tensor data is tried; past that the
+        loader sees only the total length, so the rest of the tensor region is
+        cut at a stride of 997 bytes and at one byte either side of every
+        tensor boundary."""
+        head_end = 12 + struct.unpack("<I", small_blob[8:12])[0]
+        cuts = set(range(head_end + 4096))
+        cuts.update(range(head_end + 4096, len(small_blob), 997))
+        offset = head_end
+        header = json.loads(small_blob[12:head_end])
+        for _ in range(3):
+            for _, shape in header["params"]:
+                offset += 8 * int(np.prod(shape))
+                cuts.update((offset - 1, offset, offset + 1))
+        cuts = sorted(c for c in cuts if c < len(small_blob))
+        assert cuts[-1] == len(small_blob) - 1
+        for cut in cuts:
+            with pytest.raises(BadCheckpoint):
+                checkpoint_from_bytes(small_blob[:cut])
+        checkpoint_from_bytes(small_blob)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"MRCC"])
+    def test_trailing_bytes_rejected(self, small_blob, extra):
+        with pytest.raises(BadCheckpoint):
+            checkpoint_from_bytes(small_blob + extra)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("adam_t"),
+            lambda h: h.pop("rng_state"),
+            lambda h: h["run"].pop("lr"),
+            lambda h: h["run"].update(vocab_size=8192),
+            lambda h: h["model"].update(vocab_size=8192),
+            lambda h: h.update(run=[]),
+            lambda h: h.update(epochs_done="two"),
+            lambda h: h["rng_state"].update(bit_generator="MT19937"),
+            lambda h: h["rng_state"]["state"].update(state="-1"),
+        ],
+        ids=[
+            "no-adam_t", "no-rng_state", "no-run-lr", "unknown-run-key",
+            "unknown-model-key", "run-not-object", "epochs-not-int",
+            "foreign-rng", "negative-rng-state",
+        ],
+    )
+    def test_bad_header_keys_rejected(self, small_blob, edit):
+        with pytest.raises(BadCheckpoint):
+            checkpoint_from_bytes(rewrite_header(small_blob, edit))
+
+    @pytest.mark.parametrize(
+        "params",
+        ["img_w1", [["img_w1"]], [["img_w1", 12]], [["img_w1", ["a", 2]]], [["img_w1", [-1, -2]]]],
+    )
+    def test_malformed_manifest_rejected(self, small_blob, params):
+        with pytest.raises(BadCheckpoint):
+            checkpoint_from_bytes(rewrite_header(small_blob, lambda h: h.update(params=params)))
+
+    def test_manifest_disagreeing_with_model_rejected(self, small_blob):
+        def transpose_first(header):
+            name, shape = header["params"][0]
+            header["params"][0] = [name, shape[::-1]]
+
+        ckpt = checkpoint_from_bytes(rewrite_header(small_blob, transpose_first))
+        with pytest.raises(BadCheckpoint):
+            ckpt.restore()
+
+    def test_version_1_checkpoint_rejected(self, small_blob):
+        def as_version_1(header):
+            header["version"] = 1
+            header["run"]["vocab_size"] = 8192
+            header["model"]["vocab_size"] = 8192
+
+        with pytest.raises(BadCheckpoint):
+            checkpoint_from_bytes(rewrite_header(small_blob, as_version_1, version=1))
+
+    @pytest.mark.parametrize("fail", ["checkpoint_bytes", "replace"])
+    def test_failed_save_keeps_previous_checkpoint(
+        self, tiny_run, tmp_path, monkeypatch, fail
+    ):
+        slices, space, ids, run, state = tiny_run
+        cfg = config_hash(run, space.hash_hex)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError("interrupted")
+
+        target = train if fail == "checkpoint_bytes" else train.os
+        monkeypatch.setattr(target, fail, boom)
+        with pytest.raises(OSError):
+            save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        resumed = train_model(
+            slices, space, ids, replace(run, epochs=run.epochs + 1),
+            resume_from=load_checkpoint(str(path)),
+        )
+        assert resumed.epochs_done == run.epochs + 1

@@ -1,9 +1,15 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor records the ops that produced it; backward() walks the tape in
-reverse topological order and accumulates vector-Jacobian products into
-.grad. Everything is float64. The op set is exactly what the dual encoder
-and the contrastive losses need, nothing more.
+reverse topological order, hands each node its incoming gradient and
+accumulates vector-Jacobian products into .grad. Everything is float64. The
+op set is exactly what the dual encoder needs, nothing more; a computation
+with closed-form gradients (the contrastive loss) joins the tape as one node
+through `with_gradients`.
+
+A backward closure holds its op's inputs and the arrays it needs, never the
+op's output, so a graph holds no reference cycle: it is freed by reference
+counting as soon as its root is dropped, without the cyclic collector.
 """
 from __future__ import annotations
 
@@ -48,9 +54,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # --- arithmetic ---------------------------------------------------------
 
     @staticmethod
@@ -65,32 +68,16 @@ class Tensor:
             (self, other),
         )
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad)
+                self._accum(grad)
             if other.requires_grad:
-                other._accum(out.grad)
+                other._accum(grad)
 
         out._backward = backward
         return out
 
     __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data, self.requires_grad, (self,))
-
-        def backward():
-            if self.requires_grad:
-                self._accum(-out.grad)
-
-        out._backward = backward
-        return out
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
 
     def __mul__(self, other):
         other = self._wrap(other)
@@ -100,36 +87,16 @@ class Tensor:
             (self, other),
         )
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad * other.data)
+                self._accum(grad * other.data)
             if other.requires_grad:
-                other._accum(out.grad * self.data)
+                other._accum(grad * self.data)
 
         out._backward = backward
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        out = Tensor(
-            self.data / other.data,
-            self.requires_grad or other.requires_grad,
-            (self, other),
-        )
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad / other.data)
-            if other.requires_grad:
-                other._accum(-out.grad * self.data / (other.data**2))
-
-        out._backward = backward
-        return out
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
 
     def __matmul__(self, other):
         other = self._wrap(other)
@@ -139,11 +106,11 @@ class Tensor:
             (self, other),
         )
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad @ other.data.T)
+                self._accum(grad @ other.data.T)
             if other.requires_grad:
-                other._accum(self.data.T @ out.grad)
+                other._accum(self.data.T @ grad)
 
         out._backward = backward
         return out
@@ -151,9 +118,9 @@ class Tensor:
     def pow(self, exponent: float):
         out = Tensor(self.data**exponent, self.requires_grad, (self,))
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad * exponent * self.data ** (exponent - 1))
+                self._accum(grad * exponent * self.data ** (exponent - 1))
 
         out._backward = backward
         return out
@@ -161,21 +128,12 @@ class Tensor:
     # --- elementwise --------------------------------------------------------
 
     def exp(self):
-        out = Tensor(np.exp(self.data), self.requires_grad, (self,))
+        e = np.exp(self.data)
+        out = Tensor(e, self.requires_grad, (self,))
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad * out.data)
-
-        out._backward = backward
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), self.requires_grad, (self,))
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad / self.data)
+                self._accum(grad * e)
 
         out._backward = backward
         return out
@@ -184,9 +142,9 @@ class Tensor:
         s = 1.0 / (1.0 + np.exp(-self.data))
         out = Tensor(s, self.requires_grad, (self,))
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad * s * (1.0 - s))
+                self._accum(grad * s * (1.0 - s))
 
         out._backward = backward
         return out
@@ -202,9 +160,9 @@ class Tensor:
         inside = (self.data >= lo) & (self.data <= hi)
         out = Tensor(clipped, self.requires_grad, (self,))
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                self._accum(out.grad * inside)
+                self._accum(grad * inside)
 
         out._backward = backward
         return out
@@ -218,45 +176,11 @@ class Tensor:
             (self,),
         )
 
-        def backward():
+        def backward(grad):
             if self.requires_grad:
-                g = out.grad
                 if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
-
-        out._backward = backward
-        return out
-
-    def mean(self):
-        return self.sum() * (1.0 / self.data.size)
-
-    def max_detached(self, axis: int, keepdims: bool = True) -> "Tensor":
-        """Row max as a constant (no gradient); used for log-sum-exp shifts."""
-        return Tensor(self.data.max(axis=axis, keepdims=keepdims))
-
-    # --- indexing -----------------------------------------------------------
-
-    def take_rows(self, idx: np.ndarray):
-        idx = np.asarray(idx, dtype=np.int64)
-        out = Tensor(self.data[idx], self.requires_grad, (self,))
-
-        def backward():
-            if self.requires_grad:
-                g = np.zeros_like(self.data)
-                np.add.at(g, idx, out.grad)
-                self._accum(g)
-
-        out._backward = backward
-        return out
-
-    @property
-    def T(self):
-        out = Tensor(self.data.T, self.requires_grad, (self,))
-
-        def backward():
-            if self.requires_grad:
-                self._accum(out.grad.T)
+                    grad = np.expand_dims(grad, axis)
+                self._accum(np.broadcast_to(grad, self.data.shape))
 
         out._backward = backward
         return out
@@ -288,11 +212,27 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.requires_grad:
-                node._backward()
+                node._backward(node.grad)
         for node in topo:
             if node.requires_grad and not node._prev:
                 if node.grad is not None and not np.isfinite(node.grad).all():
                     raise NonFiniteGradient("non-finite gradient in backward")
+
+
+def with_gradients(value, inputs: Sequence[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """A node whose gradient with respect to each input the caller supplies
+    (for a closed-form computation such as the contrastive loss); backward
+    scales each supplied gradient by the incoming one."""
+    parents = tuple(t for t, _ in inputs)
+    out = Tensor(value, any(t.requires_grad for t in parents), parents)
+
+    def backward(grad):
+        for t, g in inputs:
+            if t.requires_grad:
+                t._accum(grad * g)
+
+    out._backward = backward
+    return out
 
 
 def mean_rows(table: Tensor, id_lists: Sequence[Sequence[int]], null_row: int) -> Tensor:
@@ -317,10 +257,10 @@ def mean_rows(table: Tensor, id_lists: Sequence[Sequence[int]], null_row: int) -
     pooled /= counts[:, None]
     out = Tensor(pooled, table.requires_grad, (table,))
 
-    def backward():
+    def backward(grad):
         if table.requires_grad:
             g = np.zeros_like(table.data)
-            np.add.at(g, flat_idx, out.grad[seg_idx] / counts[seg_idx, None])
+            np.add.at(g, flat_idx, grad[seg_idx] / counts[seg_idx, None])
             table._accum(g)
 
     out._backward = backward

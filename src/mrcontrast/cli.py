@@ -15,7 +15,7 @@ from typing import Optional
 from . import dicom, synth
 from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
 from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
-from .records import parse_manifest_line
+from .records import manifest_lines, parse_manifest_line
 from .train import (
     RunConfig,
     config_hash,
@@ -100,11 +100,9 @@ def cmd_ingest(args) -> int:
 
     for p in paths:
         if p.suffix.lower() in (".jsonl", ".json"):
-            for line in p.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
+            for number, line in manifest_lines(p):
                 try:
-                    accepted.append(parse_manifest_line(line))
+                    accepted.append(parse_manifest_line(line, number))
                 except MrContrastError as exc:
                     reject(exc)
         else:
@@ -126,12 +124,7 @@ def cmd_ingest(args) -> int:
 
 
 def _load_records(path: str):
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(parse_manifest_line(line))
-    return records
+    return [parse_manifest_line(line, number) for number, line in manifest_lines(path)]
 
 
 def cmd_build_labels(args) -> int:
@@ -168,8 +161,10 @@ def cmd_train(args) -> int:
     records = [s.record for s in slices]
     ids = space.assign(records)
 
+    epochs_before = 0
     if args.resume:
         ckpt = load_checkpoint(args.resume)
+        epochs_before = ckpt.epochs_done
         run = ckpt.run
         if args.epochs is not None:
             run = RunConfig(**{**run.to_dict(), "epochs": args.epochs})
@@ -193,9 +188,11 @@ def cmd_train(args) -> int:
         )
         state = train_model(slices, space, ids, run, checkpoint_path=args.checkpoint)
 
-    save_checkpoint(
-        args.checkpoint, state, run, space.hash_hex, config_hash(run, space.hash_hex)
-    )
+    # train_model saves after every epoch; write here only when none ran.
+    if state.epochs_done == epochs_before:
+        save_checkpoint(
+            args.checkpoint, state, run, space.hash_hex, config_hash(run, space.hash_hex)
+        )
     if args.log:
         Path(args.log).write_text(
             "\n".join(state.log_lines) + "\n", encoding="utf-8"

@@ -23,10 +23,6 @@ class KMeansModel:
     inertia_history: list[float] = field(default_factory=list)
     n_iter: int = 0
 
-    @property
-    def inertia(self) -> float:
-        return self.inertia_history[-1]
-
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Nearest-centroid index per point (ties -> lowest index)."""
         points = np.asarray(points, dtype=np.float64)

@@ -94,10 +94,6 @@ def bin_ti(ti_ms: Optional[float], edges: Sequence[float] = DEFAULT_TI_EDGES) ->
     return min(k + 1, len(edges) + 1)
 
 
-def ti_bin_count(edges: Sequence[float] = DEFAULT_TI_EDGES) -> int:
-    return len(edges) + 2
-
-
 def ti_representative(bin_index: int, edges: Sequence[float] = DEFAULT_TI_EDGES) -> Optional[float]:
     """A TI value inside the given bin (None for bin 0 = no inversion)."""
     if bin_index == 0:
@@ -212,9 +208,12 @@ def label_keys(
     return keys
 
 
+KMEANS_DIM = 4
+
+
 def kmeans_features(records: Sequence[MetadataRecord]) -> np.ndarray:
     """(te, tr, ti_present, ti or 0) per record, for numeric-tag clustering."""
-    out = np.zeros((len(records), 4), dtype=np.float64)
+    out = np.zeros((len(records), KMEANS_DIM), dtype=np.float64)
     for i, r in enumerate(records):
         out[i, 0] = r.te_ms
         out[i, 1] = r.tr_ms
@@ -386,8 +385,9 @@ class LabelSpace:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        """Inverse of `to_json_dict`; a missing or wrongly typed entry raises
-        LabelDecodeFailure."""
+        """Inverse of `to_json_dict`; a missing or wrongly typed entry, or a
+        k-means block whose arrays are misshapen, non-finite or have a
+        non-positive range, raises LabelDecodeFailure."""
         try:
             cfg = obj["config"]
             config = LabelConfig(
@@ -401,14 +401,26 @@ class LabelSpace:
             grouper = None
             if config.grouping == "kmeans":
                 km = obj["kmeans"]
-                grouper = KMeansGrouper(
-                    mins=np.asarray(km["mins"], dtype=np.float64),
-                    ranges=np.asarray(km["ranges"], dtype=np.float64),
-                    model=KMeansModel(
-                        centroids=np.asarray(km["centroids"], dtype=np.float64),
-                        inertia_history=[0.0],
-                    ),
+                mins, ranges, centroids = (
+                    np.asarray(km[k], dtype=np.float64)
+                    for k in ("mins", "ranges", "centroids")
                 )
+                if not (
+                    mins.shape == ranges.shape == (KMEANS_DIM,)
+                    and centroids.ndim == 2
+                    and centroids.shape[0] >= 1
+                    and centroids.shape[1] == KMEANS_DIM
+                ):
+                    raise LabelDecodeFailure(
+                        f"k-means block needs mins and ranges of shape ({KMEANS_DIM},) "
+                        f"and centroids of shape (k, {KMEANS_DIM})"
+                    )
+                finite = all(np.isfinite(a).all() for a in (mins, ranges, centroids))
+                if not (finite and (ranges > 0).all()):
+                    raise LabelDecodeFailure(
+                        "k-means block has non-finite values or a non-positive range"
+                    )
+                grouper = KMeansGrouper(mins, ranges, KMeansModel(centroids))
             keys_with_counts = {
                 tuple(lab["key"]): lab["count"] for lab in obj["labels"]
             }

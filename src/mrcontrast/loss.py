@@ -6,10 +6,14 @@ candidates. Per-anchor terms are averaged so loss magnitude does not depend
 on batch size, and the two retrieval directions are averaged with weight 1/2.
 InfoNCE is the special case whose only positive is the anchor's own pair.
 
-Shard plans split the anchor rows while keeping the full candidate set, so
-per-shard terms sum to the unsharded loss exactly (up to float reassociation).
-All reductions are float64; softmax rows are max-shifted before
-exponentiation.
+`contrastive_loss` is the one computation: it returns the loss with its
+closed-form gradients for both embedding sets and the temperature, and every
+public name calls it (`loss_graph` wraps the result as a single autodiff
+node). Shard plans split the anchor rows while keeping the full candidate
+set, so per-shard terms sum to the unsharded loss exactly (up to float
+reassociation), and a shard's N-wide blocks are dropped before the next one
+is formed: peak memory is about N^2 / shards. All reductions are float64;
+softmax rows are max-shifted before exponentiation.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, with_gradients
 from .errors import (
     EmptyBatch,
     InvalidPlan,
@@ -130,15 +134,63 @@ def _positive_weights(
     return mask / mask.sum(axis=1, keepdims=True)
 
 
-def _term_sum(
-    anchors: Tensor, candidates: Tensor, weights: np.ndarray, tau: Tensor
-) -> Tensor:
-    """Sum over anchors of -(1/|P|) * sum_p log softmax_p; not yet averaged."""
-    logits = (anchors @ candidates.T) / tau
-    shifted = logits - logits.max_detached(axis=1)
-    log_denom = shifted.exp().sum(axis=1, keepdims=True).log()
-    log_prob = shifted - log_denom
-    return -((log_prob * Tensor(weights)).sum())
+def contrastive_loss(
+    img: np.ndarray,
+    txt: np.ndarray,
+    labels: np.ndarray,
+    tau: float,
+    kind: str = "supcon",
+    plan: Optional[ShardPlan] = None,
+) -> LossResult:
+    """The bidirectional loss and its closed-form gradients, shard by shard.
+
+    For each shard and direction the anchors' logits against the full
+    candidate set are max-shifted and log-softmaxed; with
+    coef = softmax - positive weights, the anchor gradient is
+    coef @ candidates / tau, the candidate gradient coef.T @ anchors / tau
+    and the temperature gradient -sum(coef * shifted) / tau (the shift
+    cancels because both row sets sum to one). Only one shard's blocks are
+    alive at a time, so peak memory is O(shard x N) rather than O(N^2).
+    """
+    n = img.shape[0]
+    if plan is None:
+        plan = ShardPlan(((0, n),))
+    plan.validate(n)
+    if kind not in ("supcon", "infonce"):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    total = 0.0
+    d_img = np.zeros_like(img)
+    d_txt = np.zeros_like(txt)
+    d_tau = 0.0
+    for start, end in plan.ranges:
+        if start == end:
+            continue
+        rows = slice(start, end)
+        # Same labels on both sides, so one weight block serves both directions.
+        weights = _positive_weights(
+            labels[rows], labels, np.arange(start, end) if kind == "infonce" else None
+        )
+        part = 0.0
+        for anchors, candidates, d_anchors, d_candidates in (
+            (img, txt, d_img, d_txt),
+            (txt, img, d_txt, d_img),
+        ):
+            shifted = anchors[rows] @ candidates.T / tau
+            shifted -= shifted.max(axis=1, keepdims=True)
+            log_prob = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            part -= (log_prob * weights).sum()
+            coef = np.exp(log_prob) - weights  # d term / d logits
+            d_tau -= (coef * shifted).sum() / tau
+            d_anchors[rows] += coef @ candidates / tau
+            d_candidates += coef.T @ anchors[rows] / tau
+        total += part
+    scale = 0.5 / n
+    return LossResult(
+        loss=total * scale,
+        d_images=d_img * scale,
+        d_texts=d_txt * scale,
+        d_temperature=d_tau * scale,
+    )
 
 
 def loss_graph(
@@ -149,70 +201,27 @@ def loss_graph(
     kind: str = "supcon",
     plan: Optional[ShardPlan] = None,
 ) -> Tensor:
-    """Bidirectional loss as an autodiff graph (used by training and tests).
-
-    The single-shard plan is the canonical computation; multi-shard plans
-    compute each anchor range against the full candidate set and sum.
-    """
-    n = images.data.shape[0]
-    if plan is None:
-        plan = ShardPlan(((0, n),))
-    plan.validate(n)
-    if kind not in ("supcon", "infonce"):
-        raise ValueError(f"unknown loss kind {kind!r}")
-    total: Optional[Tensor] = None
-    for start, end in plan.ranges:
-        if start == end:
-            continue
-        rows = np.arange(start, end)
-        img_rows = images.take_rows(rows)
-        txt_rows = texts.take_rows(rows)
-        diag = rows if kind == "infonce" else None
-        w_i2t = _positive_weights(labels[rows], labels, diag)
-        w_t2i = w_i2t  # same labels both sides; diag rows identical too
-        part = _term_sum(img_rows, texts, w_i2t, tau) + _term_sum(
-            txt_rows, images, w_t2i, tau
-        )
-        total = part if total is None else total + part
-    return total * (0.5 / n)
-
-
-def _scalar_loss(
-    images: np.ndarray,
-    texts: np.ndarray,
-    labels: np.ndarray,
-    temperature: float,
-    kind: str,
-    plan: Optional[ShardPlan] = None,
-) -> float:
-    out = loss_graph(
-        Tensor(images), Tensor(texts), labels, Tensor(temperature), kind, plan
+    """`contrastive_loss` as one autodiff node (used by training and tests);
+    the gradients are computed in the forward pass and scaled in backward."""
+    result = contrastive_loss(images.data, texts.data, labels, float(tau.data), kind, plan)
+    return with_gradients(
+        result.loss,
+        (
+            (images, result.d_images),
+            (texts, result.d_texts),
+            (tau, result.d_temperature),
+        ),
     )
-    return float(out.data)
-
-
-def supcon_directional(
-    anchors: np.ndarray,
-    candidates: np.ndarray,
-    labels: np.ndarray,
-    temperature: float,
-) -> float:
-    """One direction only: anchors against the full candidate set."""
-    batch = ContrastiveBatch(anchors, candidates, labels, temperature)
-    img, txt, lab = validate_batch(batch)
-    weights = _positive_weights(lab, lab, None)
-    term = _term_sum(Tensor(img), Tensor(txt), weights, Tensor(temperature))
-    return float(term.data) / img.shape[0]
 
 
 def supcon_bidirectional(batch: ContrastiveBatch) -> float:
     img, txt, labels = validate_batch(batch)
-    return _scalar_loss(img, txt, labels, batch.temperature, "supcon")
+    return contrastive_loss(img, txt, labels, batch.temperature, "supcon").loss
 
 
 def infonce_bidirectional(batch: ContrastiveBatch) -> float:
     img, txt, labels = validate_batch(batch)
-    return _scalar_loss(img, txt, labels, batch.temperature, "infonce")
+    return contrastive_loss(img, txt, labels, batch.temperature, "infonce").loss
 
 
 def sharded_loss(
@@ -222,14 +231,4 @@ def sharded_loss(
 ) -> LossResult:
     """Loss plus gradients w.r.t. both embedding sets and the temperature."""
     img, txt, labels = validate_batch(batch)
-    images = Tensor(img, requires_grad=True)
-    texts = Tensor(txt, requires_grad=True)
-    tau = Tensor(batch.temperature, requires_grad=True)
-    out = loss_graph(images, texts, labels, tau, kind, plan)
-    out.backward()
-    return LossResult(
-        loss=float(out.data),
-        d_images=images.grad,
-        d_texts=texts.grad,
-        d_temperature=float(tau.grad),
-    )
+    return contrastive_loss(img, txt, labels, batch.temperature, kind, plan)

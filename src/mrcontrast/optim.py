@@ -61,20 +61,14 @@ class Adam:
             p.data = p.data - lr_eff * m_hat / (np.sqrt(v_hat) + c.eps)
         return lr_eff
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
     def load_state_dict(self, state: dict) -> None:
+        """Take step count and moments from `state`, copying the arrays."""
         self.t = int(state["t"])
         for k in self.m:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(
+            self.m[k] = np.array(state["m"][k], dtype=np.float64).reshape(
                 self.m[k].shape
             )
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(
+            self.v[k] = np.array(state["v"][k], dtype=np.float64).reshape(
                 self.v[k].shape
             )
 

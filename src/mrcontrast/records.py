@@ -11,7 +11,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from .errors import (
     MalformedJson,
@@ -195,13 +195,28 @@ _RECORD_FIELDS = {
 }
 
 
-def parse_manifest_line(line: str) -> MetadataRecord:
-    """`record_from_dict` of one JSON-lines entry; bad JSON raises MalformedJson."""
+def manifest_lines(path) -> Iterator[tuple[int, bytes]]:
+    """(line number from 1, raw bytes) of each non-blank line of a JSON-lines
+    file; manifests and datasets are read through here and decoded by
+    `decode_manifest_line`, so a bad byte is a typed error, not a crash."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                yield number, line
+
+
+def decode_manifest_line(line: Union[str, bytes], number: int = 1) -> Any:
+    """The JSON value of one line; bytes that are not UTF-8, or text that is
+    not JSON, raise MalformedJson naming the line number."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON: {exc}") from exc
-    return record_from_dict(obj)
+        return json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise MalformedJson(f"line {number}: not UTF-8 JSON: {exc}") from exc
+
+
+def parse_manifest_line(line: Union[str, bytes], number: int = 1) -> MetadataRecord:
+    """`record_from_dict` of `decode_manifest_line`."""
+    return record_from_dict(decode_manifest_line(line, number))
 
 
 def record_from_dict(obj: Any) -> MetadataRecord:

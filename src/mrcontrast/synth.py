@@ -18,8 +18,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyProtocolList, MalformedFeatures, MalformedJson, NonFiniteInput
-from .records import MetadataRecord, make_record, plane_for_record, record_from_dict
+from .errors import EmptyProtocolList, MalformedFeatures, NonFiniteInput
+from .records import (
+    MetadataRecord,
+    decode_manifest_line,
+    make_record,
+    manifest_lines,
+    plane_for_record,
+    record_from_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -239,31 +246,26 @@ def write_dataset(slices: Iterable[SyntheticSlice], path: str) -> None:
 def load_dataset(path: str) -> list[SyntheticSlice]:
     """Read a JSON-lines dataset back into slices, decoding each line once.
 
-    Every line needs ``features``: a list of numbers as long as the first
-    line's (else MalformedJson or MalformedFeatures), all of them finite
-    (else NonFiniteInput, a numerical error like other non-finite input).
+    Every line must be UTF-8 JSON (else MalformedJson) and needs
+    ``features``: a list of numbers as long as the first line's (else
+    MalformedFeatures), all of them finite (else NonFiniteInput, a numerical
+    error like other non-finite input).
     """
     out: list[SyntheticSlice] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedJson(f"line {number}: invalid JSON: {exc}") from exc
-            record = record_from_dict(obj)
-            try:
-                features = np.asarray(obj["features"], dtype=np.float64)
-                scan_id = int(obj.get("scan_id", 0))
-                slice_index = int(obj.get("slice_index", 0))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise MalformedFeatures(f"line {number}: {exc!r}") from exc
-            if features.ndim != 1 or features.size == 0:
-                raise MalformedFeatures(f"line {number}: features must be a non-empty list")
-            if out and features.size != out[0].features.size:
-                raise MalformedFeatures(f"line {number}: feature count differs from row 1's")
-            if not np.isfinite(features).all():
-                raise NonFiniteInput(f"line {number}: non-finite features")
-            out.append(SyntheticSlice(record, scan_id, slice_index, features))
+    for number, line in manifest_lines(path):
+        obj = decode_manifest_line(line, number)
+        record = record_from_dict(obj)
+        try:
+            features = np.asarray(obj["features"], dtype=np.float64)
+            scan_id = int(obj.get("scan_id", 0))
+            slice_index = int(obj.get("slice_index", 0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedFeatures(f"line {number}: {exc!r}") from exc
+        if features.ndim != 1 or features.size == 0:
+            raise MalformedFeatures(f"line {number}: features must be a non-empty list")
+        if out and features.size != out[0].features.size:
+            raise MalformedFeatures(f"line {number}: feature count differs from row 1's")
+        if not np.isfinite(features).all():
+            raise NonFiniteInput(f"line {number}: non-finite features")
+        out.append(SyntheticSlice(record, scan_id, slice_index, features))
     return out

@@ -1,10 +1,14 @@
 """Reverse-mode autodiff tests: every op against central finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from mrcontrast.autodiff import Tensor, mean_rows, unit_rows
+from mrcontrast.autodiff import Tensor, mean_rows, unit_rows, with_gradients
 from mrcontrast.errors import NonFiniteGradient
+from mrcontrast.loss import loss_graph
+from mrcontrast.model import DualEncoder, ModelConfig
 
 EPS = 1e-6
 RTOL = 1e-6
@@ -46,6 +50,10 @@ def check_op(build, x: np.ndarray, weights=None):
 
 
 class TestElementwiseOps:
+    """The Tensor has no subtraction, negation or division operators: the
+    tests of those check the compositions that stand for them (adding a
+    negated value, scaling by -1, multiplying by pow(-1))."""
+
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.x = rng.normal(size=(4, 3))
@@ -60,25 +68,25 @@ class TestElementwiseOps:
         check_op(lambda t: 2.0 + t, self.x)
 
     def test_sub(self):
-        check_op(lambda t: t - Tensor(np.full((4, 3), 0.5)), self.x)
+        check_op(lambda t: t + Tensor(np.full((4, 3), 0.5)) * -1.0, self.x)
 
     def test_rsub(self):
-        check_op(lambda t: 1.0 - t, self.x)
+        check_op(lambda t: 1.0 + t * -1.0, self.x)
 
     def test_neg(self):
-        check_op(lambda t: -t, self.x)
+        check_op(lambda t: t * -1.0, self.x)
 
     def test_mul_broadcast_column(self):
         check_op(lambda t: t * Tensor(np.arange(1.0, 5.0)[:, None]), self.x)
 
     def test_div(self):
-        check_op(lambda t: t / Tensor(np.full((4, 3), 2.5)), self.x)
+        check_op(lambda t: t * Tensor(np.full((4, 3), 2.5)).pow(-1.0), self.x)
 
     def test_div_by_tensor_gradient_flows_to_denominator(self):
         x = np.abs(np.random.default_rng(1).normal(size=(3, 2))) + 0.5
 
         def build(t):
-            return Tensor(np.ones((3, 2))) / t
+            return Tensor(np.ones((3, 2))) * t.pow(-1.0)
 
         check_op(build, x)
 
@@ -91,9 +99,6 @@ class TestElementwiseOps:
 
     def test_exp(self):
         check_op(lambda t: t.exp(), self.x)
-
-    def test_log(self):
-        check_op(lambda t: t.log(), np.abs(self.x) + 0.5)
 
     def test_sigmoid(self):
         check_op(lambda t: t.sigmoid(), self.x)
@@ -126,11 +131,6 @@ class TestMatmulAndShapes:
         a = rng.normal(size=(4, 3))
         check_op(lambda t: Tensor(a) @ t, rng.normal(size=(3, 5)))
 
-    def test_transpose(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=(4, 2))
-        check_op(lambda t: t.T @ Tensor(w), rng.normal(size=(4, 3)))
-
     def test_sum_all(self):
         check_op(lambda t: t.sum(), np.random.default_rng(5).normal(size=(3, 4)),
                  weights=np.array(1.0))
@@ -144,29 +144,8 @@ class TestMatmulAndShapes:
         check_op(lambda t: t.sum(axis=0), rng.normal(size=(3, 4)))
 
     def test_mean(self):
-        check_op(lambda t: t.mean(), np.random.default_rng(8).normal(size=(5, 2)),
+        check_op(lambda t: t.sum() * (1.0 / 10), np.random.default_rng(8).normal(size=(5, 2)),
                  weights=np.array(1.0))
-
-    def test_take_rows(self):
-        rng = np.random.default_rng(9)
-        idx = np.array([0, 2, 2, 1])
-
-        def build(t):
-            return t.take_rows(idx)
-
-        check_op(build, rng.normal(size=(3, 4)))
-
-    def test_take_rows_accumulates_repeats(self):
-        t = Tensor(np.zeros((2, 2)), requires_grad=True)
-        t.take_rows(np.array([1, 1, 1])).sum().backward()
-        np.testing.assert_array_equal(t.grad, [[0.0, 0.0], [3.0, 3.0]])
-
-    def test_max_detached_is_constant(self):
-        t = Tensor(np.array([[1.0, 5.0], [2.0, 0.5]]), requires_grad=True)
-        m = t.max_detached(axis=1)
-        np.testing.assert_array_equal(m.data, [[5.0], [2.0]])
-        (t - m).sum().backward()
-        np.testing.assert_array_equal(t.grad, np.ones((2, 2)))
 
 
 class TestCompositeHelpers:
@@ -236,7 +215,7 @@ class TestGraphMechanics:
 
     def test_detach_cuts_the_graph(self):
         t = Tensor(np.ones(3), requires_grad=True)
-        d = t.detach()
+        d = Tensor(t.data)
         assert not d.requires_grad
         (Tensor(np.ones(3), requires_grad=True) * d).sum().backward()
         assert t.grad is None
@@ -251,7 +230,34 @@ class TestGraphMechanics:
         t = Tensor(np.array([0.0, 1.0]), requires_grad=True)
         with np.errstate(divide="ignore"):
             with pytest.raises(NonFiniteGradient):
-                t.log().sum().backward()
+                t.pow(-0.5).sum().backward()
+
+    def test_with_gradients_scales_the_supplied_gradients(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        c = Tensor(np.ones(3))
+        node = with_gradients(5.0, ((a, np.array([1.0, 2.0])), (c, np.ones(3))))
+        (node * 3.0).backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 6.0])
+        assert c.grad is None
+
+    def test_training_step_graph_is_freed_without_the_cyclic_collector(self):
+        model = DualEncoder(ModelConfig(d_in=3), seed=0)
+        features = np.random.default_rng(14).normal(size=(6, 3))
+        tokens = [[1, 2], [3], [], [4, 5, 6], [2], [7]]
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        gc.collect()
+        gc.disable()
+        try:
+            out = loss_graph(
+                model.encode_images(features), model.encode_texts(tokens),
+                labels, model.tau(),
+            )
+            out.backward()
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert model.img_w1.grad is not None
 
 
 class TestFloat64Discipline:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dicom_fixtures
+from mrcontrast import cli, train
 from mrcontrast.cli import main
 from mrcontrast.records import make_record, parse_manifest_line
 
@@ -105,6 +106,31 @@ class TestPipeline:
         ]) == 0
         assert open(resumed, "rb").read() == open(pipeline["ckpt"], "rb").read()
 
+    def test_checkpoint_is_written_once_per_epoch(self, pipeline, tmp_path, monkeypatch):
+        paths = []
+
+        def counting_save(path, *args):
+            paths.append(path)
+            original(path, *args)
+
+        original = train.save_checkpoint
+        monkeypatch.setattr(train, "save_checkpoint", counting_save)
+        monkeypatch.setattr(cli, "save_checkpoint", counting_save)
+        ckpt = str(tmp_path / "two.ckpt")
+        assert main([
+            "train", "--dataset", pipeline["data"],
+            "--labels", pipeline["labels"], "--checkpoint", ckpt,
+        ] + TRAIN_FLAGS) == 0
+        assert paths == [ckpt, ckpt]
+        resumed = str(tmp_path / "resumed.ckpt")
+        assert main([
+            "train", "--dataset", pipeline["data"],
+            "--labels", pipeline["labels"], "--checkpoint", resumed,
+            "--resume", ckpt, "--epochs", "2",
+        ]) == 0
+        assert paths == [ckpt, ckpt, resumed]
+        assert open(resumed, "rb").read() == open(ckpt, "rb").read()
+
     def test_eval_table_report(self, pipeline, tmp_path):
         out = str(tmp_path / "report.txt")
         assert main([
@@ -147,8 +173,10 @@ class TestIngest:
             field_strength_tesla=3.0, te_ms=30.0, tr_ms=2000.0,
             flip_angle_deg=90.0,
         )
-        (src / "c_manifest.jsonl").write_text(
-            json.dumps(record.to_dict(), sort_keys=True) + "\nnot json at all\n"
+        (src / "c_manifest.jsonl").write_bytes(
+            b'{"source_id": "\xff"}\n'
+            + json.dumps(record.to_dict(), sort_keys=True).encode()
+            + b"\nnot json at all\n"
         )
         return src
 
@@ -171,7 +199,7 @@ class TestIngest:
         assert sources == {"a_good.dcm", "manual-1"}
         summary = json.loads(open(summary_path).read())
         assert summary["accepted"] == 2
-        assert summary["rejected"] == {"MalformedJson": 1, "MissingMagic": 1}
+        assert summary["rejected"] == {"MalformedJson": 2, "MissingMagic": 1}
 
     def test_summary_defaults_to_stdout(self, tmp_path, capsys):
         src = self.corpus(tmp_path)
@@ -261,21 +289,33 @@ class TestExitCodes:
             lambda o: o.pop("features"),
             lambda o: o.update(features=["x"] * len(o["features"])),
             lambda o: o.update(features=o["features"][1:]),
+            lambda o: json.dumps(o).encode().replace(b'"source_id": "', b'"source_id": "\xff', 1),
         ],
-        ids=["missing", "non-numeric", "ragged"],
+        ids=["missing", "non-numeric", "ragged", "non-utf8"],
     )
     def test_malformed_dataset_is_data_error(self, pipeline, tmp_path, capsys, edit):
-        lines = open(pipeline["data"]).read().splitlines()
+        lines = open(pipeline["data"], "rb").read().splitlines()
         obj = json.loads(lines[-1])
-        edit(obj)
+        result = edit(obj)
+        last = result if isinstance(result, bytes) else json.dumps(obj).encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines[:-1] + [json.dumps(obj)]) + "\n")
+        bad.write_bytes(b"\n".join(lines[:-1] + [last]) + b"\n")
         code = main([
             "train", "--dataset", str(bad), "--labels", pipeline["labels"],
             "--checkpoint", str(tmp_path / "bad.ckpt"),
         ] + TRAIN_FLAGS)
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "build-labels"])
+    def test_non_utf8_manifest_line_is_data_error(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.jsonl"
+        good = make_record("m-1", te_ms=30.0, tr_ms=2000.0).to_dict()
+        manifest.write_bytes(json.dumps(good).encode() + b'\n{"source_id": "\xff"}\n')
+        args = [str(manifest)] if command == "ingest" else ["--dataset", str(manifest)]
+        assert main([command] + args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit",

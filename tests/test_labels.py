@@ -24,7 +24,6 @@ from mrcontrast.labels import (
     coarsened_space,
     median_rep,
     quantize_te_tr,
-    ti_bin_count,
     ti_representative,
 )
 from mrcontrast.records import make_record
@@ -115,12 +114,13 @@ class TestTiBins:
         assert bin_ti(ti) == expected
 
     def test_bin_count(self):
-        assert ti_bin_count() == len(DEFAULT_TI_EDGES) + 2
-        assert ti_bin_count((100.0,)) == 3
+        values = (None, 150.0, 500.0, 2500.0, 5000.0, 1e6)
+        assert {bin_ti(v) for v in values} == set(range(len(DEFAULT_TI_EDGES) + 2))
+        assert {bin_ti(v, (100.0,)) for v in (None, 50.0, 100.0, 1e6)} == {0, 1, 2}
 
     def test_representative_lands_in_its_bin(self):
         assert ti_representative(0) is None
-        for b in range(1, ti_bin_count()):
+        for b in range(1, len(DEFAULT_TI_EDGES) + 2):
             value = ti_representative(b)
             assert bin_ti(value) == b
 
@@ -206,6 +206,14 @@ class TestMedianRep:
         assert tr in [v[1] for v in values]
         assert ti in [v[2] for v in values]
 
+
+
+def with_kmeans(obj, **block):
+    """Turn a decoded grid space into a k-means one with the given block
+    entries; the defaults form a valid one-cluster block."""
+    obj["config"].update(grouping="kmeans")
+    obj["kmeans"] = {"mins": [0.0] * 4, "ranges": [1.0] * 4,
+                     "centroids": [[0.5] * 4], **block}
 
 class TestLabelSpace:
     def records(self):
@@ -303,11 +311,21 @@ class TestLabelSpace:
             lambda o: o["labels"][0].update(key=[[1], 2]),
             lambda o: o["labels"][0].update(rep=5),
             lambda o: o["labels"][0].pop("id"),
+            lambda o: with_kmeans(o, centroids=[[0.5, 0.5, 0.0]]),
+            lambda o: with_kmeans(o, centroids=[]),
+            lambda o: with_kmeans(o, centroids=[0.5] * 4),
+            lambda o: with_kmeans(o, mins=[0.0] * 3),
+            lambda o: with_kmeans(o, ranges=[1.0] * 5),
+            lambda o: with_kmeans(o, ranges=[1.0, 0.0, 1.0, 1.0]),
+            lambda o: with_kmeans(o, mins=[0.0, float("nan"), 0.0, 0.0]),
+            lambda o: with_kmeans(o, centroids=[[0.5, float("inf"), 0.0, 0.0]]),
         ],
         ids=[
             "no-config", "no-labels", "no-grid", "grid-type", "unknown-field",
             "kmeans-without-centroids", "labels-not-objects", "no-key",
-            "unhashable-key", "rep-type", "no-id",
+            "unhashable-key", "rep-type", "no-id", "centroid-columns",
+            "no-centroids", "centroids-1d", "mins-shape", "ranges-shape",
+            "zero-range", "nan-min", "inf-centroid",
         ],
     )
     def test_malformed_json_raises_decode_failure(self, edit):

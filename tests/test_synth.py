@@ -283,21 +283,24 @@ class TestDatasetIO:
             (lambda o: o.update(scan_id="first"), MalformedFeatures),
             (lambda o: o.update(features=[float("nan")] * 12), NonFiniteInput),
             (lambda o: o["features"].__setitem__(3, float("inf")), NonFiniteInput),
+            (lambda o: json.dumps(o).encode().replace(b'"source_id": "', b'"source_id": "\xff', 1),
+             MalformedJson),
         ],
         ids=[
             "missing", "strings", "object", "empty", "nested", "ragged",
-            "bad-scan-id", "nan", "inf",
+            "bad-scan-id", "nan", "inf", "non-utf8",
         ],
     )
     def test_malformed_line_raises_typed_error(self, tmp_path, edit, error):
         slices = generate_dataset(default_protocols(), SynthConfig(n_scans=2, slices_per_scan=1))
         path = tmp_path / "data.jsonl"
         write_dataset(slices, str(path))
-        first, second = path.read_text().splitlines()
+        first, second = path.read_bytes().splitlines()
         obj = json.loads(second)
-        edit(obj)
-        path.write_text(first + "\n" + json.dumps(obj) + "\n")
-        with pytest.raises(error):
+        result = edit(obj)
+        second = result if isinstance(result, bytes) else json.dumps(obj).encode()
+        path.write_bytes(first + b"\n" + second + b"\n")
+        with pytest.raises(error, match="line 2"):
             load_dataset(str(path))
 
     def test_invalid_json_line_raises_malformed_json(self, tmp_path):

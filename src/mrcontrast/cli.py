@@ -34,6 +34,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> GridSpec:
     try:
         te_part, tr_part = text.lower().split("x")
@@ -136,8 +150,8 @@ def cmd_build_labels(args) -> int:
     config = LabelConfig(
         grid=_parse_grid(args.grid),
         fields=fields,
-        grouping="kmeans" if args.kmeans else "grid",
-        n_clusters=args.kmeans or 20,
+        grouping="grid" if args.kmeans is None else "kmeans",
+        n_clusters=20 if args.kmeans is None else args.kmeans,
         kmeans_seed=args.kmeans_seed,
     )
     space, ids = build_label_space(records, config)
@@ -272,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", default="20x20")
-    p.add_argument("--kmeans", type=int, default=None)
+    p.add_argument("--kmeans", type=_positive_int, default=None)
     p.add_argument("--kmeans-seed", type=int, default=0)
     p.add_argument("--numerical-labels", action="store_true")
     p.set_defaults(func=cmd_build_labels)
@@ -283,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--warmup-steps", type=int, default=100)
     p.add_argument("--weight-decay", type=float, default=0.2)
@@ -293,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--text-dropout", type=float, default=0.2)
     p.add_argument("--numerical-only", action="store_true")
     p.add_argument("--include-series-description", action="store_true")
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=_fraction, default=0.2)
     p.add_argument("--resume", default=None)
     p.set_defaults(func=cmd_train)
 

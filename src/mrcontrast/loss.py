@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, with_gradients
+from .autodiff import Tensor, node
 from .errors import (
     EmptyBatch,
     InvalidPlan,
@@ -204,13 +204,10 @@ def loss_graph(
     """`contrastive_loss` as one autodiff node (used by training and tests);
     the gradients are computed in the forward pass and scaled in backward."""
     result = contrastive_loss(images.data, texts.data, labels, float(tau.data), kind, plan)
-    return with_gradients(
+    return node(
         result.loss,
-        (
-            (images, result.d_images),
-            (texts, result.d_texts),
-            (tau, result.d_temperature),
-        ),
+        (images, texts, tau),
+        lambda g: (g * result.d_images, g * result.d_texts, g * result.d_temperature),
     )
 
 

@@ -2,7 +2,11 @@
 
 Both towers end in L2 normalization so similarities are cosines. The
 temperature is a learnable log-parameter shared by both retrieval
-directions, clamped to [0.01, 1.0].
+directions, clamped to [0.01, 1.0]. Each tower and the temperature is one
+autodiff node whose gradients are written out in closed form. Trained
+checkpoints depend on the order of the floating-point operations in these
+vector-Jacobian products down to the last bit, so reordering them (even
+(a + b) + c into a + (b + c)) changes every checkpoint.
 """
 from __future__ import annotations
 
@@ -12,12 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, mean_rows, unit_rows
+from .autodiff import Tensor, node
 from .errors import ShapeMismatch, TokenIdOutOfRange
 from .prompts import VOCAB_SIZE
 
 TAU_MIN = 0.01
 TAU_MAX = 1.0
+NORM_EPS = 1e-30  # only guards the all-zero row in the L2 normalization
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,26 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+def _mlp(x, w1, b1, w2, b2):
+    """unit_rows(silu(x @ w1 + b1) @ w2 + b2) and its VJP, which maps the
+    output gradient to (d pre-activation a, d w1, d b1, d w2, d b2)."""
+    a = x @ w1 + b1
+    s = 1.0 / (1.0 + np.exp(-a))
+    h = a * s
+    o = h @ w2 + b2
+    t = (o * o).sum(axis=1, keepdims=True) + NORM_EPS
+    r = t**-0.5
+
+    def vjp(g):
+        gt = (g * o).sum(axis=1, keepdims=True) * -0.5 * t**-1.5
+        go = ((g * r) + gt * o) + gt * o
+        gh = go @ w2.T
+        ga = gh * s + ((gh * a) * s) * (1.0 - s)
+        return ga, x.T @ ga, ga.sum(axis=0), h.T @ go, go.sum(axis=0)
+
+    return o * r, vjp
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -81,12 +106,13 @@ class DualEncoder:
             p.zero_grad()
 
     def tau(self) -> Tensor:
-        """Temperature with the [0.01, 1.0] clamp applied in-graph."""
-        return self.log_tau.exp().clamp(TAU_MIN, TAU_MAX)
-
-    def _mlp(self, x: Tensor, w1, b1, w2, b2) -> Tensor:
-        h = (x @ w1 + b1).silu()
-        return unit_rows(h @ w2 + b2)
+        """Temperature exp(log_tau) clamped to [0.01, 1.0]; the gradient
+        passes on the bounds too, so a projected log_tau can still move."""
+        e = np.exp(self.log_tau.data)
+        inside = (e >= TAU_MIN) & (e <= TAU_MAX)
+        return node(
+            np.clip(e, TAU_MIN, TAU_MAX), (self.log_tau,), lambda g: ((g * inside) * e,)
+        )
 
     def encode_images(self, features: np.ndarray) -> Tensor:
         """(N, d_in) raw features -> (N, d_emb) unit embeddings."""
@@ -95,18 +121,40 @@ class DualEncoder:
             raise ShapeMismatch(
                 f"expected (N, {self.config.d_in}) features, got {features.shape}"
             )
-        return self._mlp(
-            Tensor(features), self.img_w1, self.img_b1, self.img_w2, self.img_b2
-        )
+        params = (self.img_w1, self.img_b1, self.img_w2, self.img_b2)
+        out, vjp = _mlp(features, *(p.data for p in params))
+        return node(out, params, lambda g: vjp(g)[1:])
 
     def encode_texts(self, token_lists: Sequence[Sequence[int]]) -> Tensor:
         """Token id lists -> (N, d_emb) unit embeddings (order-invariant
-        pooling; an empty list maps to the learned null token)."""
-        for ids in token_lists:
+        mean pooling; an empty list maps to the learned null token)."""
+        flat: list[int] = []
+        seg: list[int] = []
+        counts = np.empty(len(token_lists), dtype=np.float64)
+        for i, ids in enumerate(token_lists):
             for t in ids:
                 if not (0 <= t < VOCAB_SIZE):
                     raise TokenIdOutOfRange(f"token id {t} outside [0, {VOCAB_SIZE})")
-        pooled = mean_rows(self.tok_table, token_lists, null_row=VOCAB_SIZE)
-        return self._mlp(
-            pooled, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2
-        )
+            use = list(ids) if len(ids) > 0 else [VOCAB_SIZE]
+            counts[i] = len(use)
+            flat.extend(use)
+            seg.extend([i] * len(use))
+        flat_idx = np.asarray(flat, dtype=np.int64)
+        seg_idx = np.asarray(seg, dtype=np.int64)
+        table = self.tok_table.data
+        pooled = np.zeros((len(token_lists), table.shape[1]), dtype=np.float64)
+        np.add.at(pooled, seg_idx, table[flat_idx])
+        pooled /= counts[:, None]
+
+        params = (self.tok_table, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2)
+        w1 = self.txt_w1.data
+        out, vjp = _mlp(pooled, *(p.data for p in params[1:]))
+
+        def text_vjp(g):
+            ga, *weight_grads = vjp(g)
+            g_pooled = ga @ w1.T
+            g_table = np.zeros_like(table)
+            np.add.at(g_table, flat_idx, g_pooled[seg_idx] / counts[seg_idx, None])
+            return (g_table, *weight_grads)
+
+        return node(out, params, text_vjp)

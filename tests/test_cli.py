@@ -234,6 +234,43 @@ class TestExitCodes:
             main(["synth"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--batch-size", "0"],
+        ["--batch-size", "-4"],
+        ["--val-fraction", "-0.2"],
+        ["--val-fraction", "1.5"],
+        ["--val-fraction", "nan"],
+    ])
+    def test_out_of_range_train_flag_is_usage_error(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--dataset", str(tmp_path / "d.jsonl"),
+                "--labels", str(tmp_path / "l.json"),
+                "--checkpoint", str(tmp_path / "c.ckpt"),
+            ] + flags)
+        assert exc.value.code == 1
+        assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_kmeans_below_one_is_usage_error(self, tmp_path, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "build-labels", "--dataset", str(tmp_path / "d.jsonl"),
+                "--out", str(tmp_path / "l.json"), "--kmeans", k,
+            ])
+        assert exc.value.code == 1
+        assert "--kmeans" in capsys.readouterr().err
+
+    def test_range_checks_accept_their_bounds(self):
+        parser = cli.build_parser()
+        train_args = ["train", "--dataset", "d", "--labels", "l", "--checkpoint", "c"]
+        for fraction in ("0", "1"):
+            args = parser.parse_args(train_args + ["--val-fraction", fraction])
+            assert args.val_fraction == float(fraction)
+        assert parser.parse_args(train_args + ["--batch-size", "1"]).batch_size == 1
+        args = parser.parse_args(["build-labels", "--dataset", "d", "--out", "o", "--kmeans", "1"])
+        assert args.kmeans == 1
+
     def test_bad_grid_spec_is_data_error(self, tmp_path):
         code = main([
             "synth", "--out", str(tmp_path / "x.jsonl"),

@@ -1,9 +1,13 @@
-"""Dual encoder tests: shapes, norms, temperature clamp, determinism."""
+"""Dual encoder tests: shapes, norms, temperature clamp, determinism, and
+the closed-form gradients of the encoder and temperature nodes."""
+
+import math
 
 import numpy as np
 import pytest
 
 from mrcontrast.errors import ShapeMismatch, TokenIdOutOfRange
+from mrcontrast.loss import loss_graph
 from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
 from mrcontrast.prompts import VOCAB_SIZE
 
@@ -63,10 +67,11 @@ class TestEncoding:
         rng = np.random.default_rng(1)
         img = model.encode_images(rng.normal(size=(4, 6)))
         txt = model.encode_texts([[1], [2], [3], [4]])
-        loss = (img * txt).sum() * model.tau()
-        loss.backward()
+        loss_graph(img, txt, np.array([0, 0, 1, 1]), model.tau()).backward()
         for name, p, _ in model.parameters():
             assert p.grad is not None, name
+            assert p.grad.shape == p.shape, name
+            assert np.any(p.grad != 0), name
 
 
 class TestTemperature:
@@ -114,7 +119,8 @@ class TestParameters:
     def test_zero_grad_clears_everything(self):
         model = small_model()
         img = model.encode_images(np.ones((2, 6)))
-        img.sum().backward()
+        txt = model.encode_texts([[1], []])
+        loss_graph(img, txt, np.array([0, 1]), model.tau()).backward()
         model.zero_grad()
         for name, p, _ in model.parameters():
             assert p.grad is None, name
@@ -136,3 +142,64 @@ class TestDeterminism:
         out_a = small_model(seed=9).encode_images(feats).data
         out_b = small_model(seed=9).encode_images(feats).data
         assert out_a.tobytes() == out_b.tobytes()
+
+
+# An empty prompt (the null row), a repeated token id and a shared label.
+GRAD_PROMPTS = [[3, 7], [], [7, 7, 2], [5], [2, 3]]
+GRAD_LABELS = np.array([0, 1, 0, 1, 2])
+# log_tau with tau inside the clamp, exactly on its upper bound, and above it.
+TAU_REGIMES = {"inside": math.log(0.3), "at_bound": 0.0, "outside": 0.4}
+FD_STEP = 1e-6
+
+
+class TestGradients:
+    """Central finite differences of loss_graph(encode_images, encode_texts,
+    tau) for each of the ten parameters, in each temperature regime."""
+
+    @pytest.mark.parametrize("regime", sorted(TAU_REGIMES))
+    def test_every_parameter_matches_finite_differences(self, regime):
+        model = DualEncoder(ModelConfig(d_in=4, d_hidden=5, d_emb=3, d_tok=4), seed=2)
+        model.log_tau.data = np.array(TAU_REGIMES[regime])  # editable in place
+        feats = np.random.default_rng(3).normal(size=(5, 4))
+
+        def loss():
+            return loss_graph(
+                model.encode_images(feats), model.encode_texts(GRAD_PROMPTS),
+                GRAD_LABELS, model.tau(),
+            )
+
+        loss().backward()
+        used_rows = sorted({t for ids in GRAD_PROMPTS for t in ids} | {VOCAB_SIZE})
+        for name, p, _ in model.parameters():
+            flat = p.data.reshape(-1)  # a view: editing it moves the parameter
+            analytic = p.grad.reshape(-1)
+            if name == "tok_table":
+                touched = np.flatnonzero(np.any(p.grad != 0, axis=1))
+                assert touched.tolist() == used_rows
+                d = p.shape[1]
+                # The touched rows plus row 0, which no prompt uses.
+                check = [row * d + j for row in [0] + used_rows for j in range(d)]
+            else:
+                check = range(flat.size)
+            numeric = []
+            for i in check:
+                orig = flat[i]
+                flat[i] = orig + FD_STEP
+                hi = float(loss().data)
+                flat[i] = orig - FD_STEP
+                lo = float(loss().data)
+                flat[i] = orig
+                if name == "log_tau" and regime == "at_bound":
+                    # The clamp is flat above the bound; the gradient the
+                    # node passes on the bound is the one from below.
+                    numeric.append((float(loss().data) - lo) / FD_STEP)
+                else:
+                    numeric.append((hi - lo) / (2 * FD_STEP))
+            scale = max(np.abs(analytic[list(check)]).max(), 1e-12)
+            np.testing.assert_allclose(
+                analytic[list(check)], numeric, rtol=0, atol=1e-4 * scale, err_msg=name
+            )
+        if regime == "outside":
+            assert float(model.log_tau.grad) == 0.0
+        else:
+            assert float(model.log_tau.grad) != 0.0

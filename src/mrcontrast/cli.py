@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -34,10 +35,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
     return value
 
 
@@ -268,10 +284,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--protocol-grid", default="5x5")
-    p.add_argument("--scans", type=int, default=1000)
-    p.add_argument("--slices-per-scan", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.005)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scans", type=_positive_int, default=1000)
+    p.add_argument("--slices-per-scan", type=_positive_int, default=10)
+    p.add_argument("--noise", type=_non_negative_float, default=0.005)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--single-site", action="store_true")
     p.set_defaults(func=cmd_synth)
 
@@ -287,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid", default="20x20")
     p.add_argument("--kmeans", type=_positive_int, default=None)
-    p.add_argument("--kmeans-seed", type=int, default=0)
+    p.add_argument("--kmeans-seed", type=_non_negative_int, default=0)
     p.add_argument("--numerical-labels", action="store_true")
     p.set_defaults(func=cmd_build_labels)
 
@@ -296,15 +312,15 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_non_negative_int, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=256)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--warmup-steps", type=int, default=100)
-    p.add_argument("--weight-decay", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=_non_negative_float, default=3e-3)
+    p.add_argument("--warmup-steps", type=_non_negative_int, default=100)
+    p.add_argument("--weight-decay", type=_non_negative_float, default=0.2)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--loss", choices=("supcon", "infonce"), default="supcon")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--text-dropout", type=float, default=0.2)
+    p.add_argument("--shards", type=_positive_int, default=1)
+    p.add_argument("--text-dropout", type=_fraction, default=0.2)
     p.add_argument("--numerical-only", action="store_true")
     p.add_argument("--include-series-description", action="store_true")
     p.add_argument("--val-fraction", type=_fraction, default=0.2)
@@ -318,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", choices=("json", "table"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--transfer", default=None)
-    p.add_argument("--probe-l2", type=float, default=1e-5)
+    p.add_argument("--probe-l2", type=_non_negative_float, default=1e-5)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -58,16 +58,13 @@ def rank_gallery(queries: np.ndarray, gallery: Gallery) -> np.ndarray:
     """(N, G) ranked gallery label ids per query, best first.
 
     Cosine similarity (inputs are unit rows); ties break by ascending label
-    id.
+    id: the columns are put in id order, then sorted stably.
     """
     if queries.shape[0] == 0:
         raise EmptyImageSet("no queries to rank")
     sims = queries @ gallery.embeddings.T
-    ranked = np.empty_like(sims, dtype=np.int64)
-    for i in range(sims.shape[0]):
-        order = np.lexsort((gallery.label_ids, -sims[i]))
-        ranked[i] = gallery.label_ids[order]
-    return ranked
+    by_id = np.argsort(gallery.label_ids, kind="stable")
+    return gallery.label_ids[by_id][np.argsort(-sims[:, by_id], axis=1, kind="stable")]
 
 
 def recall_at_k(
@@ -100,15 +97,10 @@ def text_to_image_recall(
     if image_embeddings.shape[0] == 0:
         raise EmptyImageSet("no images to rank")
     sims = gallery.embeddings @ image_embeddings.T  # (G, N)
-    idx = np.arange(image_embeddings.shape[0])
-    out = {k: 0 for k in ks}
-    for q in range(gallery.label_ids.size):
-        order = np.lexsort((idx, image_label_ids, -sims[q]))
-        ranked_labels = image_label_ids[order]
-        for k in ks:
-            if (ranked_labels[:k] == gallery.label_ids[q]).any():
-                out[k] += 1
-    return {k: out[k] / gallery.label_ids.size for k in ks}
+    by_label = np.argsort(image_label_ids, kind="stable")  # ties in image order
+    order = np.argsort(-sims[:, by_label], axis=1, kind="stable")[:, : max(ks, default=0)]
+    hits = image_label_ids[by_label][order] == gallery.label_ids[:, None]
+    return {k: float(hits[:, :k].any(axis=1).mean()) for k in ks}
 
 
 def scan_majority_vote(
@@ -168,10 +160,8 @@ def scan_to_text_recall(
 ) -> dict[int, float]:
     """Majority-vote retrieval per scan (all slices of a scan share a label)."""
     sims = image_embeddings @ gallery.embeddings.T  # (N, G)
-    top1_pos = np.empty(sims.shape[0], dtype=np.int64)
-    for i in range(sims.shape[0]):
-        order = np.lexsort((gallery.label_ids, -sims[i]))
-        top1_pos[i] = order[0]
+    by_id = np.argsort(gallery.label_ids, kind="stable")
+    top1_pos = by_id[np.argmax(sims[:, by_id], axis=1)]  # ties -> lowest id
     top1_labels = gallery.label_ids[top1_pos]
     top1_scores = sims[np.arange(sims.shape[0]), top1_pos]
 

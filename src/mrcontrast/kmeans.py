@@ -58,14 +58,9 @@ def _seed_centroids(
     return centroids
 
 
-def fit_kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    max_iter: int = MAX_ITER,
-    tol: float = CONVERGENCE_TOL,
-) -> KMeansModel:
-    """Cluster points; converges when max centroid movement < tol.
+def fit_kmeans(points: np.ndarray, n_clusters: int, seed: int) -> KMeansModel:
+    """Cluster points; converges when max centroid movement < CONVERGENCE_TOL,
+    or stops after MAX_ITER iterations.
 
     inertia_history records the assignment cost once per iteration (after
     assignment, before the centroid update), so it is non-increasing.
@@ -90,7 +85,7 @@ def fit_kmeans(
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _seed_centroids(points, n_clusters, rng)
     model = KMeansModel(centroids=centroids)
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         d2 = _sq_dists(points, centroids)
         assign = np.argmin(d2, axis=1)
         point_cost = d2[np.arange(points.shape[0]), assign]
@@ -113,6 +108,6 @@ def fit_kmeans(
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         model.centroids = centroids
-        if movement < tol:
+        if movement < CONVERGENCE_TOL:
             break
     return model

@@ -94,18 +94,6 @@ def bin_ti(ti_ms: Optional[float], edges: Sequence[float] = DEFAULT_TI_EDGES) ->
     return min(k + 1, len(edges) + 1)
 
 
-def ti_representative(bin_index: int, edges: Sequence[float] = DEFAULT_TI_EDGES) -> Optional[float]:
-    """A TI value inside the given bin (None for bin 0 = no inversion)."""
-    if bin_index == 0:
-        return None
-    edges = list(edges)
-    if bin_index == 1:
-        return edges[0] / 2.0
-    if bin_index <= len(edges):
-        return (edges[bin_index - 2] + edges[bin_index - 1]) / 2.0
-    return edges[-1] * 1.5
-
-
 def coarsen_te_tr(
     te_bin: int, tr_bin: int, fine: GridSpec, coarse: GridSpec
 ) -> tuple[int, int]:
@@ -245,20 +233,17 @@ class KMeansGrouper:
         model = fit_kmeans((feats - mins) / ranges, n_clusters, seed)
         return KMeansGrouper(mins=mins, ranges=ranges, model=model)
 
-    def centroid_raw(self, cluster: int) -> np.ndarray:
-        return self.model.centroids[cluster] * self.ranges + self.mins
-
 
 @dataclass(frozen=True)
 class ContrastLabel:
     label_id: int
     key: tuple
     canonical_text: str
-    count: int = 0
+    count: int
     # (te_ms, tr_ms, ti_ms or None) observed in the member records; the
-    # canonical text quotes these instead of synthetic bin centers so the
-    # gallery never contains numerals absent from the corpus.
-    rep: Optional[tuple] = None
+    # canonical text quotes these, so the gallery never contains numerals
+    # absent from the corpus.
+    rep: tuple
 
 
 def median_rep(values: Sequence[tuple]) -> tuple:
@@ -301,8 +286,8 @@ class LabelSpace:
         self,
         config: LabelConfig,
         keys_with_counts: dict[tuple, int],
-        grouper: Optional[KMeansGrouper] = None,
-        reps_by_key: Optional[dict[tuple, tuple]] = None,
+        grouper: Optional[KMeansGrouper],
+        reps_by_key: dict[tuple, tuple],
     ):
         if not keys_with_counts:
             raise EmptyDataset("no records to build a label space from")
@@ -312,8 +297,8 @@ class LabelSpace:
         self.labels: list[ContrastLabel] = []
         self._key_to_id: dict[tuple, int] = {}
         for label_id, key in enumerate(sorted(keys_with_counts)):
-            rep = None if reps_by_key is None else reps_by_key.get(key)
-            text = canonical_text_for_key(key, config, grouper, rep)
+            rep = reps_by_key[key]
+            text = canonical_text_for_key(key, config, rep)
             self.labels.append(
                 ContrastLabel(label_id, key, text, keys_with_counts[key], rep)
             )
@@ -365,7 +350,7 @@ class LabelSpace:
                     "key": list(lab.key),
                     "text": lab.canonical_text,
                     "count": lab.count,
-                    "rep": None if lab.rep is None else list(lab.rep),
+                    "rep": list(lab.rep),
                 }
                 for lab in self.labels
             ],
@@ -385,7 +370,8 @@ class LabelSpace:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        """Inverse of `to_json_dict`; a missing or wrongly typed entry, or a
+        """Inverse of `to_json_dict`; a missing or wrongly typed entry, a
+        ``rep`` that is not (finite TE, finite TR, finite TI or null), or a
         k-means block whose arrays are misshapen, non-finite or have a
         non-positive range, raises LabelDecodeFailure."""
         try:
@@ -425,48 +411,35 @@ class LabelSpace:
                 tuple(lab["key"]): lab["count"] for lab in obj["labels"]
             }
             reps_by_key = {
-                tuple(lab["key"]): tuple(lab["rep"])
-                for lab in obj["labels"]
-                if lab.get("rep") is not None
+                tuple(lab["key"]): _decode_rep(lab["rep"]) for lab in obj["labels"]
             }
-            space = LabelSpace(config, keys_with_counts, grouper, reps_by_key or None)
+            space = LabelSpace(config, keys_with_counts, grouper, reps_by_key)
             ids_in_order = all(
                 space._key_to_id[tuple(lab["key"])] == lab["id"] for lab in obj["labels"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LabelDecodeFailure(f"malformed label space: {exc!r}") from exc
         if not ids_in_order:
             raise LabelDecodeFailure("label ids do not match sorted order")
         return space
 
 
-def representative_record(
-    key: tuple,
-    config: LabelConfig,
-    grouper: Optional[KMeansGrouper] = None,
-    rep: Optional[tuple] = None,
-) -> MetadataRecord:
-    """A record that reproduces the label key.
+def _decode_rep(raw) -> tuple:
+    """A label file's ``rep`` as (te, tr, ti): TE and TR finite numbers, TI a
+    finite number or null."""
+    if not (isinstance(raw, list) and len(raw) == 3):
+        raise LabelDecodeFailure(f"rep must be [te, tr, ti], got {raw!r}")
+    timings = raw[:2] if raw[2] is None else raw
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in timings):
+        raise LabelDecodeFailure(f"rep timings must be finite numbers, got {raw!r}")
+    return tuple(raw)
 
-    Numeric timings come from ``rep`` (observed member values) when provided;
-    otherwise they fall back to bin centers, which may quote values that never
-    occur in the corpus.
-    """
+
+def representative_record(key: tuple, config: LabelConfig, rep: tuple) -> MetadataRecord:
+    """A record that reproduces the label key, with the observed member
+    timings ``rep`` = (te, tr, ti or None)."""
     values = dict(zip(config.key_fields, key))
-    grid = config.grid
-    if rep is not None:
-        te, tr = float(rep[0]), float(rep[1])
-        ti = None if rep[2] is None else float(rep[2])
-    elif "cluster" in values:
-        raw = grouper.centroid_raw(int(values["cluster"]))
-        te, tr = float(raw[0]), float(raw[1])
-        ti = float(max(raw[3], 1.0)) if raw[2] >= 0.5 else None
-    else:
-        te_bin = int(values.get("te_bin", 0))
-        tr_bin = int(values.get("tr_bin", 0))
-        te = grid.te_lo + (te_bin + 0.5) * grid.te_width
-        tr = grid.tr_lo + (tr_bin + 0.5) * grid.tr_width
-        ti = ti_representative(int(values.get("ti_bin", 0)), config.ti_edges)
+    te, tr, ti = rep
     plane = Plane[values["plane"]] if "plane" in values else Plane.AXIAL
     spacing = {
         Plane.SAGITTAL: (5.0, 1.0, 1.0),
@@ -480,22 +453,17 @@ def representative_record(
         sequence_type=str(values.get("sequence_type", "")),
         sequence_variant=str(values.get("sequence_variant", "")),
         field_strength_tesla=float(values.get("field_strength", 0.0)),
-        te_ms=te,
-        tr_ms=tr,
-        ti_ms=ti,
+        te_ms=float(te),
+        tr_ms=float(tr),
+        ti_ms=None if ti is None else float(ti),
         flip_angle_deg=float(values.get("flip_angle", 0.0)),
         voxel_spacing_mm=spacing,
     )
 
 
-def canonical_text_for_key(
-    key: tuple,
-    config: LabelConfig,
-    grouper: Optional[KMeansGrouper] = None,
-    rep: Optional[tuple] = None,
-) -> str:
+def canonical_text_for_key(key: tuple, config: LabelConfig, rep: tuple) -> str:
     """Dropout-free prompt for a label, restricted to the label's fields."""
-    record = representative_record(key, config, grouper, rep)
+    record = representative_record(key, config, rep)
     clauses = set()
     for name in config.key_fields:
         clause = _CLAUSES_FOR_FIELD[name]
@@ -559,10 +527,9 @@ def coarsened_space(
     present = Counter(fine_to_coarse_key[int(i)] for i in eval_ids)
     fine_reps: dict[tuple, list] = {}
     for lab in space.labels:
-        if lab.rep is not None:
-            fine_reps.setdefault(fine_to_coarse_key[lab.label_id], []).append(lab.rep)
+        fine_reps.setdefault(fine_to_coarse_key[lab.label_id], []).append(lab.rep)
     coarse_reps = {k: median_rep(v) for k, v in fine_reps.items()}
-    coarse = LabelSpace(coarse_config, dict(present), None, coarse_reps or None)
+    coarse = LabelSpace(coarse_config, dict(present), None, coarse_reps)
     mapping = {
         fid: coarse._key_to_id[k]
         for fid, k in fine_to_coarse_key.items()

@@ -28,11 +28,6 @@ class Plane(enum.Enum):
     AXIAL = 2
 
     @property
-    def axis(self) -> int:
-        """Index of the through-plane (slicing) axis."""
-        return self.value
-
-    @property
     def label(self) -> str:
         """Canonical uppercase name used in label keys."""
         return self.name

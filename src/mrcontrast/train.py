@@ -310,7 +310,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Inverse of `checkpoint_bytes`; every malformed input raises BadCheckpoint."""
+    """Inverse of `checkpoint_bytes`; every malformed input, including a
+    non-finite parameter or Adam moment, raises BadCheckpoint."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
     if len(data) < 12:
@@ -353,5 +354,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         for (name, shape), size in zip(manifest, sizes):
             raw = data[offset : offset + size]
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise BadCheckpoint(f"tensor {name!r} holds non-finite values")
             offset += size
     return checkpoint

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests, run in process via main()."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -45,6 +46,31 @@ def pipeline(tmp_path_factory):
         "--out", paths["report"],
     ]) == 0
     return paths
+
+
+def required_args(command: str, root) -> list[str]:
+    """The required flags of a command, pointing at files under root."""
+    if command == "synth":
+        return ["--out", str(root / "x.jsonl")]
+    dataset = ["--dataset", str(root / "d.jsonl")]
+    if command == "build-labels":
+        return dataset + ["--out", str(root / "l.json")]
+    return dataset + ["--labels", str(root / "l.json"), "--checkpoint", str(root / "c.ckpt")]
+
+
+def with_nan(blob: bytes, index: int) -> bytes:
+    """A checkpoint with its index-th stored float (parameters, then the Adam
+    moments) replaced by NaN."""
+    start = 12 + struct.unpack("<I", blob[8:12])[0]
+    values = np.frombuffer(blob, dtype="<f8", offset=start).copy()
+    values[index] = np.nan
+    return blob[:start] + values.tobytes()
+
+
+def with_raw_rep(obj: dict, text: str) -> str:
+    """A label file's text with the first label's rep written as ``text``."""
+    obj["labels"][0]["rep"] = "REP"
+    return json.dumps(obj).replace('"REP"', text)
 
 
 class TestPipeline:
@@ -240,16 +266,37 @@ class TestExitCodes:
         ["--val-fraction", "-0.2"],
         ["--val-fraction", "1.5"],
         ["--val-fraction", "nan"],
+        ["--lr", "nan"],
+        ["--lr", "-1"],
+        ["--lr", "inf"],
+        ["--weight-decay", "nan"],
+        ["--weight-decay", "-0.1"],
+        ["--epochs", "-1"],
+        ["--warmup-steps", "-5"],
+        ["--shards", "0"],
+        ["--text-dropout", "1.5"],
+        ["--text-dropout", "-0.5"],
+        ["--seed", "-1"],
+        ["synth", "--scans", "0"],
+        ["synth", "--scans", "-3"],
+        ["synth", "--slices-per-scan", "0"],
+        ["synth", "--noise", "-1"],
+        ["synth", "--noise", "nan"],
+        ["synth", "--seed", "-1"],
+        ["eval", "--probe-l2", "nan"],
+        ["eval", "--probe-l2", "-1"],
+        ["build-labels", "--kmeans-seed", "-1"],
     ])
     def test_out_of_range_train_flag_is_usage_error(self, tmp_path, capsys, flags):
+        """Bad numeric flag values of train, or of the command named first."""
+        command = "train"
+        if not flags[0].startswith("--"):
+            command, flags = flags[0], flags[1:]
         with pytest.raises(SystemExit) as exc:
-            main([
-                "train", "--dataset", str(tmp_path / "d.jsonl"),
-                "--labels", str(tmp_path / "l.json"),
-                "--checkpoint", str(tmp_path / "c.ckpt"),
-            ] + flags)
+            main([command] + required_args(command, tmp_path) + flags)
         assert exc.value.code == 1
-        assert flags[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flags[0] in err and "Traceback" not in err
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_kmeans_below_one_is_usage_error(self, tmp_path, capsys, k):
@@ -267,9 +314,24 @@ class TestExitCodes:
         for fraction in ("0", "1"):
             args = parser.parse_args(train_args + ["--val-fraction", fraction])
             assert args.val_fraction == float(fraction)
-        assert parser.parse_args(train_args + ["--batch-size", "1"]).batch_size == 1
-        args = parser.parse_args(["build-labels", "--dataset", "d", "--out", "o", "--kmeans", "1"])
-        assert args.kmeans == 1
+            args = parser.parse_args(train_args + ["--text-dropout", fraction])
+            assert args.text_dropout == float(fraction)
+        bounds = {
+            "batch_size": 1, "shards": 1, "epochs": 0, "warmup_steps": 0,
+            "seed": 0, "lr": 0.0, "weight_decay": 0.0,
+        }
+        for dest, low in bounds.items():
+            flag = "--" + dest.replace("_", "-")
+            assert getattr(parser.parse_args(train_args + [flag, str(low)]), dest) == low
+        synth_args = ["synth", "--out", "o"]
+        for dest, low in {"scans": 1, "slices_per_scan": 1, "noise": 0.0, "seed": 0}.items():
+            flag = "--" + dest.replace("_", "-")
+            assert getattr(parser.parse_args(synth_args + [flag, str(low)]), dest) == low
+        eval_args = ["eval", "--dataset", "d", "--labels", "l", "--checkpoint", "c"]
+        assert parser.parse_args(eval_args + ["--probe-l2", "0"]).probe_l2 == 0.0
+        labels_args = ["build-labels", "--dataset", "d", "--out", "o"]
+        assert parser.parse_args(labels_args + ["--kmeans", "1"]).kmeans == 1
+        assert parser.parse_args(labels_args + ["--kmeans-seed", "0"]).kmeans_seed == 0
 
     def test_bad_grid_spec_is_data_error(self, tmp_path):
         code = main([
@@ -307,8 +369,13 @@ class TestExitCodes:
             lambda b: b + b"\0",
             lambda b: b.replace(b'"adam_t"', b'"adam_u"', 1),
             lambda b: b.replace(b'"params": [["img_w1", [', b'"params": [["img_w1", [[', 1),
+            lambda b: with_nan(b, 0),
+            lambda b: with_nan(b, -1),
         ],
-        ids=["prefix", "header", "tensors", "trailing", "header-key", "manifest"],
+        ids=[
+            "prefix", "header", "tensors", "trailing", "header-key", "manifest",
+            "nan-param", "nan-adam-moment",
+        ],
     )
     def test_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys, corrupt):
         ckpt = tmp_path / "bad.ckpt"
@@ -360,8 +427,15 @@ class TestExitCodes:
             lambda o: o.pop("config"),
             lambda o: o["labels"][0].update(key=7),
             lambda o: "not json",
+            lambda o: o["labels"][0].pop("rep"),
+            lambda o: with_raw_rep(o, "null"),
+            lambda o: with_raw_rep(o, "[30.0, 1200.0]"),
+            lambda o: with_raw_rep(o, "[30.0, 1e999, null]"),
         ],
-        ids=["missing-key", "wrong-type", "not-json"],
+        ids=[
+            "missing-key", "wrong-type", "not-json", "missing-rep", "null-rep",
+            "rep-two-entries", "rep-overflow",
+        ],
     )
     def test_malformed_label_file_is_data_error(self, pipeline, tmp_path, capsys, edit):
         obj = json.loads(open(pipeline["labels"]).read())

@@ -24,7 +24,6 @@ from mrcontrast.labels import (
     coarsened_space,
     median_rep,
     quantize_te_tr,
-    ti_representative,
 )
 from mrcontrast.records import make_record
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
@@ -117,12 +116,6 @@ class TestTiBins:
         values = (None, 150.0, 500.0, 2500.0, 5000.0, 1e6)
         assert {bin_ti(v) for v in values} == set(range(len(DEFAULT_TI_EDGES) + 2))
         assert {bin_ti(v, (100.0,)) for v in (None, 50.0, 100.0, 1e6)} == {0, 1, 2}
-
-    def test_representative_lands_in_its_bin(self):
-        assert ti_representative(0) is None
-        for b in range(1, len(DEFAULT_TI_EDGES) + 2):
-            value = ti_representative(b)
-            assert bin_ti(value) == b
 
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteInput):
@@ -310,6 +303,11 @@ class TestLabelSpace:
             lambda o: o["labels"][0].pop("key"),
             lambda o: o["labels"][0].update(key=[[1], 2]),
             lambda o: o["labels"][0].update(rep=5),
+            lambda o: o["labels"][0].pop("rep"),
+            lambda o: o["labels"][0].update(rep=None),
+            lambda o: o["labels"][0].update(rep=[25.0, 1145.0]),
+            lambda o: o["labels"][0].update(rep=[25.0, 1e999, None]),
+            lambda o: o["labels"][0].update(rep=[25.0, 1145.0, float("nan")]),
             lambda o: o["labels"][0].pop("id"),
             lambda o: with_kmeans(o, centroids=[[0.5, 0.5, 0.0]]),
             lambda o: with_kmeans(o, centroids=[]),
@@ -323,7 +321,8 @@ class TestLabelSpace:
         ids=[
             "no-config", "no-labels", "no-grid", "grid-type", "unknown-field",
             "kmeans-without-centroids", "labels-not-objects", "no-key",
-            "unhashable-key", "rep-type", "no-id", "centroid-columns",
+            "unhashable-key", "rep-type", "no-rep", "null-rep", "rep-two-entries",
+            "rep-overflow", "rep-nan-ti", "no-id", "centroid-columns",
             "no-centroids", "centroids-1d", "mins-shape", "ranges-shape",
             "zero-range", "nan-min", "inf-centroid",
         ],

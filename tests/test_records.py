@@ -193,6 +193,5 @@ class TestPlaneInference:
         )
         assert plane_for_record(rec) is Plane.SAGITTAL
 
-    def test_plane_axis_and_names(self):
-        assert [p.axis for p in Plane] == [0, 1, 2]
-        assert Plane.AXIAL.word == "axial"
+    def test_plane_words(self):
+        assert [p.word for p in Plane] == ["sagittal", "coronal", "axial"]

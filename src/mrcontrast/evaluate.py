@@ -6,7 +6,7 @@ deterministic (ascending label id) to keep reports reproducible bit for bit.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,6 +17,7 @@ from .errors import (
     EmptyImageSet,
     EmptyPredictionList,
     LabelDecodeFailure,
+    NonFiniteInput,
     SingleClassTrainingSet,
 )
 from .labels import GridSpec, LabelSpace, coarsened_space
@@ -182,12 +183,38 @@ def scan_to_text_recall(
     return {k: out[k] / unique_scans.size for k in ks}
 
 
+# L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
+LBFGS_MEMORY = 10
+
+
 @dataclass
 class ProbeResult:
     accuracy: float
     losses: list[float]
     predicted_ids: np.ndarray
     n_iterations: int
+    grad_norm: float  # at the last iterate
+    converged: bool  # grad_norm < grad_tol
+
+
+def _lbfgs_direction(
+    grad: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray, float]]
+) -> np.ndarray:
+    """Two-loop recursion: -H grad for the inverse-Hessian estimate H built
+    from the (s, y, 1 / s.y) pairs, oldest first, with H0 = (s.y / y.y) I
+    from the newest pair."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float((s * q).sum())
+        q = q - alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q = q * (float((s * y).sum()) / float((y * y).sum()))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * float((y * q).sum())) * s
+    return q
 
 
 def linear_probe(
@@ -201,11 +228,12 @@ def linear_probe(
 ) -> ProbeResult:
     """Multinomial logistic regression on frozen embeddings.
 
-    Full-batch gradient descent. The step size warm-starts from the spectral
-    (Barzilai-Borwein) estimate and is then backtracked until the Armijo
-    sufficient-decrease test holds, so the training loss is non-increasing by
-    construction; stops at max_iter iterations or when the gradient norm
-    falls below grad_tol. Deterministic (zero init, no sampling).
+    Full-batch L-BFGS (Liu & Nocedal 1989) with memory LBFGS_MEMORY. Each
+    step starts at t = 1 and halves until the Armijo sufficient-decrease test
+    holds, so the training loss is non-increasing by construction; a
+    direction that is not a descent direction falls back to the negative
+    gradient. Stops after max_iter iterates or once the gradient norm falls
+    below grad_tol. Deterministic (zero init, no sampling).
     """
     classes = np.unique(train_y)
     if classes.size < 2:
@@ -218,63 +246,59 @@ def linear_probe(
 
     xa = augment(np.asarray(train_x, dtype=np.float64))
     n, d = xa.shape
-    c = classes.size
-    w = np.zeros((c, d), dtype=np.float64)
-    onehot = np.zeros((n, c), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-
     rows = np.arange(n)
 
-    def softmax_nll(logit_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        shifted = logit_rows - logit_rows.max(axis=1, keepdims=True)
-        expl = np.exp(shifted)
-        norm = expl.sum(axis=1)
-        nll = float((np.log(norm) - shifted[rows, y]).mean())
-        return nll, expl / norm[:, None]
+    def nll_residual(logit_rows: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean NLL and softmax minus one-hot, in one (n, C) buffer."""
+        z = logit_rows - logit_rows.max(axis=1, keepdims=True)
+        picked = z[rows, y]
+        np.exp(z, out=z)
+        norm = z.sum(axis=1)
+        nll = float((np.log(norm) - picked).mean())
+        z /= norm[:, None]
+        z[rows, y] -= 1.0
+        return nll, z
 
-    # Along the ray w - s*grad the logits move linearly (logits - s*dlogits),
-    # so each trial step costs one softmax rather than a fresh matmul. The
-    # accepted candidate's logits are reused for the next iteration, which
-    # makes the recorded losses non-increasing by construction rather than up
-    # to rounding.
-    losses: list[float] = []
-    iterations = 0
-    step = 1.0
-    prev_grad: Optional[np.ndarray] = None
-    prev_dw: Optional[np.ndarray] = None
-    logits = xa @ w.T
-    for _ in range(max_iter):
-        nll, probs = softmax_nll(logits)
-        ww = float((w * w).sum())
-        losses.append(nll + 0.5 * l2 * ww)
-        grad = (probs - onehot).T @ xa / n + l2 * w
-        iterations += 1
-        gg = float((grad * grad).sum())
-        if np.sqrt(gg) < grad_tol:
-            break
-        if prev_grad is not None and prev_dw is not None:
-            # spectral (Barzilai-Borwein) step estimate from the last
-            # accepted move; positive for a convex objective, otherwise the
-            # previous step is kept
-            dgrad = grad - prev_grad
-            num = float((prev_dw * prev_dw).sum())
-            den = float((prev_dw * dgrad).sum())
-            if np.isfinite(den) and den > 0.0 and num > 0.0:
-                step = num / den
-        wg = float((w * grad).sum())
-        dlogits = xa @ grad.T
-        while step > 1e-18:
-            nll_c, _ = softmax_nll(logits - step * dlogits)
-            ridge_c = 0.5 * l2 * (ww - 2.0 * step * wg + step * step * gg)
-            if nll_c + ridge_c <= losses[-1] - 1e-4 * step * gg:
-                prev_dw = -step * grad
-                prev_grad = grad
-                w = w + prev_dw
-                logits = logits - step * dlogits
+    def gradient(w: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        return residual.T @ xa / n + l2 * w
+
+    # Along the ray w + t*dw the logits move linearly (logits + t*dlogits),
+    # so each trial step costs one softmax rather than a fresh matmul, and
+    # the accepted trial's softmax gives the next gradient. Its loss is the
+    # one the Armijo test accepted, so the losses never increase.
+    w = np.zeros((classes.size, d), dtype=np.float64)
+    logits = np.zeros((n, classes.size), dtype=np.float64)
+    loss, residual = nll_residual(logits)
+    grad = gradient(w, residual)
+    losses = [loss]
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
+    grad_norm = float(np.sqrt((grad * grad).sum()))
+    while grad_norm >= grad_tol and len(losses) < max_iter:
+        dw = _lbfgs_direction(grad, pairs)
+        slope = float((grad * dw).sum())
+        if not (np.isfinite(slope) and slope < 0.0):
+            dw = -grad
+            slope = -grad_norm * grad_norm
+        dlogits = xa @ dw.T
+        t = 1.0
+        while t > 1e-18:
+            w_t = w + t * dw
+            logits_t = logits + t * dlogits
+            nll_t, residual = nll_residual(logits_t)
+            loss_t = nll_t + 0.5 * l2 * float((w_t * w_t).sum())
+            if loss_t <= loss + 1e-4 * t * slope:
                 break
-            step *= 0.5
+            t *= 0.5
         else:
             break
+        grad_t = gradient(w_t, residual)
+        s, yk = w_t - w, grad_t - grad
+        sy = float((s * yk).sum())
+        if sy > 0.0:
+            pairs.append((s, yk, 1.0 / sy))
+        w, logits, loss, grad = w_t, logits_t, loss_t, grad_t
+        losses.append(loss)
+        grad_norm = float(np.sqrt((grad * grad).sum()))
 
     eval_logits = augment(np.asarray(eval_x, dtype=np.float64)) @ w.T
     pred = classes[np.argmax(eval_logits, axis=1)]
@@ -283,7 +307,9 @@ def linear_probe(
         accuracy=accuracy,
         losses=losses,
         predicted_ids=pred.astype(np.int64),
-        n_iterations=iterations,
+        n_iterations=len(losses),
+        grad_norm=grad_norm,
+        converged=grad_norm < grad_tol,
     )
 
 
@@ -343,6 +369,8 @@ class EvalReport:
     te_mae_ms: float
     tr_mae_ms: float
     config_hash: str
+    # n_iterations, grad_norm, converged and the final loss; None without a probe
+    probe: Optional[dict] = None
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -355,6 +383,7 @@ class EvalReport:
             "te_mae_ms": self.te_mae_ms,
             "tr_mae_ms": self.tr_mae_ms,
             "config_hash": self.config_hash,
+            "probe": self.probe,
             "counts": self.counts,
         }
 
@@ -376,7 +405,11 @@ def run_evaluation(
     probe_l2: float = 1e-5,
     transfer_grid: Optional[GridSpec] = None,
 ) -> EvalReport:
-    """Full evaluation; pass transfer_grid to relabel under a coarser grid."""
+    """Full evaluation; pass transfer_grid to relabel under a coarser grid.
+
+    Raises NonFiniteInput before any ranking or probe if an image or gallery
+    embedding is not finite.
+    """
     if transfer_grid is not None:
         coarse, coarse_ids, _ = coarsened_space(space, eval_ids, transfer_grid)
         space, eval_ids = coarse, coarse_ids
@@ -384,18 +417,30 @@ def run_evaluation(
 
     eval_emb = encode_features(model, eval_features)
     gallery = build_gallery(model, space, eval_ids)
+    run_probe = train_features is not None and train_ids is not None
+    train_emb = encode_features(model, train_features) if run_probe else None
+    for name, emb in (
+        ("eval image", eval_emb), ("gallery", gallery.embeddings), ("train image", train_emb)
+    ):
+        if emb is not None and not np.isfinite(emb).all():
+            raise NonFiniteInput(f"{name} embeddings are not finite")
 
     i2t = recall_at_k(eval_emb, gallery, eval_ids, ks)
     s2t = scan_to_text_recall(eval_emb, eval_ids, eval_scan_ids, gallery, ks)
     t2i = text_to_image_recall(gallery, eval_emb, eval_ids, ks)
 
-    probe_accuracy = None
+    probe_accuracy = probe_block = None
     tag_rates: dict[str, float] = {}
     te_bin_mae = tr_bin_mae = te_mae_ms = tr_mae_ms = 0.0
-    if train_features is not None and train_ids is not None:
-        train_emb = encode_features(model, train_features)
+    if run_probe:
         probe = linear_probe(train_emb, train_ids, eval_emb, eval_ids, l2=probe_l2)
         probe_accuracy = probe.accuracy
+        probe_block = {
+            "n_iterations": probe.n_iterations,
+            "grad_norm": probe.grad_norm,
+            "converged": probe.converged,
+            "loss": probe.losses[-1],
+        }
         tags = per_tag_error(probe.predicted_ids, eval_ids, space)
         tag_rates = tags.rates
         te_bin_mae, tr_bin_mae = tags.te_bin_mae, tags.tr_bin_mae
@@ -414,6 +459,7 @@ def run_evaluation(
         te_mae_ms=te_mae_ms,
         tr_mae_ms=tr_mae_ms,
         config_hash=config_hash,
+        probe=probe_block,
         counts={
             "n_eval_slices": int(eval_features.shape[0]),
             "n_eval_scans": int(np.unique(eval_scan_ids).size),
@@ -433,8 +479,14 @@ def render_table(report: EvalReport) -> str:
         for k in (1, 5, 10):
             row += f"{r.get('r' + str(k), float('nan')):>8.3f}"
         lines.append(row)
-    if report.probe_accuracy is not None:
+    if report.probe is not None:
+        p = report.probe
         lines.append(f"linear probe accuracy: {report.probe_accuracy:.3f}")
+        lines.append(
+            f"probe: {p['n_iterations']} iterations, grad norm "
+            f"{p['grad_norm']:.3e}, converged {str(p['converged']).lower()}, "
+            f"loss {p['loss']:.9f}"
+        )
         lines.append(
             f"TE bin MAE: {report.te_bin_mae:.3f} bins "
             f"({report.te_mae_ms:.1f} ms); "

@@ -82,6 +82,7 @@ class TestPipeline:
         for task in report["recalls"].values():
             assert set(task) == {"r1", "r5", "r10"}
         assert report["probe_accuracy"] is not None
+        assert set(report["probe"]) == {"n_iterations", "grad_norm", "converged", "loss"}
         assert report["counts"]["n_labels"] == 18
         assert report["counts"]["n_eval_scans"] == 12
 
@@ -167,6 +168,12 @@ class TestPipeline:
         text = open(out).read()
         assert "scan_to_text" in text
         assert "linear probe accuracy" in text
+        probe = json.loads(open(pipeline["report"]).read())["probe"]
+        assert (
+            f"probe: {probe['n_iterations']} iterations, "
+            f"grad norm {probe['grad_norm']:.3e}, "
+            f"converged {str(probe['converged']).lower()}, loss {probe['loss']:.9f}"
+        ) in text.splitlines()
 
     def test_eval_transfer_report(self, pipeline, tmp_path):
         coarse_labels = str(tmp_path / "coarse.json")
@@ -182,6 +189,7 @@ class TestPipeline:
         ]) == 0
         report = json.loads(open(out).read())
         assert report["probe_accuracy"] is None
+        assert report["probe"] is None
         assert report["counts"]["n_labels"] == 2
 
 
@@ -463,3 +471,31 @@ class TestExitCodes:
             "--checkpoint", str(tmp_path / "diverged.ckpt"),
         ] + TRAIN_FLAGS)
         assert code == 3
+
+    def test_overflowed_embeddings_are_numerical_error(self, tmp_path, capsys):
+        # one Adam step at lr 1e300 leaves finite parameters near 1e300, whose
+        # embeddings overflow to NaN
+        data, labels = str(tmp_path / "d.jsonl"), str(tmp_path / "l.json")
+        ckpt, out = str(tmp_path / "c.ckpt"), tmp_path / "report.json"
+        assert main([
+            "synth", "--out", data, "--protocol-grid", "3x3", "--scans", "20",
+            "--slices-per-scan", "3", "--seed", "11", "--single-site",
+        ]) == 0
+        assert main([
+            "build-labels", "--dataset", data, "--out", labels, "--grid", "3x3",
+        ]) == 0
+        assert main([
+            "train", "--dataset", data, "--labels", labels, "--checkpoint", ckpt,
+            "--lr", "1e300", "--warmup-steps", "0", "--batch-size", "1024",
+            "--epochs", "1",
+        ]) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "eval", "--dataset", data, "--labels", labels,
+                "--checkpoint", ckpt, "--out", str(out),
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()

@@ -7,11 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mrcontrast import evaluate
 from mrcontrast.errors import (
     EmptyGallery,
     EmptyImageSet,
     EmptyPredictionList,
     LabelDecodeFailure,
+    NonFiniteInput,
     SingleClassTrainingSet,
 )
 from mrcontrast.evaluate import (
@@ -345,6 +347,51 @@ class TestLinearProbe:
         with pytest.raises(SingleClassTrainingSet):
             linear_probe(x, y, x, y)
 
+    def test_ill_conditioned_problem_converges(self):
+        # feature scales 1 and 100: the Hessian's condition number is ~1e4
+        rng = np.random.default_rng(8)
+        xs, ys = [], []
+        for label, center in enumerate([(0.0, 0.0), (1.0, -1.0), (2.0, 1.0)]):
+            xs.append((rng.normal(size=(40, 2)) + center) * np.array([1.0, 100.0]))
+            ys.extend([label] * 40)
+        x, y = np.concatenate(xs), np.asarray(ys, dtype=np.int64)
+        result = linear_probe(x, y, x, y, max_iter=500, grad_tol=1e-6)
+        assert result.converged
+        assert result.grad_norm < 1e-6
+        assert result.n_iterations < 500
+
+    def test_converged_loss_matches_gradient_descent_minimum(self):
+        rng = np.random.default_rng(9)
+        x, y = self.clusters(rng, 20, [(0, 0), (1, 0), (0, 1)], [0, 1, 2])
+        x = x * 6.0  # noise scale 0.6: overlapping clusters, a finite minimum
+        l2 = 1e-2
+        result = linear_probe(x, y, x, y, l2=l2)
+        assert result.converged
+
+        # fixed-step gradient descent at 1/L on the same objective
+        xa = np.concatenate([x, np.ones((len(x), 1))], axis=1)
+        n = len(x)
+        onehot = np.eye(3)[y]
+        step = 1.0 / (0.5 * np.linalg.eigvalsh(xa.T @ xa / n).max() + l2)
+        w = np.zeros((3, 3))
+        for _ in range(5000):
+            z = xa @ w.T
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            w -= step * ((p - onehot).T @ xa / n + l2 * w)
+        z = xa @ w.T
+        log_z = np.log(np.exp(z).sum(axis=1))
+        reference = float((log_z - z[np.arange(n), y]).mean() + 0.5 * l2 * (w * w).sum())
+        assert result.losses[-1] == pytest.approx(reference, rel=1e-8)
+
+    def test_iteration_cap_reports_not_converged(self):
+        rng = np.random.default_rng(6)
+        train_x, train_y = self.clusters(rng, 10, [(0, 0), (3, 3)], [0, 1])
+        result = linear_probe(train_x, train_y, train_x, train_y, max_iter=3)
+        assert result.n_iterations == 3
+        assert not result.converged
+        assert result.grad_norm >= 1e-6
+
 
 class TestPerTagError:
     def space(self):
@@ -449,6 +496,8 @@ class TestGalleryAndEndToEnd:
         assert report.counts["n_eval_slices"] == len(slices)
         assert report.counts["n_eval_scans"] == len({s.scan_id for s in slices})
         assert report.counts["n_labels"] == len(space)
+        assert set(report.probe) == {"n_iterations", "grad_norm", "converged", "loss"}
+        assert report.probe["converged"] == (report.probe["grad_norm"] < 1e-6)
         json.dumps(report.to_json_dict())
 
     def test_transfer_grid_relabels_and_skips_probe(self, tiny_run):
@@ -460,6 +509,8 @@ class TestGalleryAndEndToEnd:
             transfer_grid=GridSpec(n_te=1, n_tr=1),
         )
         assert report.probe_accuracy is None
+        assert report.probe is None
+        assert report.to_json_dict()["probe"] is None
         assert report.per_tag_error == {}
         assert report.counts["n_labels"] == 2
         assert report.counts["n_gallery"] == 2
@@ -475,3 +526,20 @@ class TestGalleryAndEndToEnd:
         assert "scan_to_text" in text
         assert "linear probe accuracy" in text
         assert "cafe0123" in text
+        n_iterations = report.probe["n_iterations"]
+        assert f"probe: {n_iterations} iterations, grad norm" in text
+
+    def test_non_finite_embeddings_rejected_before_ranking(self, tiny_run, monkeypatch):
+        slices, space, ids, run, state = tiny_run
+        features, scan_ids, _ = dataset_arrays(slices)
+        calls = []
+        for name in ("recall_at_k", "scan_to_text_recall", "linear_probe"):
+            monkeypatch.setattr(evaluate, name, lambda *a, **k: calls.append(a))
+        features = features.copy()
+        features[0, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            run_evaluation(
+                state.model, space, features, ids, features, ids, scan_ids,
+                config_hash="cafe0123",
+            )
+        assert calls == []

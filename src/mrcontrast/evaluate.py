@@ -408,17 +408,18 @@ def run_evaluation(
     """Full evaluation; pass transfer_grid to relabel under a coarser grid.
 
     Raises NonFiniteInput before any ranking or probe if an image or gallery
-    embedding is not finite.
+    embedding is not finite; numpy's overflow warnings are silenced for it.
     """
     if transfer_grid is not None:
         coarse, coarse_ids, _ = coarsened_space(space, eval_ids, transfer_grid)
         space, eval_ids = coarse, coarse_ids
         train_features = train_ids = None  # probe is not part of transfer eval
 
-    eval_emb = encode_features(model, eval_features)
-    gallery = build_gallery(model, space, eval_ids)
     run_probe = train_features is not None and train_ids is not None
-    train_emb = encode_features(model, train_features) if run_probe else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        eval_emb = encode_features(model, eval_features)
+        gallery = build_gallery(model, space, eval_ids)
+        train_emb = encode_features(model, train_features) if run_probe else None
     for name, emb in (
         ("eval image", eval_emb), ("gallery", gallery.embeddings), ("train image", train_emb)
     ):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +56,15 @@ def _mlp(x, w1, b1, w2, b2):
         return ga, x.T @ ga, ga.sum(axis=0), h.T @ go, go.sum(axis=0)
 
     return o * r, vjp
+
+
+def _sum_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row i of the (n_rows, d) result sums values[index == i]. np.bincount on
+    the linear indices row * d + col adds in input order from +0.0, as np.add.at
+    does, so the bits match add.at's without its per-element overhead."""
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, values.ravel(), n_rows * d).reshape(n_rows, d)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -126,25 +136,19 @@ class DualEncoder:
         return node(out, params, lambda g: vjp(g)[1:])
 
     def encode_texts(self, token_lists: Sequence[Sequence[int]]) -> Tensor:
-        """Token id lists -> (N, d_emb) unit embeddings (order-invariant
-        mean pooling; an empty list maps to the learned null token)."""
-        flat: list[int] = []
-        seg: list[int] = []
-        counts = np.empty(len(token_lists), dtype=np.float64)
-        for i, ids in enumerate(token_lists):
-            for t in ids:
-                if not (0 <= t < VOCAB_SIZE):
-                    raise TokenIdOutOfRange(f"token id {t} outside [0, {VOCAB_SIZE})")
-            use = list(ids) if len(ids) > 0 else [VOCAB_SIZE]
-            counts[i] = len(use)
-            flat.extend(use)
-            seg.extend([i] * len(use))
-        flat_idx = np.asarray(flat, dtype=np.int64)
-        seg_idx = np.asarray(seg, dtype=np.int64)
+        """Token id lists -> (N, d_emb) unit embeddings (order-invariant mean
+        pooling; an empty list maps to the learned null token). The table
+        gradient is summed over the batch's distinct ids, then laid into zeros."""
+        lengths = np.array([len(ids) for ids in token_lists], dtype=np.int64)
+        flat_idx = np.fromiter(chain.from_iterable(token_lists), np.int64, lengths.sum())
+        bad = (flat_idx < 0) | (flat_idx >= VOCAB_SIZE)
+        if bad.any():
+            raise TokenIdOutOfRange(f"token id {flat_idx[bad.argmax()]} outside [0, {VOCAB_SIZE})")
+        flat_idx = np.insert(flat_idx, np.cumsum(lengths)[lengths == 0], VOCAB_SIZE)
+        counts = np.maximum(lengths, 1)
+        seg_idx = np.repeat(np.arange(len(token_lists)), counts)
         table = self.tok_table.data
-        pooled = np.zeros((len(token_lists), table.shape[1]), dtype=np.float64)
-        np.add.at(pooled, seg_idx, table[flat_idx])
-        pooled /= counts[:, None]
+        pooled = _sum_rows(seg_idx, table[flat_idx], len(token_lists)) / counts[:, None]
 
         params = (self.tok_table, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2)
         w1 = self.txt_w1.data
@@ -153,8 +157,9 @@ class DualEncoder:
         def text_vjp(g):
             ga, *weight_grads = vjp(g)
             g_pooled = ga @ w1.T
+            ids, slot = np.unique(flat_idx, return_inverse=True)
             g_table = np.zeros_like(table)
-            np.add.at(g_table, flat_idx, g_pooled[seg_idx] / counts[seg_idx, None])
+            g_table[ids] = _sum_rows(slot, g_pooled[seg_idx] / counts[seg_idx, None], ids.size)
             return (g_table, *weight_grads)
 
         return node(out, params, text_vjp)

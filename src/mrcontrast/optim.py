@@ -30,7 +30,10 @@ def effective_lr(config: AdamConfig, t: int) -> float:
 
 class Adam:
     """Decay is decoupled: p <- p * (1 - lr_eff * wd) before the moment
-    update. Bias-corrected first/second moments, elementwise."""
+    update. Bias-corrected first/second moments, elementwise, on each row (a
+    1-D or 0-D parameter is one row) where g, m or v has a nonzero bit. On other
+    rows the update is exactly the identity (m = v = +0.0, p - lr_eff * 0 / (0
+    + eps) = p), so skipping them keeps every bit. Decay stays dense."""
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], config: AdamConfig):
         self.params = params
@@ -52,13 +55,17 @@ class Adam:
                 continue
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"non-finite gradient for {name}")
-            if decay and c.weight_decay != 0.0:
-                p.data = p.data * (1.0 - lr_eff * c.weight_decay)
-            self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * (g * g)
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - lr_eff * m_hat / (np.sqrt(v_hat) + c.eps)
+            scale = 1.0 - lr_eff * c.weight_decay if decay and c.weight_decay != 0.0 else 1.0
+            data = np.multiply(p.data, scale, out=np.empty_like(p.data))
+            shape = (data.shape[0] if data.ndim > 1 else 1, -1)
+            g, m, v, rows = (a.reshape(shape) for a in (g, self.m[name], self.v[name], data))
+            bits = g.view(np.int64) | m.view(np.int64) | v.view(np.int64)
+            live = np.flatnonzero(bits.any(axis=1))
+            g = g[live]
+            m[live] = c.beta1 * m[live] + (1.0 - c.beta1) * g
+            v[live] = c.beta2 * v[live] + (1.0 - c.beta2) * (g * g)
+            rows[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + c.eps)
+            p.data = data
         return lr_eff
 
     def load_state_dict(self, state: dict) -> None:

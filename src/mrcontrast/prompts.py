@@ -9,6 +9,7 @@ state to ship.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -149,16 +150,18 @@ class PromptBank:
 
     Tokenizing clause by clause and concatenating gives the same ids as
     tokenizing the assembled sentence, because clause boundaries are always
-    non-token separators; tests assert that equivalence.
+    non-token separators; tests assert that equivalence. A dataset has few
+    distinct clause texts, so each is tokenized once.
     """
 
     def __init__(self, records: Sequence[MetadataRecord], config: PromptConfig):
         self.config = config
         self._entries: list[tuple[list[tuple[int, ...]], list[bool]]] = []
-        head_ids = tuple(tokenize("MRI scan"))
+        clause_ids = functools.cache(lambda text: tuple(tokenize(text)))
+        head_ids = clause_ids("MRI scan")
         for record in records:
             pieces = prompt_pieces(record, config)
-            ids = [head_ids] + [tuple(tokenize(p.text)) for p in pieces]
+            ids = [head_ids] + [clause_ids(p.text) for p in pieces]
             droppable = [False] + [
                 p.clause not in NEVER_DROPPED for p in pieces
             ]

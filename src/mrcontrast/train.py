@@ -12,6 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,13 +167,14 @@ def train_model(
             rows = train_rows[perm[start : start + run.batch_size]]
             batch_features = features[rows]
             batch_labels = label_ids[rows]
-            token_lists = []
-            for r in rows:
-                if run.text_dropout > 0:
-                    uniforms = state.rng.random(bank.n_droppable(int(r)))
-                    token_lists.append(bank.tokens_with_dropout(int(r), uniforms))
-                else:
-                    token_lists.append(bank.tokens_full(int(r)))
+            if run.text_dropout > 0:
+                # one draw per batch: the same doubles and end state as one per row
+                sizes = [bank.n_droppable(int(r)) for r in rows]
+                uniforms = iter(state.rng.random(sum(sizes)).tolist())
+                token_lists = [bank.tokens_with_dropout(int(r), list(islice(uniforms, k)))
+                               for r, k in zip(rows, sizes)]
+            else:
+                token_lists = [bank.tokens_full(int(r)) for r in rows]
 
             model = state.model
             img = model.encode_images(batch_features)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -490,11 +491,13 @@ class TestExitCodes:
             "--epochs", "1",
         ]) == 0
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([
                 "eval", "--dataset", data, "--labels", labels,
                 "--checkpoint", ckpt, "--out", str(out),
             ])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 3
         err = capsys.readouterr().err
         assert "not finite" in err and "Traceback" not in err

@@ -8,7 +8,7 @@ import pytest
 
 from mrcontrast.errors import ShapeMismatch, TokenIdOutOfRange
 from mrcontrast.loss import loss_graph
-from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
+from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig, _mlp
 from mrcontrast.prompts import VOCAB_SIZE
 
 
@@ -62,6 +62,15 @@ class TestEncoding:
         with pytest.raises(TokenIdOutOfRange):
             small_model().encode_texts([[0], [-1]])
 
+    @pytest.mark.parametrize("lists, first", [
+        ([[1, 9000, -1]], 9000),
+        ([[3], [], [2, -2, VOCAB_SIZE]], -2),
+        ([[], [VOCAB_SIZE], [-5]], VOCAB_SIZE),
+    ])
+    def test_out_of_range_error_names_the_first_bad_id(self, lists, first):
+        with pytest.raises(TokenIdOutOfRange, match=rf"^token id {first} outside"):
+            small_model().encode_texts(lists)
+
     def test_gradients_reach_all_parameters(self):
         model = small_model()
         rng = np.random.default_rng(1)
@@ -72,6 +81,48 @@ class TestEncoding:
             assert p.grad is not None, name
             assert p.grad.shape == p.shape, name
             assert np.any(p.grad != 0), name
+
+
+def dense_text_reference(model, token_lists, g):
+    """Pooled rows, embeddings and token-table gradient for upstream gradient
+    g, pooled and scattered with np.add.at into dense zero arrays."""
+    use = [list(ids) if ids else [VOCAB_SIZE] for ids in token_lists]
+    flat = np.array([t for ids in use for t in ids], dtype=np.int64)
+    seg = np.repeat(np.arange(len(use)), [len(ids) for ids in use])
+    counts = np.array([len(ids) for ids in use], dtype=np.float64)
+    table = model.tok_table.data
+    pooled = np.zeros((len(use), table.shape[1]))
+    np.add.at(pooled, seg, table[flat])
+    pooled /= counts[:, None]
+    weights = (model.txt_w1, model.txt_b1, model.txt_w2, model.txt_b2)
+    out, vjp = _mlp(pooled, *(w.data for w in weights))
+    g_pooled = vjp(g)[0] @ model.txt_w1.data.T
+    g_table = np.zeros_like(table)
+    np.add.at(g_table, flat, g_pooled[seg] / counts[seg, None])
+    return out, g_table
+
+
+class TestTextPoolingBits:
+    """Pooling and the token-table gradient equal a dense np.add.at
+    reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_pooling_and_table_gradient_match_dense_add_at(self, n):
+        rng = np.random.default_rng(n)
+        model = small_model(seed=4)
+        vocab = rng.integers(0, VOCAB_SIZE, size=40)  # few ids: many repeats
+        token_lists = [[int(t) for t in rng.choice(vocab, size=rng.integers(0, 12))]
+                       for _ in range(n)]
+        token_lists[0] = []  # the null row
+        if n > 1:
+            token_lists[1] = [int(vocab[0])] * 3 + [int(vocab[1])]  # a repeated id
+        g = rng.normal(size=(n, 8))
+        txt = model.encode_texts(token_lists)
+        want_out, want_table = dense_text_reference(model, token_lists, g)
+        assert txt.data.tobytes() == want_out.tobytes()
+        g_table = txt._vjp(g)[0]
+        assert g_table.shape == model.tok_table.shape
+        assert g_table.tobytes() == want_table.tobytes()
 
 
 class TestTemperature:

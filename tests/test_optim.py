@@ -165,3 +165,90 @@ class TestClampLogTau:
         t = Tensor(np.float64(math.log(0.07)), requires_grad=True)
         clamp_log_tau(t)
         assert float(t.data) == math.log(0.07)
+
+
+class TestRowRestrictedStep:
+    """Adam runs its moment arithmetic only on rows with a nonzero bit in g,
+    m or v; every bit must still equal the dense update in reference_step."""
+
+    def config(self):
+        return AdamConfig(
+            lr=0.05, beta1=0.9, beta2=0.98, eps=1e-8,
+            weight_decay=0.2, warmup_steps=3,
+        )
+
+    def grads(self, step, rng):
+        """Row 1's gradient vanishes at steps 3-5 and returns at step 6; row
+        2's square underflows (m != 0 while v = 0); row 4 never has one."""
+        table = np.zeros((6, 3))
+        table[0] = rng.normal(size=3)
+        if step not in (3, 4, 5):
+            table[1] = rng.normal(size=3)
+        table[2] = 1e-170
+        table[3, 1] = -0.0 if step % 2 else rng.normal()
+        return {"table": table, "bias": np.where(step > 2, rng.normal(size=4), 0.0),
+                "scalar": np.float64(rng.normal())}
+
+    def fresh(self):
+        rng = np.random.default_rng(7)
+        shapes = {"table": (6, 3), "bias": (4,), "scalar": ()}
+        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        values["table"][4, 0] = -0.0
+        tensors = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+        params = [("table", tensors["table"], True), ("bias", tensors["bias"], False),
+                  ("scalar", tensors["scalar"], False)]
+        return tensors, Adam(params, self.config()), values
+
+    def test_matches_dense_reference_with_resume(self):
+        rng = np.random.default_rng(3)
+        tensors, opt, p = self.fresh()
+        decay = {"table": True, "bias": False, "scalar": False}
+        m = {k: np.zeros_like(v) for k, v in p.items()}
+        v = {k: np.zeros_like(x) for k, x in p.items()}
+        for step in range(1, 9):
+            if step == 5:  # resume a fresh optimizer from the saved state
+                state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
+                saved = {k: t.data.copy() for k, t in tensors.items()}
+                tensors, opt, _ = self.fresh()
+                for k, t in tensors.items():
+                    t.data = saved[k]
+                opt.load_state_dict(state)
+            grads = self.grads(step, rng)
+            for k, t in tensors.items():
+                t.grad = grads[k].copy()
+                p[k], m[k], v[k] = reference_step(p[k], grads[k], m[k], v[k], step,
+                                                  self.config(), decay[k])
+            opt.step()
+            for k, t in tensors.items():
+                assert t.data.shape == p[k].shape, (step, k)
+                assert np.asarray(t.data).tobytes() == p[k].tobytes(), (step, k)
+                assert opt.m[k].tobytes() == m[k].tobytes(), (step, k)
+                assert opt.v[k].tobytes() == v[k].tobytes(), (step, k)
+        assert m["table"][2].all() and not v["table"][2].any()
+        assert not m["table"][4].any() and np.signbit(p["table"][4, 0])
+
+    def test_rows_live_only_through_m_or_v_update_like_the_dense_step(self):
+        """Row 0's -0.0 moment compares equal to zero, but the dense step turns
+        it into +0.0; row 1 has m = 0 (an underflowed moment) while v > 0
+        still decays. Both rows count as live; row 2 is all +0.0."""
+        config = AdamConfig(lr=0.1, beta1=0.3, warmup_steps=0, weight_decay=0.0)
+        t = Tensor(np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, -0.0]]), requires_grad=True)
+        opt = Adam([("w", t, True)], config)
+        opt.load_state_dict({"t": 4, "m": {"w": np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])},
+                             "v": {"w": np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])}})
+        t.grad = np.zeros((3, 2))
+        want, m, v = reference_step(t.data.copy(), t.grad, opt.m["w"].copy(),
+                                    opt.v["w"].copy(), 5, config, True)
+        opt.step()
+        assert t.data.tobytes() == want.tobytes()
+        assert opt.m["w"].tobytes() == m.tobytes()
+        assert opt.v["w"].tobytes() == v.tobytes()
+        assert not np.signbit(opt.m["w"]).any()
+
+    def test_step_does_not_write_into_the_old_arrays(self):
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        before = t.data
+        t.grad = np.full((3, 2), 0.5)
+        Adam([("w", t, False)], self.config()).step()
+        np.testing.assert_array_equal(before, 1.0)
+        assert not np.array_equal(t.data, before)

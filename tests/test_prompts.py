@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 
+from mrcontrast import prompts
 from mrcontrast.prompts import (
     NEVER_DROPPED,
     VOCAB_SIZE,
@@ -163,6 +164,24 @@ class TestPromptBank:
         )
         for i, record in enumerate(self.records()):
             want = tuple(tokenize(render_prompt(record, rendered).text))
+            assert bank.tokens_full(i) == want
+
+    def test_each_distinct_clause_text_is_tokenized_once(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        records = self.records() * 3
+        config = PromptConfig(dropout=0.5)
+        monkeypatch.setattr(prompts, "tokenize", counting_tokenize)
+        bank = PromptBank(records, config)
+        monkeypatch.undo()
+        distinct = {"MRI scan"} | {p.text for r in records for p in prompt_pieces(r, config)}
+        assert sorted(calls) == sorted(distinct)
+        for i, record in enumerate(records):
+            want = tuple(tokenize(render_prompt(record, PromptConfig()).text))
             assert bank.tokens_full(i) == want
 
     def test_dropout_uniforms_control_clauses(self):

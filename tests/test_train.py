@@ -11,7 +11,8 @@ import pytest
 
 from mrcontrast import train
 from mrcontrast.errors import BadCheckpoint, DataError
-from mrcontrast.model import TAU_MAX, TAU_MIN
+from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder
+from mrcontrast.prompts import PromptBank, PromptConfig
 from mrcontrast.train import (
     CHECKPOINT_VERSION,
     RunConfig,
@@ -159,6 +160,32 @@ class TestTrainModel:
         assert checkpoint_bytes(again, run, space.hash_hex, cfg) == checkpoint_bytes(
             state, run, space.hash_hex, cfg
         )
+
+    def test_batch_dropout_draw_equals_per_row_draws(self, tiny_dataset, monkeypatch):
+        """One rng.random per batch, split by row, hands each row the doubles
+        one draw per row would, and leaves the generator in the same state."""
+        slices, space, ids = tiny_dataset
+        run = replace(TINY_RUN, epochs=2, batch_size=48, text_dropout=0.5)
+        seen = []
+        encode = DualEncoder.encode_texts
+        monkeypatch.setattr(DualEncoder, "encode_texts",
+                            lambda self, lists: seen.append(list(lists)) or encode(self, lists))
+        state = train_model(slices, space, ids, run)
+
+        features, scan_ids, records = dataset_arrays(slices)
+        train_rows = np.flatnonzero(split_by_scan(scan_ids, run.val_fraction, run.seed)[0])
+        bank = PromptBank(records, PromptConfig(dropout=run.text_dropout))
+        rng = np.random.Generator(np.random.PCG64(run.seed))
+        want, dropped = [], False
+        for _ in range(run.epochs):
+            perm = rng.permutation(train_rows.size)
+            for start in range(0, train_rows.size, run.batch_size):
+                rows = train_rows[perm[start : start + run.batch_size]]
+                want.append([bank.tokens_with_dropout(int(r), rng.random(bank.n_droppable(int(r))))
+                             for r in rows])
+                dropped |= any(len(t) < len(bank.tokens_full(int(r))) for t, r in zip(want[-1], rows))
+        assert seen == want and dropped
+        assert state.rng.bit_generator.state == rng.bit_generator.state
 
     def test_single_scan_with_holdout_has_no_training_rows(self, tiny_dataset):
         slices, space, ids = tiny_dataset

@@ -120,10 +120,6 @@ class EmptyImageSet(DataError):
     """No image embeddings to rank."""
 
 
-class EmptyPredictionList(DataError):
-    """Majority vote needs at least one slice prediction."""
-
-
 class SingleClassTrainingSet(DataError):
     """Linear probe needs at least two classes."""
 

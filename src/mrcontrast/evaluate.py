@@ -6,7 +6,7 @@ deterministic (ascending label id) to keep reports reproducible bit for bit.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     EmptyGallery,
     EmptyImageSet,
-    EmptyPredictionList,
     LabelDecodeFailure,
     NonFiniteInput,
     SingleClassTrainingSet,
@@ -104,54 +103,6 @@ def text_to_image_recall(
     return {k: float(hits[:, :k].any(axis=1).mean()) for k in ks}
 
 
-def scan_majority_vote(
-    slice_predictions: Sequence[int], slice_scores: Sequence[float]
-) -> int:
-    """Mode of the slice-level predictions.
-
-    Vote ties resolve to the label whose voting slices have the highest mean
-    similarity, then to the lowest label id.
-    """
-    if len(slice_predictions) == 0:
-        raise EmptyPredictionList("scan has no slice predictions")
-    votes = Counter(slice_predictions)
-    top = max(votes.values())
-    tied = [lab for lab, v in votes.items() if v == top]
-    if len(tied) == 1:
-        return int(tied[0])
-    scores = np.asarray(slice_scores, dtype=np.float64)
-    preds = np.asarray(slice_predictions)
-    means = {lab: float(scores[preds == lab].mean()) for lab in tied}
-    best = max(means.values())
-    winners = sorted(lab for lab, m in means.items() if m == best)
-    return int(winners[0])
-
-
-def scan_ranking(
-    slice_predictions: np.ndarray,
-    slice_scores: np.ndarray,
-    mean_sims: np.ndarray,
-    gallery: Gallery,
-) -> np.ndarray:
-    """Gallery labels ranked for one scan.
-
-    Rank 1 is the majority-vote winner; the remainder orders by vote count
-    descending, then mean scan-to-gallery similarity, then ascending id.
-    """
-    winner = scan_majority_vote(list(slice_predictions), list(slice_scores))
-    votes = Counter(int(p) for p in slice_predictions)
-    counts = np.array(
-        [votes.get(int(lab), 0) for lab in gallery.label_ids], dtype=np.int64
-    )
-    order = np.lexsort((gallery.label_ids, -mean_sims, -counts))
-    ranked = [int(winner)]
-    for pos in order:
-        lab = int(gallery.label_ids[pos])
-        if lab != winner:
-            ranked.append(lab)
-    return np.asarray(ranked, dtype=np.int64)
-
-
 def scan_to_text_recall(
     image_embeddings: np.ndarray,
     image_label_ids: np.ndarray,
@@ -159,28 +110,42 @@ def scan_to_text_recall(
     gallery: Gallery,
     ks: Sequence[int] = DEFAULT_KS,
 ) -> dict[int, float]:
-    """Majority-vote retrieval per scan (all slices of a scan share a label)."""
-    sims = image_embeddings @ gallery.embeddings.T  # (N, G)
-    by_id = np.argsort(gallery.label_ids, kind="stable")
-    top1_pos = by_id[np.argmax(sims[:, by_id], axis=1)]  # ties -> lowest id
-    top1_labels = gallery.label_ids[top1_pos]
-    top1_scores = sims[np.arange(sims.shape[0]), top1_pos]
+    """Majority-vote retrieval per scan (all slices of a scan share a label).
 
-    out = {k: 0 for k in ks}
-    unique_scans = np.unique(scan_ids)
-    for scan in unique_scans:
-        rows = np.flatnonzero(scan_ids == scan)
-        truth = int(image_label_ids[rows[0]])
-        ranked = scan_ranking(
-            top1_labels[rows],
-            top1_scores[rows],
-            sims[rows].mean(axis=0),
-            gallery,
-        )
-        for k in ks:
-            if (ranked[:k] == truth).any():
-                out[k] += 1
-    return {k: out[k] / unique_scans.size for k in ks}
+    Each slice votes for its top-1 label (similarity ties go to the lowest
+    id), and one lexsort ranks the gallery for every scan at once. Rank 1 is
+    the vote winner: most votes, then the highest mean top-1 score of the
+    label's voting slices, then the lowest id. The rest follow by most
+    votes, then the highest mean similarity over all the scan's slices, then
+    the lowest id.
+
+    Both means are row-order sums over the scan's slices divided by the
+    count. The scan mean is numpy's axis-0 mean bit for bit; the voter mean
+    can differ from numpy's pairwise 1-D mean in its last bit only for a
+    label with at least 8 voters.
+    """
+    by_id = np.argsort(gallery.label_ids, kind="stable")
+    ids = gallery.label_ids[by_id]
+    sims = (image_embeddings @ gallery.embeddings.T)[:, by_id]  # (N, G), id order
+    g = ids.size
+    top1 = np.argmax(sims, axis=1)  # ties -> lowest id
+    top1_score = sims[np.arange(sims.shape[0]), top1]
+    _, first, scan = np.unique(scan_ids, return_index=True, return_inverse=True)
+    n_scans = first.size
+
+    cell = scan * g + top1
+    votes = np.bincount(cell, minlength=n_scans * g).reshape(n_scans, g)
+    voter_sum = np.bincount(cell, top1_score, minlength=n_scans * g).reshape(n_scans, g)
+    voter_mean = voter_sum / np.maximum(votes, 1)
+    scan_mean = np.zeros((n_scans, g))
+    np.add.at(scan_mean, scan, sims)
+    scan_mean /= np.bincount(scan)[:, None]
+
+    id_key = np.broadcast_to(ids, (n_scans, g))
+    winner = np.lexsort((id_key, -voter_mean, -votes))[:, :1]
+    ranked = ids[np.lexsort((id_key, -scan_mean, -votes, np.arange(g) != winner))]
+    truth = np.asarray(image_label_ids)[first]
+    return {k: float((ranked[:, :k] == truth[:, None]).any(axis=1).mean()) for k in ks}
 
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).

@@ -118,19 +118,9 @@ def validate_batch(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray, np.
     return img, txt, labels
 
 
-def _positive_weights(
-    anchor_labels: np.ndarray, candidate_labels: np.ndarray, infonce_rows: Optional[np.ndarray]
-) -> np.ndarray:
+def _positive_weights(anchor_labels: np.ndarray, candidate_labels: np.ndarray) -> np.ndarray:
     """Row-normalized positive mask: weights[i, p] = 1/|P(i)| on positives."""
-    if infonce_rows is None:
-        mask = (anchor_labels[:, None] == candidate_labels[None, :]).astype(
-            np.float64
-        )
-    else:
-        mask = np.zeros(
-            (len(infonce_rows), len(candidate_labels)), dtype=np.float64
-        )
-        mask[np.arange(len(infonce_rows)), infonce_rows] = 1.0
+    mask = (anchor_labels[:, None] == candidate_labels[None, :]).astype(np.float64)
     return mask / mask.sum(axis=1, keepdims=True)
 
 
@@ -158,6 +148,8 @@ def contrastive_loss(
     plan.validate(n)
     if kind not in ("supcon", "infonce"):
         raise ValueError(f"unknown loss kind {kind!r}")
+    if kind == "infonce":  # supcon over distinct labels: each pair is its own class
+        labels = np.arange(n)
     total = 0.0
     d_img = np.zeros_like(img)
     d_txt = np.zeros_like(txt)
@@ -167,9 +159,7 @@ def contrastive_loss(
             continue
         rows = slice(start, end)
         # Same labels on both sides, so one weight block serves both directions.
-        weights = _positive_weights(
-            labels[rows], labels, np.arange(start, end) if kind == "infonce" else None
-        )
+        weights = _positive_weights(labels[rows], labels)
         part = 0.0
         for anchors, candidates, d_anchors, d_candidates in (
             (img, txt, d_img, d_txt),

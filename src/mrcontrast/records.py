@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -173,21 +173,7 @@ def make_record(
     )
 
 
-_RECORD_FIELDS = {
-    "source_id",
-    "manufacturer",
-    "scanner_model",
-    "series_description",
-    "sequence_type",
-    "sequence_variant",
-    "field_strength_tesla",
-    "te_ms",
-    "tr_ms",
-    "ti_ms",
-    "flip_angle_deg",
-    "voxel_spacing_mm",
-    "num_slices",
-}
+_RECORD_FIELDS = frozenset(f.name for f in fields(MetadataRecord))
 
 
 def manifest_lines(path) -> Iterator[tuple[int, bytes]]:

@@ -137,13 +137,17 @@ class SyntheticSlice:
         return json.dumps(obj, sort_keys=True)
 
 
+# Each slice scales every tissue channel by its own uniform draw from
+# [MIX_LO, MIX_HI): the slice-level mixing nuisance.
+MIX_LO = 0.95
+MIX_HI = 1.05
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_scans: int = 1000
     slices_per_scan: int = 10
     noise_sigma: float = 0.005
-    mix_lo: float = 0.95
-    mix_hi: float = 1.05
     seed: int = 0
 
 
@@ -174,7 +178,7 @@ def generate_dataset(
         )
         base = expected_features(record, tissues)
         for s in range(config.slices_per_scan):
-            mix = rng.uniform(config.mix_lo, config.mix_hi, size=k)
+            mix = rng.uniform(MIX_LO, MIX_HI, size=k)
             noise = rng.normal(0.0, config.noise_sigma, size=k)
             slices.append(
                 SyntheticSlice(
@@ -187,15 +191,19 @@ def generate_dataset(
     return slices
 
 
+# Protocol timings span the default label grid; half the protocols carry an
+# inversion pulse (IR) and half do not (SE).
+TE_RANGE_MS = (0.0, 200.0)
+TR_RANGE_MS = (0.0, 10000.0)
+INVERSION_TIMES_MS: tuple[Optional[float], ...] = (None, 150.0)
+FLIP_ANGLE_DEG = 90.0
+
+
 def default_protocols(
     n_te_cells: int = 5,
     n_tr_cells: int = 5,
-    te_range: tuple[float, float] = (0.0, 200.0),
-    tr_range: tuple[float, float] = (0.0, 10000.0),
     scanners: Sequence[tuple[str, str]] = (("SIEMENS", "AVANTO"), ("GE", "SIGNA")),
     field_strengths: Sequence[float] = (1.5, 3.0),
-    inversion_times: Sequence[Optional[float]] = (None, 150.0),
-    flip_angle: float = 90.0,
     offsets: Sequence[tuple[float, float]] = ((0.0, 0.0),),
 ) -> list[MetadataRecord]:
     """Protocols at TE/TR cell centers, crossed with the categorical options.
@@ -208,17 +216,17 @@ def default_protocols(
     protocols whose timings differ by a few milliseconds, the situation where
     fine quantization splits physically similar scans into separate labels.
     """
-    te_width = (te_range[1] - te_range[0]) / n_te_cells
-    tr_width = (tr_range[1] - tr_range[0]) / n_tr_cells
+    te_width = (TE_RANGE_MS[1] - TE_RANGE_MS[0]) / n_te_cells
+    tr_width = (TR_RANGE_MS[1] - TR_RANGE_MS[0]) / n_tr_cells
     protocols = []
     for i in range(n_te_cells):
-        te = te_range[0] + (i + 0.5) * te_width
+        te = TE_RANGE_MS[0] + (i + 0.5) * te_width
         for j in range(n_tr_cells):
-            tr = tr_range[0] + (j + 0.5) * tr_width
+            tr = TR_RANGE_MS[0] + (j + 0.5) * tr_width
             for dte, dtr in offsets:
                 for mfr, model in scanners:
                     for fs in field_strengths:
-                        for ti in inversion_times:
+                        for ti in INVERSION_TIMES_MS:
                             protocols.append(
                                 make_record(
                                     "protocol",
@@ -230,7 +238,7 @@ def default_protocols(
                                     te_ms=te + dte,
                                     tr_ms=tr + dtr,
                                     ti_ms=ti,
-                                    flip_angle_deg=flip_angle,
+                                    flip_angle_deg=FLIP_ANGLE_DEG,
                                     voxel_spacing_mm=(1.0, 1.0, 5.0),
                                 )
                             )

@@ -73,8 +73,7 @@ def split_by_scan(
     n_eval = int(round(val_fraction * scans.size))
     if val_fraction > 0:
         n_eval = max(1, min(n_eval, scans.size - 1))
-    eval_scans = set(scans[perm[:n_eval]].tolist())
-    eval_mask = np.array([int(s) in eval_scans for s in scan_ids])
+    eval_mask = np.isin(scan_ids, scans[perm[:n_eval]])
     return ~eval_mask, eval_mask
 
 

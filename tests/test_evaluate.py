@@ -11,7 +11,6 @@ from mrcontrast import evaluate
 from mrcontrast.errors import (
     EmptyGallery,
     EmptyImageSet,
-    EmptyPredictionList,
     LabelDecodeFailure,
     NonFiniteInput,
     SingleClassTrainingSet,
@@ -26,8 +25,6 @@ from mrcontrast.evaluate import (
     recall_at_k,
     render_table,
     run_evaluation,
-    scan_majority_vote,
-    scan_ranking,
     scan_to_text_recall,
     text_to_image_recall,
 )
@@ -156,64 +153,6 @@ class TestTextToImageRecall:
             text_to_image_recall(gallery, np.empty((0, 2)), np.array([]))
 
 
-class TestScanMajorityVote:
-    def test_clear_mode_wins(self):
-        assert scan_majority_vote([3, 3, 5], [0.1, 0.1, 0.99]) == 3
-
-    def test_count_tie_resolved_by_mean_score(self):
-        assert scan_majority_vote([1, 2], [0.9, 0.8]) == 1
-        assert scan_majority_vote([1, 2], [0.8, 0.9]) == 2
-
-    def test_full_tie_resolved_by_lowest_id(self):
-        assert scan_majority_vote([2, 1], [0.5, 0.5]) == 1
-
-    def test_mean_uses_only_voting_slices(self):
-        # label 4 votes: 0.9, 0.1 (mean 0.5); label 6 votes: 0.6, 0.6 (mean 0.6)
-        assert scan_majority_vote([4, 4, 6, 6], [0.9, 0.1, 0.6, 0.6]) == 6
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyPredictionList):
-            scan_majority_vote([], [])
-
-
-class TestScanRanking:
-    def gallery(self):
-        return mk_gallery(
-            [0, 1, 2, 3],
-            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
-        )
-
-    def test_vote_counts_order_the_tail(self):
-        ranked = scan_ranking(
-            np.array([1, 1, 2]),
-            np.array([0.9, 0.8, 0.95]),
-            np.array([0.1, 0.5, 0.6, 0.2]),
-            self.gallery(),
-        )
-        np.testing.assert_array_equal(ranked, [1, 2, 3, 0])
-
-    def test_vote_winner_promoted_over_higher_mean(self):
-        # counts tie 1-1; the vote tie-break picks label 1 (score 0.9) even
-        # though label 2 has the higher scan-mean similarity
-        ranked = scan_ranking(
-            np.array([1, 2]),
-            np.array([0.9, 0.1]),
-            np.array([0.0, 0.2, 0.9, 0.0]),
-            self.gallery(),
-        )
-        np.testing.assert_array_equal(ranked, [1, 2, 0, 3])
-
-    def test_result_is_permutation_of_gallery(self):
-        ranked = scan_ranking(
-            np.array([3]),
-            np.array([0.4]),
-            np.array([0.4, 0.3, 0.2, 0.1]),
-            self.gallery(),
-        )
-        assert sorted(ranked.tolist()) == [0, 1, 2, 3]
-        assert ranked[0] == 3
-
-
 def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery, ks):
     sims = image_embeddings @ gallery.embeddings.T
     top1_label = []
@@ -232,10 +171,14 @@ def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery,
         tied = [lab for lab, v in votes.items() if v == top]
         if len(tied) == 1:
             return tied[0]
-        means = {
-            lab: float(np.mean([s for p, s in zip(preds, scores) if p == lab]))
-            for lab in tied
-        }
+        means = {}
+        for lab in tied:
+            # a row-order sum, as the documented voter mean
+            total = 0.0
+            for p, s in zip(preds, scores):
+                if p == lab:
+                    total += s
+            means[lab] = total / votes[lab]
         best = max(means.values())
         return min(lab for lab in tied if means[lab] == best)
 
@@ -268,6 +211,28 @@ def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery,
     return {k: hits[k] / len(scans) for k in ks}
 
 
+def at(*degrees):
+    """Unit rows in the plane at these angles."""
+    rad = np.radians(degrees)
+    return np.stack([np.cos(rad), np.sin(rad)], axis=1)
+
+
+def scan_order(images, gallery):
+    """Gallery ids in the order scan_to_text_recall ranks them for one scan
+    made of these slices: a label's rank is the smallest k whose R@k is 1
+    when it is the scan's true label."""
+    n, ids = images.shape[0], gallery.label_ids
+    ks = range(1, ids.size + 1)
+    rank = {}
+    for lab in ids:
+        hits = scan_to_text_recall(
+            images, np.full(n, lab), np.zeros(n, dtype=np.int64), gallery, ks
+        )
+        rank[int(lab)] = min(k for k in ks if hits[k] == 1.0)
+    assert sorted(rank.values()) == list(ks)
+    return sorted(rank, key=rank.get)
+
+
 class TestScanToTextRecall:
     def test_majority_vote_rescues_outvoted_slice(self):
         gallery = mk_gallery([0, 1], [[1.0, 0.0], [0.0, 1.0]])
@@ -279,22 +244,77 @@ class TestScanToTextRecall:
         i2t = recall_at_k(images, gallery, labels, ks=(1,))
         assert i2t[1] == pytest.approx(2.0 / 3.0)
 
+    def test_clear_mode_wins(self):
+        # two votes for 3 at score cos 40; one for 5 at score 1, and 5 has
+        # the higher scan mean
+        gallery = mk_gallery([3, 5], at(0, 90))
+        assert scan_order(at(40, 40, 90), gallery) == [3, 5]
+
+    def test_count_tie_resolved_by_mean_score(self):
+        gallery = mk_gallery([1, 2], at(0, 90))
+        assert scan_order(at(10, 60), gallery) == [1, 2]  # cos 10 > cos 30
+        assert scan_order(at(30, 80), gallery) == [2, 1]
+
+    def test_full_tie_resolved_by_lowest_id(self):
+        gallery = mk_gallery([2, 1], at(90, 0))
+        assert scan_order(at(90, 0), gallery) == [1, 2]
+
+    def test_mean_uses_only_voting_slices(self):
+        # label 4 votes 0.9 and 0.1 (mean 0.5, max 0.9); label 6 votes 0.6
+        # twice (mean 0.6)
+        a, b, c = np.degrees(np.arccos([0.9, 0.1, 0.6]))
+        gallery = mk_gallery([4, 6], at(0, 90))
+        assert scan_order(at(a, -b, 90 + c, 90 + c), gallery) == [6, 4]
+
+    def test_vote_counts_order_the_tail(self):
+        # votes: 0 twice, 1 once. Label 9 has a higher scan mean than 1 but
+        # no vote; 4 and 7 share a direction, so only their ids order them.
+        gallery = mk_gallery([0, 1, 9, 2, 7, 4], at(0, 90, 45, 180, 270, 270))
+        assert scan_order(at(10, -10, 80), gallery) == [0, 1, 9, 4, 7, 2]
+
+    def test_vote_winner_promoted_over_higher_mean(self):
+        # votes tie 1-1; label 1's voter scores higher (cos 5 > cos 60), but
+        # label 2 has the higher scan mean
+        gallery = mk_gallery([0, 1, 2], at(270, 0, 90))
+        assert scan_order(at(5, 150), gallery) == [1, 2, 0]
+
+    def test_result_is_permutation_of_gallery(self):
+        gallery = mk_gallery([0, 1, 2, 3], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        order = scan_order(unit([[1.0, -0.9]]), gallery)
+        assert sorted(order) == [0, 1, 2, 3]
+        assert order[0] == 3
+
     def test_matches_reference_implementation(self):
+        # long scans, shuffled non-contiguous scan ids, unsorted gallery
+        # ids, and quantized embeddings whose vote counts and similarities
+        # tie exactly
         rng = np.random.default_rng(2)
-        for _ in range(8):
-            gallery = random_gallery(rng, int(rng.integers(3, 7)), 4)
+        for case in range(60):
+            n_labels = int(rng.integers(1, 8))
+            ids = rng.choice(50, size=n_labels, replace=False).astype(np.int64)
+            quantize = (None, np.round, np.sign)[case % 3]
+
+            def draw(n):
+                x = rng.normal(size=(n, 3))
+                if quantize is not None:
+                    x = quantize(x)
+                    x[~x.any(axis=1), 0] = 1.0
+                return unit(x)
+
+            gallery = Gallery(label_ids=ids, embeddings=draw(n_labels))
             scan_ids = []
             labels = []
-            for scan in range(int(rng.integers(2, 6))):
-                n_slices = int(rng.integers(1, 5))
-                lab = int(rng.choice(gallery.label_ids))
-                scan_ids.extend([scan] * n_slices)
-                labels.extend([lab] * n_slices)
-            images = unit(rng.normal(size=(len(labels), 4)))
-            labels = np.asarray(labels, dtype=np.int64)
-            scan_ids = np.asarray(scan_ids, dtype=np.int64)
-            got = scan_to_text_recall(images, labels, scan_ids, gallery, ks=(1, 2, 3))
-            want = reference_scan_to_text(images, labels, scan_ids, gallery, ks=(1, 2, 3))
+            for scan in rng.choice(1000, size=int(rng.integers(2, 7)), replace=False):
+                n_slices = int(rng.integers(8, 21))
+                scan_ids.extend([int(scan)] * n_slices)
+                labels.extend([int(rng.choice(ids))] * n_slices)
+            order = rng.permutation(len(labels))
+            labels = np.asarray(labels, dtype=np.int64)[order]
+            scan_ids = np.asarray(scan_ids, dtype=np.int64)[order]
+            images = draw(len(labels))
+            ks = (1, 2, 3, 8)
+            got = scan_to_text_recall(images, labels, scan_ids, gallery, ks)
+            want = reference_scan_to_text(images, labels, scan_ids, gallery, ks)
             assert got == want
 
 

@@ -235,9 +235,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    from .evaluate import render_table, run_evaluation
-
+def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
+    """run_evaluation's positional arguments and the transfer grid. The
+    slices, the checkpoint and the restored optimizer go out of scope on
+    return, so none of them is alive while eval ranks and probes."""
     slices = synth.load_dataset(args.dataset)
     space = _load_space(args.labels)
     ckpt = load_checkpoint(args.checkpoint)
@@ -245,28 +246,24 @@ def cmd_eval(args) -> int:
         raise DataError(
             "checkpoint was trained on a different label space than --labels"
         )
-    state = ckpt.restore()
-    records = [s.record for s in slices]
-    ids = space.assign(records)
+    model = ckpt.restore().model
+    ids = space.assign([s.record for s in slices])
     features, scan_ids, _ = dataset_arrays(slices)
     train_mask, eval_mask = split_by_scan(
         scan_ids, ckpt.run.val_fraction, ckpt.run.seed
     )
-    transfer_grid = None
-    if args.transfer:
-        transfer_grid = _load_space(args.transfer).config.grid
-    report = run_evaluation(
-        state.model,
-        space,
-        features[train_mask],
-        ids[train_mask],
-        features[eval_mask],
-        ids[eval_mask],
-        scan_ids[eval_mask],
-        ckpt.config_hash,
-        probe_l2=args.probe_l2,
-        transfer_grid=transfer_grid,
-    )
+    transfer_grid = _load_space(args.transfer).config.grid if args.transfer else None
+    return (
+        model, space, features[train_mask], ids[train_mask], features[eval_mask],
+        ids[eval_mask], scan_ids[eval_mask], ckpt.config_hash,
+    ), transfer_grid
+
+
+def cmd_eval(args) -> int:
+    from .evaluate import render_table, run_evaluation
+
+    inputs, transfer_grid = _eval_inputs(args)
+    report = run_evaluation(*inputs, probe_l2=args.probe_l2, transfer_grid=transfer_grid)
     if args.report == "table":
         _write_text(args.out, render_table(report))
     else:

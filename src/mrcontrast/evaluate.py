@@ -150,6 +150,8 @@ def scan_to_text_recall(
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
 LBFGS_MEMORY = 10
+# The probe's softmax runs over this many rows at a time.
+PROBE_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -203,38 +205,50 @@ def linear_probe(
     classes = np.unique(train_y)
     if classes.size < 2:
         raise SingleClassTrainingSet("probe needs at least two classes")
-    class_index = {int(c): i for i, c in enumerate(classes)}
-    y = np.array([class_index[int(v)] for v in train_y], dtype=np.int64)
+    y = np.searchsorted(classes, train_y)
 
     def augment(x: np.ndarray) -> np.ndarray:
         return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
 
     xa = augment(np.asarray(train_x, dtype=np.float64))
     n, d = xa.shape
-    rows = np.arange(n)
 
-    def nll_residual(logit_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean NLL and softmax minus one-hot, in one (n, C) buffer."""
-        z = logit_rows - logit_rows.max(axis=1, keepdims=True)
-        picked = z[rows, y]
-        np.exp(z, out=z)
-        norm = z.sum(axis=1)
-        nll = float((np.log(norm) - picked).mean())
-        z /= norm[:, None]
-        z[rows, y] -= 1.0
-        return nll, z
+    # The fit holds three (n, C) buffers: the accepted logits, the trial
+    # logits and the trial's softmax minus one-hot. Every softmax step is
+    # row-wise, so running it a row block at a time changes no bit.
+    logits, trial, residual = (np.zeros((n, classes.size)) for _ in range(3))
+    row_nll = np.empty(n)
+    block_rows = np.arange(PROBE_BLOCK_ROWS)
 
-    def gradient(w: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    def trial_nll(t: float) -> float:
+        """trial <- logits + t * trial, residual <- its softmax minus one-hot;
+        returns the trial's mean NLL."""
+        for lo in range(0, n, PROBE_BLOCK_ROWS):
+            b = slice(lo, lo + PROBE_BLOCK_ROWS)
+            z, r = trial[b], residual[b]
+            z *= t
+            z += logits[b]
+            np.subtract(z, z.max(axis=1, keepdims=True), out=r)
+            hit = (block_rows[: r.shape[0]], y[b])
+            picked = r[hit]
+            np.exp(r, out=r)
+            norm = r.sum(axis=1)
+            np.subtract(np.log(norm), picked, out=row_nll[b])
+            r /= norm[:, None]
+            r[hit] -= 1.0
+        return float(row_nll.mean())
+
+    def gradient(w: np.ndarray) -> np.ndarray:
         return residual.T @ xa / n + l2 * w
 
     # Along the ray w + t*dw the logits move linearly (logits + t*dlogits),
-    # so each trial step costs one softmax rather than a fresh matmul, and
-    # the accepted trial's softmax gives the next gradient. Its loss is the
-    # one the Armijo test accepted, so the losses never increase.
+    # so a trial step costs one matmul into `trial` and one softmax; an
+    # accepted trial swaps into `logits`, and its residual gives the next
+    # gradient. Its loss is the one the Armijo test accepted, so the losses
+    # never increase.
     w = np.zeros((classes.size, d), dtype=np.float64)
-    logits = np.zeros((n, classes.size), dtype=np.float64)
-    loss, residual = nll_residual(logits)
-    grad = gradient(w, residual)
+    loss = trial_nll(1.0)  # logits and trial are both zero
+    grad = gradient(w)
     losses = [loss]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     grad_norm = float(np.sqrt((grad * grad).sum()))
@@ -244,26 +258,26 @@ def linear_probe(
         if not (np.isfinite(slope) and slope < 0.0):
             dw = -grad
             slope = -grad_norm * grad_norm
-        dlogits = xa @ dw.T
         t = 1.0
         while t > 1e-18:
+            np.matmul(xa, dw.T, out=trial)  # dlogits; the same bits each trial
             w_t = w + t * dw
-            logits_t = logits + t * dlogits
-            nll_t, residual = nll_residual(logits_t)
-            loss_t = nll_t + 0.5 * l2 * float((w_t * w_t).sum())
+            loss_t = trial_nll(t) + 0.5 * l2 * float((w_t * w_t).sum())
             if loss_t <= loss + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        grad_t = gradient(w_t, residual)
+        grad_t = gradient(w_t)
         s, yk = w_t - w, grad_t - grad
         sy = float((s * yk).sum())
         if sy > 0.0:
             pairs.append((s, yk, 1.0 / sy))
-        w, logits, loss, grad = w_t, logits_t, loss_t, grad_t
+        w, loss, grad = w_t, loss_t, grad_t
+        logits, trial = trial, logits
         losses.append(loss)
         grad_norm = float(np.sqrt((grad * grad).sum()))
+    del logits, trial, residual  # before the eval logits
 
     eval_logits = augment(np.asarray(eval_x, dtype=np.float64)) @ w.T
     pred = classes[np.argmax(eval_logits, axis=1)]

@@ -1,14 +1,16 @@
 """End-to-end command-line pipeline tests, run in process via main()."""
 
+import gc
 import json
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import dicom_fixtures
-from mrcontrast import cli, train
+from mrcontrast import cli, evaluate, synth, train
 from mrcontrast.cli import main
 from mrcontrast.records import make_record, parse_manifest_line
 
@@ -192,6 +194,50 @@ class TestPipeline:
         assert report["probe_accuracy"] is None
         assert report["probe"] is None
         assert report["counts"]["n_labels"] == 2
+
+    def test_eval_frees_dataset_and_checkpoint_before_the_probe(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        refs, alive_at_probe = {}, []
+        load_dataset, load_checkpoint = synth.load_dataset, cli.load_checkpoint
+        restore, linear_probe = train.Checkpoint.restore, evaluate.linear_probe
+
+        def tracked_load_dataset(path):
+            slices = load_dataset(path)
+            refs["slice"] = weakref.ref(slices[0])
+            return slices
+
+        def tracked_load_checkpoint(path):
+            ckpt = load_checkpoint(path)
+            refs["checkpoint"] = weakref.ref(ckpt)
+            return ckpt
+
+        def tracked_restore(ckpt):
+            state = restore(ckpt)
+            refs["optimizer"] = weakref.ref(state.optimizer)
+            return state
+
+        def checked_probe(*args, **kwargs):
+            alive_at_probe.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            return linear_probe(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "load_dataset", tracked_load_dataset)
+        monkeypatch.setattr(cli, "load_checkpoint", tracked_load_checkpoint)
+        monkeypatch.setattr(train.Checkpoint, "restore", tracked_restore)
+        monkeypatch.setattr(evaluate, "linear_probe", checked_probe)
+        out = str(tmp_path / "report.json")
+        gc.disable()  # freed by reference counts, not by a collection
+        try:
+            assert main([
+                "eval", "--dataset", pipeline["data"],
+                "--labels", pipeline["labels"], "--checkpoint", pipeline["ckpt"],
+                "--out", out,
+            ]) == 0
+        finally:
+            gc.enable()
+        assert sorted(refs) == ["checkpoint", "optimizer", "slice"]
+        assert alive_at_probe == [[]]
+        assert open(out).read() == open(pipeline["report"]).read()
 
 
 class TestIngest:

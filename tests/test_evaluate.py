@@ -2,7 +2,8 @@
 
 import json
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -318,6 +319,64 @@ class TestScanToTextRecall:
             assert got == want
 
 
+def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, grad_tol=1e-6):
+    """The L-BFGS probe with a fresh (n, C) array for every intermediate, as
+    it was before the row-block buffers; also counts rejected trial steps."""
+    classes = np.unique(train_y)
+    y = np.array([{int(c): i for i, c in enumerate(classes)}[int(v)] for v in train_y])
+    xa = np.concatenate([train_x, np.ones((len(train_x), 1))], axis=1)
+    n, d = xa.shape
+    rows = np.arange(n)
+
+    def nll_residual(logit_rows):
+        z = logit_rows - logit_rows.max(axis=1, keepdims=True)
+        picked = z[rows, y]
+        np.exp(z, out=z)
+        norm = z.sum(axis=1)
+        nll = float((np.log(norm) - picked).mean())
+        z /= norm[:, None]
+        z[rows, y] -= 1.0
+        return nll, z
+
+    w = np.zeros((classes.size, d))
+    logits = np.zeros((n, classes.size))
+    loss, residual = nll_residual(logits)
+    grad = residual.T @ xa / n + l2 * w
+    losses, rejected = [loss], 0
+    pairs = deque(maxlen=evaluate.LBFGS_MEMORY)
+    grad_norm = float(np.sqrt((grad * grad).sum()))
+    while grad_norm >= grad_tol and len(losses) < max_iter:
+        dw = evaluate._lbfgs_direction(grad, pairs)
+        slope = float((grad * dw).sum())
+        if not (np.isfinite(slope) and slope < 0.0):
+            dw = -grad
+            slope = -grad_norm * grad_norm
+        dlogits = xa @ dw.T
+        t = 1.0
+        while t > 1e-18:
+            w_t = w + t * dw
+            logits_t = logits + t * dlogits
+            nll_t, residual = nll_residual(logits_t)
+            loss_t = nll_t + 0.5 * l2 * float((w_t * w_t).sum())
+            if loss_t <= loss + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            rejected += 1
+        else:
+            break
+        grad_t = residual.T @ xa / n + l2 * w_t
+        s, yk = w_t - w, grad_t - grad
+        sy = float((s * yk).sum())
+        if sy > 0.0:
+            pairs.append((s, yk, 1.0 / sy))
+        w, logits, loss, grad = w_t, logits_t, loss_t, grad_t
+        losses.append(loss)
+        grad_norm = float(np.sqrt((grad * grad).sum()))
+    eval_x = np.concatenate([eval_x, np.ones((len(eval_x), 1))], axis=1)
+    pred = classes[np.argmax(eval_x @ w.T, axis=1)]
+    return losses, pred, grad_norm, rejected
+
+
 class TestLinearProbe:
     def clusters(self, rng, n_per, centers, labels):
         xs, ys = [], []
@@ -411,6 +470,52 @@ class TestLinearProbe:
         assert result.n_iterations == 3
         assert not result.converged
         assert result.grad_norm >= 1e-6
+
+    @pytest.mark.parametrize(
+        "n, n_classes, scales, max_iter, min_rejected",
+        [
+            (100, 2, (1.0, 1.0, 1.0), 500, 0),  # fewer rows than one block
+            (256, 2, (1.0, 1.0, 1.0), 500, 0),  # exactly one block
+            (257, 7, (1.0, 1.0, 1.0), 500, 0),  # one row in a second block
+            (1000, 40, (1.0, 1.0, 1.0), 500, 0),
+            (300, 5, (1.0, 100.0, 0.01), 500, 1),  # ill-conditioned: rejected trials
+            (600, 9, (1.0, 10.0, 1.0), 6, 0),  # stopped by max_iter
+        ],
+    )
+    def test_matches_full_array_probe_bit_for_bit(
+        self, n, n_classes, scales, max_iter, min_rejected
+    ):
+        rng = np.random.default_rng(n + n_classes)
+        x = rng.normal(size=(n, 3)) * np.asarray(scales)
+        y = 3 * rng.permutation(np.arange(n) % n_classes) + 1
+        eval_x = rng.normal(size=(50, 3)) * np.asarray(scales)
+        eval_y = 3 * rng.integers(0, n_classes, size=50) + 1
+        losses, pred, grad_norm, rejected = full_array_probe(
+            x, y, eval_x, eval_y, max_iter=max_iter
+        )
+        assert rejected >= min_rejected
+        result = linear_probe(x, y, eval_x, eval_y, max_iter=max_iter)
+        assert np.asarray(result.losses).tobytes() == np.asarray(losses).tobytes()
+        assert result.predicted_ids.tobytes() == pred.astype(np.int64).tobytes()
+        assert np.float64(result.grad_norm).tobytes() == np.float64(grad_norm).tobytes()
+        assert result.n_iterations == len(losses)
+        assert max_iter == 500 or result.n_iterations == max_iter
+
+    def test_peak_memory_is_below_four_logit_arrays(self):
+        # three (n, C) buffers and row-block temporaries; the full-array
+        # loop held about six (n, C) arrays at its peak
+        n, n_classes, d = 4000, 50, 8
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, d))
+        y = rng.permutation(np.arange(n) % n_classes)
+        linear_probe(x[:10], y[:10], x[:10], y[:10])  # np.unique imports numpy.ma once
+        tracemalloc.start()
+        try:
+            linear_probe(x, y, x, y, max_iter=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n_classes * 8
 
 
 class TestPerTagError:

@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import dicom, synth
 from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
 from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
+from .loss import LOSS_KINDS
 from .records import manifest_lines, parse_manifest_line
+from .rules import non_negative_float, non_negative_int, positive_int
 from .train import (
+    RUN_RULES,
     RunConfig,
     config_hash,
     dataset_arrays,
@@ -35,33 +38,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-    return value
+def _flag_type(parse, rule):
+    """An argparse type: parse the text, then apply the rule that the config
+    or reader of the same value applies."""
 
+    def convert(text: str):
+        return rule(parse(text), error=argparse.ArgumentTypeError)
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -186,6 +171,10 @@ def _load_space(path: str) -> LabelSpace:
 
 
 def cmd_train(args) -> int:
+    for path in filter(None, (args.checkpoint, args.log)):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: not a file in an existing directory")
+    flags = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     slices = synth.load_dataset(args.dataset)
     space = _load_space(args.labels)
     records = [s.record for s in slices]
@@ -195,27 +184,12 @@ def cmd_train(args) -> int:
     if args.resume:
         ckpt = load_checkpoint(args.resume)
         epochs_before = ckpt.epochs_done
-        run = ckpt.run
-        if args.epochs is not None:
-            run = RunConfig(**{**run.to_dict(), "epochs": args.epochs})
+        run = replace(ckpt.run, **{k: v for k, v in flags.items() if k == "epochs"})
         state = train_model(
             slices, space, ids, run, resume_from=ckpt, checkpoint_path=args.checkpoint
         )
     else:
-        run = RunConfig(
-            batch_size=args.batch_size,
-            epochs=args.epochs if args.epochs is not None else 20,
-            seed=args.seed,
-            lr=args.lr,
-            warmup_steps=args.warmup_steps,
-            weight_decay=args.weight_decay,
-            loss_kind=args.loss,
-            shards=args.shards,
-            text_dropout=args.text_dropout,
-            numerical_only=args.numerical_only,
-            include_series_description=args.include_series_description,
-            val_fraction=args.val_fraction,
-        )
+        run = RunConfig(**flags)
         state = train_model(slices, space, ids, run, checkpoint_path=args.checkpoint)
 
     # train_model saves after every epoch; write here only when none ran.
@@ -281,10 +255,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--protocol-grid", default="5x5")
-    p.add_argument("--scans", type=_positive_int, default=1000)
-    p.add_argument("--slices-per-scan", type=_positive_int, default=10)
-    p.add_argument("--noise", type=_non_negative_float, default=0.005)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--scans", type=_flag_type(int, positive_int), default=1000)
+    p.add_argument("--slices-per-scan", type=_flag_type(int, positive_int), default=10)
+    p.add_argument("--noise", type=_flag_type(float, non_negative_float), default=0.005)
+    p.add_argument("--seed", type=_flag_type(int, non_negative_int), default=0)
     p.add_argument("--single-site", action="store_true")
     p.set_defaults(func=cmd_synth)
 
@@ -299,28 +273,30 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", default="20x20")
-    p.add_argument("--kmeans", type=_positive_int, default=None)
-    p.add_argument("--kmeans-seed", type=_non_negative_int, default=0)
+    p.add_argument("--kmeans", type=_flag_type(int, positive_int), default=None)
+    p.add_argument("--kmeans-seed", type=_flag_type(int, non_negative_int), default=0)
     p.add_argument("--numerical-labels", action="store_true")
     p.set_defaults(func=cmd_build_labels)
 
-    p = sub.add_parser("train", help="train the dual encoder")
+    # a run flag (dest = RunConfig field) left out is absent from args
+    p = sub.add_parser("train", help="train the dual encoder", argument_default=argparse.SUPPRESS)
     p.add_argument("--dataset", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None)
-    p.add_argument("--epochs", type=_non_negative_int, default=None)
-    p.add_argument("--batch-size", type=_positive_int, default=256)
-    p.add_argument("--lr", type=_non_negative_float, default=3e-3)
-    p.add_argument("--warmup-steps", type=_non_negative_int, default=100)
-    p.add_argument("--weight-decay", type=_non_negative_float, default=0.2)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--loss", choices=("supcon", "infonce"), default="supcon")
-    p.add_argument("--shards", type=_positive_int, default=1)
-    p.add_argument("--text-dropout", type=_fraction, default=0.2)
+    p.add_argument("--epochs", type=_flag_type(int, RUN_RULES["epochs"]))
+    p.add_argument("--batch-size", type=_flag_type(int, RUN_RULES["batch_size"]))
+    p.add_argument("--lr", type=_flag_type(float, RUN_RULES["lr"]))
+    p.add_argument("--warmup-steps", type=_flag_type(int, RUN_RULES["warmup_steps"]))
+    p.add_argument("--weight-decay", type=_flag_type(float, RUN_RULES["weight_decay"]))
+    p.add_argument("--seed", type=_flag_type(int, RUN_RULES["seed"]))
+    p.add_argument("--loss", dest="loss_kind", choices=LOSS_KINDS,
+                   type=_flag_type(str, RUN_RULES["loss_kind"]))
+    p.add_argument("--shards", type=_flag_type(int, RUN_RULES["shards"]))
+    p.add_argument("--text-dropout", type=_flag_type(float, RUN_RULES["text_dropout"]))
     p.add_argument("--numerical-only", action="store_true")
     p.add_argument("--include-series-description", action="store_true")
-    p.add_argument("--val-fraction", type=_fraction, default=0.2)
+    p.add_argument("--val-fraction", type=_flag_type(float, RUN_RULES["val_fraction"]))
     p.add_argument("--resume", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -331,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", choices=("json", "table"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--transfer", default=None)
-    p.add_argument("--probe-l2", type=_non_negative_float, default=1e-5)
+    p.add_argument("--probe-l2", type=_flag_type(float, non_negative_float), default=1e-5)
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -351,7 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MrContrastError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable path, or a directory given as a file
         sys.stderr.write(f"data error: {exc}\n")
         return 2
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 UNIT_NORM_TOL = 1e-6
+LOSS_KINDS = ("supcon", "infonce")
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,13 @@ class ShardPlan:
 
     @staticmethod
     def even(n: int, n_shards: int) -> "ShardPlan":
+        """n_shards near-equal ranges, leaving out the empty ones past n."""
         if n_shards < 1:
             raise InvalidPlan(f"need at least 1 shard, got {n_shards}")
         base, extra = divmod(n, n_shards)
         ranges = []
         start = 0
-        for i in range(n_shards):
+        for i in range(min(n, n_shards)):
             size = base + (1 if i < extra else 0)
             ranges.append((start, start + size))
             start += size
@@ -146,7 +148,7 @@ def contrastive_loss(
     if plan is None:
         plan = ShardPlan(((0, n),))
     plan.validate(n)
-    if kind not in ("supcon", "infonce"):
+    if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if kind == "infonce":  # supcon over distinct labels: each pair is its own class
         labels = np.arange(n)

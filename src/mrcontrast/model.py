@@ -20,22 +20,49 @@ import numpy as np
 from .autodiff import Tensor, node
 from .errors import ShapeMismatch, TokenIdOutOfRange
 from .prompts import VOCAB_SIZE
+from .rules import check_fields, positive_float, positive_int
 
 TAU_MIN = 0.01
 TAU_MAX = 1.0
 NORM_EPS = 1e-30  # only guards the all-zero row in the L2 normalization
 
 
+MODEL_RULES = dict(d_in=positive_int, d_hidden=positive_int, d_emb=positive_int,
+                   d_tok=positive_int, tau_init=positive_float)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
+    """Tower widths and the initial temperature, each checked by its rule."""
+
     d_in: int = 12
     d_hidden: int = 64
     d_emb: int = 32
     d_tok: int = 32
     tau_init: float = 0.07
 
+    def __post_init__(self) -> None:
+        check_fields(self, MODEL_RULES)
+
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+def parameter_layout(c: ModelConfig) -> list[tuple[str, tuple[int, ...], bool]]:
+    """(name, shape, weight-decay eligible) of each parameter in draw and
+    checkpoint order; the token table's extra row is an empty prompt's token."""
+    return [
+        ("img_w1", (c.d_in, c.d_hidden), True),
+        ("img_b1", (c.d_hidden,), False),
+        ("img_w2", (c.d_hidden, c.d_emb), True),
+        ("img_b2", (c.d_emb,), False),
+        ("tok_table", (VOCAB_SIZE + 1, c.d_tok), True),
+        ("txt_w1", (c.d_tok, c.d_hidden), True),
+        ("txt_b1", (c.d_hidden,), False),
+        ("txt_w2", (c.d_hidden, c.d_emb), True),
+        ("txt_b2", (c.d_emb,), False),
+        ("log_tau", (), False),
+    ]
 
 
 def _mlp(x, w1, b1, w2, b2):
@@ -73,43 +100,24 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class DualEncoder:
-    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP].
-
-    The token table has VOCAB_SIZE + 1 rows; the extra row is a learned null
-    token used when a prompt has no tokens at all.
-    """
+    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]. Init:
+    Glorot weights, zero biases, an N(0, 0.1) token table, log(tau_init)."""
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
         self.config = config
         rng = np.random.Generator(np.random.PCG64(seed))
-        c = config
-        self.img_w1 = Tensor(_glorot(rng, c.d_in, c.d_hidden), True)
-        self.img_b1 = Tensor(np.zeros(c.d_hidden), True)
-        self.img_w2 = Tensor(_glorot(rng, c.d_hidden, c.d_emb), True)
-        self.img_b2 = Tensor(np.zeros(c.d_emb), True)
-        self.tok_table = Tensor(
-            rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, c.d_tok)), True
-        )
-        self.txt_w1 = Tensor(_glorot(rng, c.d_tok, c.d_hidden), True)
-        self.txt_b1 = Tensor(np.zeros(c.d_hidden), True)
-        self.txt_w2 = Tensor(_glorot(rng, c.d_hidden, c.d_emb), True)
-        self.txt_b2 = Tensor(np.zeros(c.d_emb), True)
-        self.log_tau = Tensor(np.float64(math.log(c.tau_init)), True)
+        for name, shape, _ in parameter_layout(config):
+            if name == "log_tau":
+                value = np.float64(math.log(config.tau_init))
+            elif name == "tok_table":
+                value = rng.normal(0.0, 0.1, size=shape)
+            else:
+                value = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+            setattr(self, name, Tensor(value, True))
 
     def parameters(self) -> list[tuple[str, Tensor, bool]]:
-        """(name, tensor, weight-decay eligible) in fixed order."""
-        return [
-            ("img_w1", self.img_w1, True),
-            ("img_b1", self.img_b1, False),
-            ("img_w2", self.img_w2, True),
-            ("img_b2", self.img_b2, False),
-            ("tok_table", self.tok_table, True),
-            ("txt_w1", self.txt_w1, True),
-            ("txt_b1", self.txt_b1, False),
-            ("txt_w2", self.txt_w2, True),
-            ("txt_b2", self.txt_b2, False),
-            ("log_tau", self.log_tau, False),
-        ]
+        """(name, tensor, weight-decay eligible) in `parameter_layout` order."""
+        return [(n, getattr(self, n), decay) for n, _, decay in parameter_layout(self.config)]
 
     def zero_grad(self) -> None:
         for _, p, _ in self.parameters():

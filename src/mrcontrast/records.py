@@ -18,6 +18,7 @@ from .errors import (
     MalformedNumeric,
     NonPositiveSpacing,
 )
+from .rules import positive_int
 
 ISOTROPY_REL_TOL = 1e-6
 
@@ -38,8 +39,11 @@ class Plane(enum.Enum):
         return self.name.lower()
 
 
-def canonical_string(value: str) -> str:
-    """Trim and uppercase. Idempotent: f(f(x)) == f(x)."""
+def canonical_string(value: str, name: str = "value") -> str:
+    """Trim and uppercase. Idempotent: f(f(x)) == f(x). A value that is not a
+    string raises MalformedJson naming the field."""
+    if not isinstance(value, str):
+        raise MalformedJson(f"{name} is not a string: {value!r}")
     return value.strip().upper()
 
 
@@ -114,9 +118,11 @@ def make_record(
     """Validate raw field values and return a canonical record.
 
     Raises:
+        MalformedJson: a text field (manufacturer, scanner model, series
+            description, sequence type or variant) is not a string.
         MalformedNumeric: a numeric field is non-finite or out of domain
             (te/tr < 0, ti <= 0, field strength < 0, flip angle outside
-            [0, 360), num_slices < 1).
+            [0, 360)), or num_slices is not an int of at least 1.
         NonPositiveSpacing: voxel spacing has a non-positive component.
     """
     te = _check_finite("te_ms", te_ms)
@@ -147,29 +153,26 @@ def make_record(
         if any(v <= 0 for v in vals):
             raise NonPositiveSpacing(f"voxel spacing must be > 0, got {vals}")
         spacing = (vals[0], vals[1], vals[2])
-    slices: Optional[int] = None
     if num_slices is not None:
-        slices = int(num_slices)
-        if slices < 1:
-            raise MalformedNumeric(f"num_slices must be >= 1, got {slices}")
+        positive_int(num_slices, "num_slices", MalformedNumeric)
     return MetadataRecord(
         source_id=str(source_id),
-        manufacturer=canonical_string(manufacturer),
-        scanner_model=canonical_string(scanner_model),
+        manufacturer=canonical_string(manufacturer, "manufacturer"),
+        scanner_model=canonical_string(scanner_model, "scanner_model"),
         series_description=(
-            canonical_string(series_description)
+            canonical_string(series_description, "series_description")
             if series_description is not None
             else None
         ),
-        sequence_type=canonical_string(sequence_type),
-        sequence_variant=canonical_string(sequence_variant),
+        sequence_type=canonical_string(sequence_type, "sequence_type"),
+        sequence_variant=canonical_string(sequence_variant, "sequence_variant"),
         field_strength_tesla=fs,
         te_ms=te,
         tr_ms=tr,
         ti_ms=ti,
         flip_angle_deg=fa,
         voxel_spacing_mm=spacing,
-        num_slices=slices,
+        num_slices=num_slices,
     )
 
 

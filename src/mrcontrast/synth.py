@@ -27,6 +27,7 @@ from .records import (
     plane_for_record,
     record_from_dict,
 )
+from .rules import int64
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,8 @@ def load_dataset(path: str) -> list[SyntheticSlice]:
     Every line must be UTF-8 JSON (else MalformedJson) and needs
     ``features``: a list of numbers as long as the first line's (else
     MalformedFeatures), all of them finite (else NonFiniteInput, a numerical
-    error like other non-finite input).
+    error like other non-finite input). ``scan_id`` and ``slice_index``, 0
+    when absent, must be ints that fit in int64 (else MalformedFeatures).
     """
     out: list[SyntheticSlice] = []
     for number, line in manifest_lines(path):
@@ -265,8 +267,8 @@ def load_dataset(path: str) -> list[SyntheticSlice]:
         record = record_from_dict(obj)
         try:
             features = np.asarray(obj["features"], dtype=np.float64)
-            scan_id = int(obj.get("scan_id", 0))
-            slice_index = int(obj.get("slice_index", 0))
+            scan_id = int64(obj.get("scan_id", 0), "scan_id")
+            slice_index = int64(obj.get("slice_index", 0), "slice_index")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFeatures(f"line {number}: {exc!r}") from exc
         if features.ndim != 1 or features.size == 0:

@@ -19,19 +19,30 @@ import numpy as np
 
 from .errors import BadCheckpoint, DataError
 from .labels import LabelSpace
-from .loss import ShardPlan, loss_graph
-from .model import DualEncoder, ModelConfig
+from .loss import LOSS_KINDS, ShardPlan, loss_graph
+from .model import DualEncoder, ModelConfig, parameter_layout
 from .optim import Adam, AdamConfig, clamp_log_tau
 from .prompts import PromptBank, PromptConfig
+from .rules import (
+    boolean, check_fields, fraction, non_negative_float, non_negative_int, one_of, positive_int,
+)
 from .synth import SyntheticSlice
 
 CHECKPOINT_MAGIC = b"MRCC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+RUN_RULES = dict(
+    batch_size=positive_int, epochs=non_negative_int, seed=non_negative_int,
+    lr=non_negative_float, warmup_steps=non_negative_int, weight_decay=non_negative_float,
+    loss_kind=one_of(LOSS_KINDS), shards=positive_int, text_dropout=fraction,
+    numerical_only=boolean, include_series_description=boolean, val_fraction=fraction,
+)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Desk-scale training defaults; all overridable from the CLI."""
+    """The `train` run flags at their desk-scale defaults, one field per flag;
+    its rule in RUN_RULES checks the flag and the checkpoint header alike."""
 
     batch_size: int = 256
     epochs: int = 20
@@ -39,18 +50,15 @@ class RunConfig:
     lr: float = 3e-3
     warmup_steps: int = 100
     weight_decay: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.98
     loss_kind: str = "supcon"
     shards: int = 1
     text_dropout: float = 0.2
     numerical_only: bool = False
     include_series_description: bool = False
     val_fraction: float = 0.2
-    d_hidden: int = 64
-    d_emb: int = 32
-    d_tok: int = 32
-    tau_init: float = 0.07
+
+    def __post_init__(self) -> None:
+        check_fields(self, RUN_RULES)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -102,13 +110,7 @@ def _build_state(
     model = DualEncoder(model_config, seed=run.seed)
     adam = Adam(
         model.parameters(),
-        AdamConfig(
-            lr=run.lr,
-            beta1=run.beta1,
-            beta2=run.beta2,
-            weight_decay=run.weight_decay,
-            warmup_steps=run.warmup_steps,
-        ),
+        AdamConfig(lr=run.lr, weight_decay=run.weight_decay, warmup_steps=run.warmup_steps),
     )
     return TrainState(model=model, optimizer=adam, rng=rng, epochs_done=epochs_done)
 
@@ -148,15 +150,8 @@ def train_model(
             raise BadCheckpoint("checkpoint was trained on a different label space")
         state = resume_from.restore()
     else:
-        model_config = ModelConfig(
-            d_in=features.shape[1],
-            d_hidden=run.d_hidden,
-            d_emb=run.d_emb,
-            d_tok=run.d_tok,
-            tau_init=run.tau_init,
-        )
         rng = np.random.Generator(np.random.PCG64(run.seed))
-        state = _build_state(run, model_config, rng, epochs_done=0)
+        state = _build_state(run, ModelConfig(d_in=features.shape[1]), rng, epochs_done=0)
 
     n_train = train_rows.size
     step = state.optimizer.t
@@ -222,14 +217,10 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray]
 
     def restore(self) -> TrainState:
-        """Rebuild the state; tensors that disagree with the model config
-        raise BadCheckpoint."""
+        """Rebuild the state; the loader matched the tensors to the model config."""
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng_state
         state = _build_state(self.run, self.model_config, rng, self.epochs_done)
-        shapes = {name: p.data.shape for name, p, _ in state.model.parameters()}
-        if {name: a.shape for name, a in self.params.items()} != shapes:
-            raise BadCheckpoint("tensor manifest does not match the model config")
         for name, p, _ in state.model.parameters():
             p.data = self.params[name].copy()
         state.optimizer.load_state_dict(
@@ -311,8 +302,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Inverse of `checkpoint_bytes`; every malformed input, including a
-    non-finite parameter or Adam moment, raises BadCheckpoint."""
+    """Inverse of `checkpoint_bytes`. BadCheckpoint for any malformed input: a
+    header value that breaks its rule, a tensor manifest other than the model
+    config's layout (before any tensor is built), a non-finite value."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
     if len(data) < 12:
@@ -326,27 +318,25 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             names = set(cls.__dataclass_fields__)
             if set(header[key]) != names:
                 raise BadCheckpoint(f"{key} keys differ from {sorted(names)}")
-        manifest = [
-            (str(name), tuple(int(d) for d in shape)) for name, shape in header["params"]
-        ]
         rng_state = _rng_state_from_json(header["rng_state"])
         np.random.PCG64(0).state = rng_state  # rejects a malformed state here
         checkpoint = Checkpoint(
             run=RunConfig(**header["run"]),
             model_config=ModelConfig(**header["model"]),
-            epochs_done=int(header["epochs_done"]),
+            epochs_done=non_negative_int(header["epochs_done"], "epochs_done"),
             rng_state=rng_state,
             label_space_hash=header["label_space_hash"],
             config_hash=header["config_hash"],
             params={},
-            adam_t=int(header["adam_t"]),
+            adam_t=non_negative_int(header["adam_t"], "adam_t"),
             adam_m={},
             adam_v={},
         )
+        manifest = [(name, shape) for name, shape, _ in parameter_layout(checkpoint.model_config)]
+        if header["params"] != [[name, list(shape)] for name, shape in manifest]:
+            raise BadCheckpoint("tensor manifest does not match the model config")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCheckpoint(f"corrupt header: {exc!r}") from exc
-    if any(d < 0 for _, shape in manifest for d in shape):
-        raise BadCheckpoint("negative tensor dimension in the manifest")
     sizes = [8 * math.prod(shape) for _, shape in manifest]
     offset = 12 + head_len
     if len(data) != offset + 3 * sum(sizes):

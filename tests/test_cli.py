@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests, run in process via main()."""
 
+import argparse
 import gc
 import json
 import struct
@@ -12,7 +13,10 @@ import pytest
 import dicom_fixtures
 from mrcontrast import cli, evaluate, synth, train
 from mrcontrast.cli import main
+from mrcontrast.errors import BadCheckpoint
 from mrcontrast.records import make_record, parse_manifest_line
+from mrcontrast.train import RunConfig
+from test_train import rewrite_header
 
 SYNTH_FLAGS = [
     "--protocol-grid", "3x3", "--scans", "60", "--slices-per-scan", "3",
@@ -68,6 +72,24 @@ def with_nan(blob: bytes, index: int) -> bytes:
     values = np.frombuffer(blob, dtype="<f8", offset=start).copy()
     values[index] = np.nan
     return blob[:start] + values.tobytes()
+
+
+# RunConfig field -> (its train flag with a value that parses but breaks the
+# field's rule, a mistyped or out-of-range header value)
+RUN_FLAG_CASES = {
+    "batch_size": (["--batch-size", "0"], 0),
+    "epochs": (["--epochs", "-1"], 2.0),
+    "seed": (["--seed", "-1"], "0"),
+    "lr": (["--lr", "nan"], "0.003"),
+    "warmup_steps": (["--warmup-steps", "-5"], True),
+    "weight_decay": (["--weight-decay", "-0.1"], None),
+    "loss_kind": (["--loss", "triplet"], "triplet"),
+    "shards": (["--shards", "0"], []),
+    "text_dropout": (["--text-dropout", "1.5"], 1.5),
+    "numerical_only": (["--numerical-only=yes"], 1),
+    "include_series_description": (["--include-series-description=1"], "true"),
+    "val_fraction": (["--val-fraction", "nan"], float("nan")),
+}
 
 
 def with_raw_rep(obj: dict, text: str) -> str:
@@ -254,10 +276,13 @@ class TestIngest:
             field_strength_tesla=3.0, te_ms=30.0, tr_ms=2000.0,
             flip_angle_deg=90.0,
         )
+        mistyped = [{**record.to_dict(), "source_id": "m-2", "manufacturer": 5},
+                    {**record.to_dict(), "source_id": "m-3", "num_slices": "x"}]
         (src / "c_manifest.jsonl").write_bytes(
             b'{"source_id": "\xff"}\n'
             + json.dumps(record.to_dict(), sort_keys=True).encode()
             + b"\nnot json at all\n"
+            + b"".join(json.dumps(obj).encode() + b"\n" for obj in mistyped)
         )
         return src
 
@@ -280,7 +305,7 @@ class TestIngest:
         assert sources == {"a_good.dcm", "manual-1"}
         summary = json.loads(open(summary_path).read())
         assert summary["accepted"] == 2
-        assert summary["rejected"] == {"MalformedJson": 2, "MissingMagic": 1}
+        assert summary["rejected"] == {"MalformedJson": 3, "MalformedNumeric": 1, "MissingMagic": 1}
 
     def test_summary_defaults_to_stdout(self, tmp_path, capsys):
         src = self.corpus(tmp_path)
@@ -387,6 +412,74 @@ class TestExitCodes:
         labels_args = ["build-labels", "--dataset", "d", "--out", "o"]
         assert parser.parse_args(labels_args + ["--kmeans", "1"]).kmeans == 1
         assert parser.parse_args(labels_args + ["--kmeans-seed", "0"]).kmeans_seed == 0
+
+    def test_run_flags_are_the_run_config_fields(self):
+        """RunConfig holds exactly train's run flags, and cli sets no default
+        of its own: a run flag left out is absent from the parsed args."""
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        not_run = {"help", "dataset", "labels", "checkpoint", "log", "resume"}
+        dests = [a.dest for a in subparsers.choices["train"]._actions if a.dest not in not_run]
+        fields = list(RunConfig.__dataclass_fields__)
+        assert len(fields) == 12 and sorted(dests) == sorted(fields) == sorted(RUN_FLAG_CASES)
+        args = parser.parse_args(["train", "--dataset", "d", "--labels", "l", "--checkpoint", "c"])
+        assert not set(vars(args)) & set(fields)
+
+    @pytest.mark.parametrize("field", list(RUN_FLAG_CASES))
+    def test_flag_and_header_share_one_rule(self, pipeline, tmp_path, capsys, monkeypatch, field):
+        """A bad value exits 1 naming the flag; in a checkpoint header it is
+        BadCheckpoint (exit 2); the field's one rule rejects both. A bool
+        flag takes no value, so argparse rejects the flag's explicit one."""
+        flag, header_value = RUN_FLAG_CASES[field]
+        rule, rejected = train.RUN_RULES[field], []
+
+        def spy(value, *args, **kwargs):
+            try:
+                return rule(value, *args, **kwargs)
+            except (ValueError, argparse.ArgumentTypeError):
+                rejected.append(value)
+                raise
+
+        monkeypatch.setitem(train.RUN_RULES, field, spy)
+        with pytest.raises(SystemExit) as exc:
+            main(["train"] + required_args("train", tmp_path) + flag)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag[0].split("=")[0] in err and "Traceback" not in err
+        bad = tmp_path / "bad.ckpt"
+        blob = open(pipeline["ckpt"], "rb").read()
+        bad.write_bytes(rewrite_header(blob, lambda h: h["run"].update({field: header_value})))
+        with pytest.raises(BadCheckpoint, match=field):
+            train.load_checkpoint(str(bad))
+        assert main([
+            "eval", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", str(bad),
+        ]) == 2
+        # the flag's value, then the header's in load_checkpoint and in eval
+        assert len(rejected) == (2 if "=" in flag[0] else 3)
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--labels", "--checkpoint"])
+    def test_directory_as_eval_input_is_data_error(self, pipeline, tmp_path, capsys, flag):
+        paths = {"--dataset": pipeline["data"], "--labels": pipeline["labels"],
+                 "--checkpoint": pipeline["ckpt"], flag: str(tmp_path)}
+        assert main(["eval"] + [a for item in paths.items() for a in item]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--checkpoint", "."),
+        ("--checkpoint", "missing_dir/c.ckpt"),
+        ("--log", "missing_dir/t.log"),
+    ])
+    def test_unwritable_train_output_fails_before_loading_data(
+        self, pipeline, tmp_path, capsys, monkeypatch, flag, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "load_dataset", lambda path: pytest.fail("data was loaded"))
+        outputs = {"--checkpoint": "c.ckpt", flag: path}
+        assert main([
+            "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+        ] + [a for item in outputs.items() for a in item] + TRAIN_FLAGS) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_grid_spec_is_data_error(self, tmp_path):
         code = main([

@@ -172,8 +172,11 @@ class TestShardEquivalence:
         rng = np.random.default_rng(8)
         batch = random_batch(rng, n=3)
         base = sharded_loss(batch)
-        part = sharded_loss(batch, ShardPlan.even(3, 7))
-        np.testing.assert_allclose(part.loss, base.loss, rtol=1e-12)
+        for k in (7, 10**30):  # at most n ranges are built, so 10**30 does not loop
+            plan = ShardPlan.even(3, k)
+            assert plan.ranges == ((0, 1), (1, 2), (2, 3))
+            part = sharded_loss(batch, plan)
+            np.testing.assert_allclose(part.loss, base.loss, rtol=1e-12)
 
     def test_shards_bound_peak_memory(self):
         rng = np.random.default_rng(13)

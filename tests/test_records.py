@@ -82,6 +82,10 @@ class TestMakeRecord:
         ("ti_ms", -100.0),
         ("ti_ms", float("nan")),
         ("num_slices", 0),
+        ("num_slices", "x"),
+        ("num_slices", float("nan")),
+        ("num_slices", 2.0),
+        ("num_slices", True),
     ])
     def test_domain_violations_raise(self, field, value):
         with pytest.raises(MalformedNumeric):
@@ -146,6 +150,11 @@ class TestManifestLines:
         json.dumps({"source_id": "s", "tr_ms": 2.0}),
         json.dumps({"source_id": "s", "te_ms": 1.0}),
         json.dumps({"source_id": "s", "te_ms": None, "tr_ms": 2.0}),
+        json.dumps({"source_id": "s", "te_ms": 1.0, "tr_ms": 2.0, "manufacturer": 5}),
+        json.dumps({"source_id": "s", "te_ms": 1.0, "tr_ms": 2.0, "scanner_model": ["a"]}),
+        json.dumps({"source_id": "s", "te_ms": 1.0, "tr_ms": 2.0, "series_description": 7}),
+        json.dumps({"source_id": "s", "te_ms": 1.0, "tr_ms": 2.0, "sequence_type": None}),
+        json.dumps({"source_id": "s", "te_ms": 1.0, "tr_ms": 2.0, "sequence_variant": {}}),
     ])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(MalformedJson):

@@ -281,6 +281,9 @@ class TestDatasetIO:
             (lambda o: o.update(features=[o["features"]]), MalformedFeatures),
             (lambda o: o.update(features=o["features"][:-1]), MalformedFeatures),
             (lambda o: o.update(scan_id="first"), MalformedFeatures),
+            (lambda o: o.update(scan_id=10**30), MalformedFeatures),
+            (lambda o: o.update(scan_id=1.5), MalformedFeatures),
+            (lambda o: o.update(slice_index=True), MalformedFeatures),
             (lambda o: o.update(features=[float("nan")] * 12), NonFiniteInput),
             (lambda o: o["features"].__setitem__(3, float("inf")), NonFiniteInput),
             (lambda o: json.dumps(o).encode().replace(b'"source_id": "', b'"source_id": "\xff', 1),
@@ -288,7 +291,8 @@ class TestDatasetIO:
         ],
         ids=[
             "missing", "strings", "object", "empty", "nested", "ragged",
-            "bad-scan-id", "nan", "inf", "non-utf8",
+            "bad-scan-id", "scan-id-past-int64", "float-scan-id", "bool-slice-index",
+            "nan", "inf", "non-utf8",
         ],
     )
     def test_malformed_line_raises_typed_error(self, tmp_path, edit, error):

@@ -11,7 +11,7 @@ import pytest
 
 from mrcontrast import train
 from mrcontrast.errors import BadCheckpoint, DataError
-from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder
+from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
 from mrcontrast.prompts import PromptBank, PromptConfig
 from mrcontrast.train import (
     CHECKPOINT_VERSION,
@@ -33,11 +33,16 @@ TINY_RUN = RunConfig(batch_size=64, epochs=4, seed=0, warmup_steps=10)
 @pytest.fixture(scope="module")
 def small_blob(tiny_dataset):
     """Checkpoint bytes of a one-epoch run with the narrowest towers, so the
-    blob is little more than the 8,193-row token table (about 200 KB)."""
+    blob is little more than the 8,193-row token table (about 200 KB). The
+    narrow model is built from its ModelConfig and trained by resuming it."""
     slices, space, ids = tiny_dataset
-    run = RunConfig(batch_size=64, epochs=1, d_hidden=2, d_emb=2, d_tok=1)
-    state = train_model(slices, space, ids, run)
-    return checkpoint_bytes(state, run, space.hash_hex, config_hash(run, space.hash_hex))
+    run = RunConfig(batch_size=64, epochs=1)
+    narrow = ModelConfig(d_in=slices[0].features.size, d_hidden=2, d_emb=2, d_tok=1)
+    rng = np.random.Generator(np.random.PCG64(run.seed))
+    cfg = config_hash(run, space.hash_hex)
+    untrained = checkpoint_bytes(train._build_state(run, narrow, rng, 0), run, space.hash_hex, cfg)
+    state = train_model(slices, space, ids, run, resume_from=checkpoint_from_bytes(untrained))
+    return checkpoint_bytes(state, run, space.hash_hex, cfg)
 
 
 def rewrite_header(blob: bytes, edit, version: int = CHECKPOINT_VERSION) -> bytes:
@@ -354,9 +359,8 @@ class TestCheckpoint:
             name, shape = header["params"][0]
             header["params"][0] = [name, shape[::-1]]
 
-        ckpt = checkpoint_from_bytes(rewrite_header(small_blob, transpose_first))
-        with pytest.raises(BadCheckpoint):
-            ckpt.restore()
+        with pytest.raises(BadCheckpoint, match="manifest"):
+            checkpoint_from_bytes(rewrite_header(small_blob, transpose_first))
 
     def test_version_1_checkpoint_rejected(self, small_blob):
         def as_version_1(header):
@@ -366,6 +370,19 @@ class TestCheckpoint:
 
         with pytest.raises(BadCheckpoint):
             checkpoint_from_bytes(rewrite_header(small_blob, as_version_1, version=1))
+
+    def test_version_2_checkpoint_rejected(self, small_blob):
+        """Version 2 headers also held the model widths, tau_init and Adam's
+        betas in their run block."""
+        old_run = dict(d_hidden=2, d_emb=2, d_tok=1, tau_init=0.07, beta1=0.9, beta2=0.98)
+
+        def as_version_2(header):
+            header["version"] = 2
+            header["run"].update(old_run)
+
+        assert CHECKPOINT_VERSION == 3
+        with pytest.raises(BadCheckpoint, match="version 2"):
+            checkpoint_from_bytes(rewrite_header(small_blob, as_version_2, version=2))
 
     @pytest.mark.parametrize("fail", ["checkpoint_bytes", "replace"])
     def test_failed_save_keeps_previous_checkpoint(

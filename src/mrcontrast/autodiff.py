@@ -22,11 +22,15 @@ from .errors import NonFiniteGradient
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_vjp", "_prev")
+    """A float64 array on the tape. Accumulating only (gradient, rows) pairs
+    sets `grad_rows` to the union of their rows, outside which `grad` is +0.0;
+    a plain gradient or an assignment to `.grad` resets it to None."""
+
+    __slots__ = ("data", "_grad", "grad_rows", "requires_grad", "_vjp", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
+        self.grad = None
         self.requires_grad = requires_grad
         self._vjp = None
         self._prev: tuple = ()
@@ -35,12 +39,21 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    def _set_grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad, self.grad_rows = value, None
+
+    grad = property(lambda self: self._grad, _set_grad)
+
     def _accum(self, grad) -> None:
+        grad, rows = grad if isinstance(grad, tuple) else (grad, None)
         grad = np.asarray(grad, dtype=np.float64)
-        if self.grad is None:
+        if self._grad is None:
             self.grad = grad.copy() if grad.base is not None else grad
         else:
-            self.grad = self.grad + grad
+            known = rows is not None and self.grad_rows is not None
+            rows = np.union1d(self.grad_rows, rows) if known else None
+            self.grad = self._grad + grad
+        self.grad_rows = rows
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -74,8 +87,9 @@ class Tensor:
                     if parent.requires_grad:
                         parent._accum(grad)
         for t in topo:
-            if t.requires_grad and not t._prev:
-                if t.grad is not None and not np.isfinite(t.grad).all():
+            if t.requires_grad and not t._prev and t.grad is not None:
+                g = t.grad if t.grad_rows is None else t.grad[t.grad_rows]
+                if not np.isfinite(g).all():
                     raise NonFiniteGradient("non-finite gradient in backward")
 
 
@@ -83,7 +97,8 @@ def node(
     value, inputs: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence]
 ) -> Tensor:
     """A tape node holding `value`, computed from `inputs`; `vjp(grad)`
-    returns one gradient per input, each shaped like that input."""
+    returns one gradient per input, each shaped like that input, or a
+    (gradient, rows) pair whose gradient is +0.0 outside those rows."""
     out = Tensor(value, any(t.requires_grad for t in inputs))
     out._prev = tuple(inputs)
     out._vjp = vjp

@@ -170,10 +170,14 @@ def _load_space(path: str) -> LabelSpace:
         raise LabelDecodeFailure(f"{path}: {exc}") from exc
 
 
-def cmd_train(args) -> int:
-    for path in filter(None, (args.checkpoint, args.log)):
+def _check_outputs(*paths: Optional[str]) -> None:
+    for path in filter(None, paths):
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise DataError(f"cannot write {path}: not a file in an existing directory")
+
+
+def cmd_train(args) -> int:
+    _check_outputs(args.checkpoint, args.log)
     flags = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     slices = synth.load_dataset(args.dataset)
     space = _load_space(args.labels)
@@ -236,6 +240,7 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
 def cmd_eval(args) -> int:
     from .evaluate import render_table, run_evaluation
 
+    _check_outputs(args.out)
     inputs, transfer_grid = _eval_inputs(args)
     report = run_evaluation(*inputs, probe_l2=args.probe_l2, transfer_grid=transfer_grid)
     if args.report == "table":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .errors import ShapeMismatch, TokenIdOutOfRange
-from .prompts import VOCAB_SIZE
+from .prompts import VOCAB_SIZE, TokenBatch
 from .rules import check_fields, positive_float, positive_int
 
 TAU_MIN = 0.01
@@ -143,20 +143,23 @@ class DualEncoder:
         out, vjp = _mlp(features, *(p.data for p in params))
         return node(out, params, lambda g: vjp(g)[1:])
 
-    def encode_texts(self, token_lists: Sequence[Sequence[int]]) -> Tensor:
-        """Token id lists -> (N, d_emb) unit embeddings (order-invariant mean
-        pooling; an empty list maps to the learned null token). The table
-        gradient is summed over the batch's distinct ids, then laid into zeros."""
-        lengths = np.array([len(ids) for ids in token_lists], dtype=np.int64)
-        flat_idx = np.fromiter(chain.from_iterable(token_lists), np.int64, lengths.sum())
+    def encode_texts(self, tokens: TokenBatch | Sequence[Sequence[int]]) -> Tensor:
+        """A TokenBatch or token id lists -> (N, d_emb) unit embeddings (mean
+        pooling; an empty prompt maps to the learned null token). The table
+        gradient sums over the distinct ids, laid into zeros, paired with them."""
+        if isinstance(tokens, TokenBatch):
+            flat_idx, lengths = tokens
+        else:
+            lengths = np.array([len(ids) for ids in tokens], dtype=np.int64)
+            flat_idx = np.fromiter(chain.from_iterable(tokens), np.int64, lengths.sum())
         bad = (flat_idx < 0) | (flat_idx >= VOCAB_SIZE)
         if bad.any():
             raise TokenIdOutOfRange(f"token id {flat_idx[bad.argmax()]} outside [0, {VOCAB_SIZE})")
         flat_idx = np.insert(flat_idx, np.cumsum(lengths)[lengths == 0], VOCAB_SIZE)
         counts = np.maximum(lengths, 1)
-        seg_idx = np.repeat(np.arange(len(token_lists)), counts)
+        seg_idx = np.repeat(np.arange(lengths.size), counts)
         table = self.tok_table.data
-        pooled = _sum_rows(seg_idx, table[flat_idx], len(token_lists)) / counts[:, None]
+        pooled = _sum_rows(seg_idx, table[flat_idx], lengths.size) / counts[:, None]
 
         params = (self.tok_table, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2)
         w1 = self.txt_w1.data
@@ -164,10 +167,10 @@ class DualEncoder:
 
         def text_vjp(g):
             ga, *weight_grads = vjp(g)
-            g_pooled = ga @ w1.T
+            g_pooled = (ga @ w1.T) / counts[:, None]
             ids, slot = np.unique(flat_idx, return_inverse=True)
             g_table = np.zeros_like(table)
-            g_table[ids] = _sum_rows(slot, g_pooled[seg_idx] / counts[seg_idx, None], ids.size)
-            return (g_table, *weight_grads)
+            g_table[ids] = _sum_rows(slot, g_pooled[seg_idx], ids.size)
+            return ((g_table, ids), *weight_grads)
 
         return node(out, params, text_vjp)

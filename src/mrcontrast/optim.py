@@ -28,12 +28,18 @@ def effective_lr(config: AdamConfig, t: int) -> float:
     return config.lr
 
 
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """A 2-D parameter's rows; a 1-D or 0-D parameter is one row."""
+    return a.reshape(a.shape[0] if a.ndim > 1 else 1, -1)
+
+
 class Adam:
     """Decay is decoupled: p <- p * (1 - lr_eff * wd) before the moment
-    update. Bias-corrected first/second moments, elementwise, on each row (a
-    1-D or 0-D parameter is one row) where g, m or v has a nonzero bit. On other
-    rows the update is exactly the identity (m = v = +0.0, p - lr_eff * 0 / (0
-    + eps) = p), so skipping them keeps every bit. Decay stays dense."""
+    update. Bias-corrected moments, elementwise, on each touched row: the union
+    of every gradient's `grad_rows` (or rows with a nonzero bit) and of loaded
+    m's and v's rows with one. On other rows g = m = v = +0.0, so the update
+    (p - lr_eff * 0 / (0 + eps) = p) and its finiteness check are skipped
+    without changing a bit. Decay stays dense."""
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], config: AdamConfig):
         self.params = params
@@ -41,6 +47,7 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p, _ in params}
         self.v = {name: np.zeros_like(p.data) for name, p, _ in params}
+        self.touched = {name: np.zeros(len(_as_rows(p.data)), bool) for name, p, _ in params}
 
     def step(self) -> float:
         """Apply one update from the stored gradients; returns lr_eff."""
@@ -50,18 +57,17 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
         for name, p, decay in self.params:
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
+            bits = _as_rows(p.grad).view(np.int64)
+            self.touched[name][bits.any(axis=1) if p.grad_rows is None else p.grad_rows] = True
+            live = np.flatnonzero(self.touched[name])
+            g = _as_rows(p.grad)[live]
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"non-finite gradient for {name}")
             scale = 1.0 - lr_eff * c.weight_decay if decay and c.weight_decay != 0.0 else 1.0
             data = np.multiply(p.data, scale, out=np.empty_like(p.data))
-            shape = (data.shape[0] if data.ndim > 1 else 1, -1)
-            g, m, v, rows = (a.reshape(shape) for a in (g, self.m[name], self.v[name], data))
-            bits = g.view(np.int64) | m.view(np.int64) | v.view(np.int64)
-            live = np.flatnonzero(bits.any(axis=1))
-            g = g[live]
+            m, v, rows = (_as_rows(a) for a in (self.m[name], self.v[name], data))
             m[live] = c.beta1 * m[live] + (1.0 - c.beta1) * g
             v[live] = c.beta2 * v[live] + (1.0 - c.beta2) * (g * g)
             rows[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + c.eps)
@@ -69,7 +75,8 @@ class Adam:
         return lr_eff
 
     def load_state_dict(self, state: dict) -> None:
-        """Take step count and moments from `state`, copying the arrays."""
+        """Take step count and moments from `state`, copying the arrays, and
+        rebuild each touched-row set from the bits of m and v."""
         self.t = int(state["t"])
         for k in self.m:
             self.m[k] = np.array(state["m"][k], dtype=np.float64).reshape(
@@ -78,6 +85,8 @@ class Adam:
             self.v[k] = np.array(state["v"][k], dtype=np.float64).reshape(
                 self.v[k].shape
             )
+            bits = _as_rows(self.m[k]).view(np.int64) | _as_rows(self.v[k]).view(np.int64)
+            self.touched[k] = bits.any(axis=1)
 
 
 def clamp_log_tau(log_tau: Tensor) -> None:

@@ -9,11 +9,12 @@ state to ship.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .records import MetadataRecord, plane_for_record
 
@@ -145,46 +146,55 @@ def tokenize(text: str) -> list[int]:
     return [_hash_token(token) for token in _TOKEN_RE.findall(text.lower())]
 
 
-class PromptBank:
-    """Pre-tokenized clause cache for fast per-epoch dropout sampling.
+class TokenBatch(NamedTuple):
+    """Token id sequences end to end: row i is the lengths[i] ids after sum(lengths[:i])."""
 
-    Tokenizing clause by clause and concatenating gives the same ids as
-    tokenizing the assembled sentence, because clause boundaries are always
-    non-token separators; tests assert that equivalence. A dataset has few
-    distinct clause texts, so each is tokenized once.
-    """
+    flat: np.ndarray
+    lengths: np.ndarray
+
+
+class PromptBank:
+    """Pre-tokenized clauses for whole-batch dropout sampling: each distinct
+    clause text's ids, padded with -1, and a (records x clauses) id matrix
+    whose column 0 is the head and column j clause CLAUSE_ORDER[j - 1]; a
+    clause a record lacks is clause 0, which has no tokens. Tokenizing clause
+    by clause and concatenating gives the same ids as tokenizing the sentence,
+    because clause boundaries are never inside a token; tests assert that."""
 
     def __init__(self, records: Sequence[MetadataRecord], config: PromptConfig):
         self.config = config
-        self._entries: list[tuple[list[tuple[int, ...]], list[bool]]] = []
-        clause_ids = functools.cache(lambda text: tuple(tokenize(text)))
-        head_ids = clause_ids("MRI scan")
+        column = {clause: j for j, clause in enumerate(CLAUSE_ORDER, start=1)}
+        clause_id, rows = {"MRI scan": 1}, []
         for record in records:
-            pieces = prompt_pieces(record, config)
-            ids = [head_ids] + [clause_ids(p.text) for p in pieces]
-            droppable = [False] + [
-                p.clause not in NEVER_DROPPED for p in pieces
-            ]
-            self._entries.append((ids, droppable))
+            rows.append([1] + [0] * len(CLAUSE_ORDER))
+            for p in prompt_pieces(record, config):
+                rows[-1][column[p.clause]] = clause_id.setdefault(p.text, len(clause_id) + 1)
+        chunks = [[]] + [tokenize(text) for text in clause_id]
+        longest = max(map(len, chunks))
+        self._tokens = np.array([c + [-1] * (longest - len(c)) for c in chunks], dtype=np.int64)
+        self._clauses = np.array(rows, dtype=np.intp).reshape(len(records), len(column) + 1)
+        can_drop = [False] + [clause not in NEVER_DROPPED for clause in CLAUSE_ORDER]
+        self._droppable = (self._clauses != 0) & can_drop
+
+    def tokens(self, rows, uniforms=None) -> TokenBatch:
+        """The prompts of `rows` end to end. A clause is dropped when its value
+        in `uniforms` (one per droppable clause, row by row in clause order) is
+        below `config.dropout`; None keeps all. The caller controls the RNG."""
+        clauses = self._clauses[rows]  # a copy: rows is a sequence
+        if uniforms is not None:
+            can = self._droppable[rows]
+            clauses[can] = np.where(np.asarray(uniforms) < self.config.dropout, 0, clauses[can])
+        ids = self._tokens[clauses]
+        real = ids >= 0
+        return TokenBatch(ids[real], real.sum(axis=(1, 2)))
 
     def tokens_full(self, index: int) -> tuple[int, ...]:
-        ids, _ = self._entries[index]
-        return tuple(t for chunk in ids for t in chunk)
+        return tuple(self.tokens([index]).flat.tolist())
 
     def tokens_with_dropout(self, index: int, uniforms) -> tuple[int, ...]:
-        """Apply clause dropout using pre-drawn uniforms (one per droppable
-        clause, in clause order). Caller controls the RNG stream."""
-        ids, droppable = self._entries[index]
-        out: list[int] = []
-        u_idx = 0
-        for chunk, can_drop in zip(ids, droppable):
-            if can_drop:
-                drop = uniforms[u_idx] < self.config.dropout
-                u_idx += 1
-                if drop:
-                    continue
-            out.extend(chunk)
-        return tuple(out)
+        """One row of `tokens` with dropout drawn from `uniforms`."""
+        return tuple(self.tokens([index], uniforms).flat.tolist())
 
-    def n_droppable(self, index: int) -> int:
-        return sum(self._entries[index][1])
+    def n_droppable(self, rows) -> int:
+        """Droppable clauses in a row or an array of rows: the uniforms they take."""
+        return int(self._droppable[rows].sum())

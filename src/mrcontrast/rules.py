@@ -4,6 +4,7 @@ record, dataset and checkpoint readers. A rule returns its value or raises
 must be floats, so a value that passes round-trips through JSON unchanged."""
 from __future__ import annotations
 
+import sys
 from math import inf
 
 
@@ -23,10 +24,12 @@ def _int_in(low: int, high: float = inf):
 positive_int = _rule(_int_in(1), "an int of at least 1")
 non_negative_int = _rule(_int_in(0), "an int of at least 0")
 int64 = _rule(_int_in(-(2**63), 2**63 - 1), "an int that fits in int64")
+float_range_int = _rule(_int_in(0, int(sys.float_info.max)), "an int in [0, largest float]")
 non_negative_float = _rule(lambda v: isinstance(v, float) and 0 <= v < inf, "a float in [0, inf)")
 positive_float = _rule(lambda v: isinstance(v, float) and 0 < v < inf, "a float in (0, inf)")
 fraction = _rule(lambda v: isinstance(v, float) and 0 <= v <= 1, "a float in [0, 1]")
 boolean = _rule(lambda v: isinstance(v, bool), "true or false")
+string = _rule(lambda v: isinstance(v, str), "a string")
 
 
 def one_of(names: tuple[str, ...]):

@@ -12,7 +12,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,8 @@ from .model import DualEncoder, ModelConfig, parameter_layout
 from .optim import Adam, AdamConfig, clamp_log_tau
 from .prompts import PromptBank, PromptConfig
 from .rules import (
-    boolean, check_fields, fraction, non_negative_float, non_negative_int, one_of, positive_int,
+    boolean, check_fields, float_range_int, fraction, non_negative_float, non_negative_int, one_of,
+    positive_int, string,
 )
 from .synth import SyntheticSlice
 
@@ -33,7 +33,7 @@ CHECKPOINT_VERSION = 3
 
 RUN_RULES = dict(
     batch_size=positive_int, epochs=non_negative_int, seed=non_negative_int,
-    lr=non_negative_float, warmup_steps=non_negative_int, weight_decay=non_negative_float,
+    lr=non_negative_float, warmup_steps=float_range_int, weight_decay=non_negative_float,
     loss_kind=one_of(LOSS_KINDS), shards=positive_int, text_dropout=fraction,
     numerical_only=boolean, include_series_description=boolean, val_fraction=fraction,
 )
@@ -161,18 +161,12 @@ def train_model(
             rows = train_rows[perm[start : start + run.batch_size]]
             batch_features = features[rows]
             batch_labels = label_ids[rows]
-            if run.text_dropout > 0:
-                # one draw per batch: the same doubles and end state as one per row
-                sizes = [bank.n_droppable(int(r)) for r in rows]
-                uniforms = iter(state.rng.random(sum(sizes)).tolist())
-                token_lists = [bank.tokens_with_dropout(int(r), list(islice(uniforms, k)))
-                               for r, k in zip(rows, sizes)]
-            else:
-                token_lists = [bank.tokens_full(int(r)) for r in rows]
+            # one draw per batch: the same doubles and end state as one per row
+            uniforms = state.rng.random(bank.n_droppable(rows)) if run.text_dropout > 0 else None
 
             model = state.model
             img = model.encode_images(batch_features)
-            txt = model.encode_texts(token_lists)
+            txt = model.encode_texts(bank.tokens(rows, uniforms))
             plan = ShardPlan.even(len(rows), run.shards)
             out = loss_graph(
                 img, txt, batch_labels, model.tau(), run.loss_kind, plan
@@ -325,10 +319,10 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             model_config=ModelConfig(**header["model"]),
             epochs_done=non_negative_int(header["epochs_done"], "epochs_done"),
             rng_state=rng_state,
-            label_space_hash=header["label_space_hash"],
-            config_hash=header["config_hash"],
+            label_space_hash=string(header["label_space_hash"], "label_space_hash"),
+            config_hash=string(header["config_hash"], "config_hash"),
             params={},
-            adam_t=non_negative_int(header["adam_t"], "adam_t"),
+            adam_t=float_range_int(header["adam_t"], "adam_t"),
             adam_m={},
             adam_v={},
         )

@@ -329,6 +329,34 @@ class TestGraphMechanics:
         probe(t, 1.0).backward()
         np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
 
+    def test_row_grads_of_a_tensor_used_twice_are_unioned(self):
+        """Two (gradient, rows) pairs for one tensor leave the union of their
+        rows; a plain gradient for the same tensor leaves the rows unknown."""
+
+        def ones_on(rows):
+            dense = np.zeros((5, 2))
+            dense[rows] = 1.0
+            return dense, np.array(rows)
+
+        t = Tensor(np.ones((5, 2)), requires_grad=True)
+        node(np.float64(0.0), (t, t), lambda g: (ones_on([3]), ones_on([1]))).backward()
+        assert t.grad_rows.tolist() == [1, 3]
+        np.testing.assert_array_equal(t.grad[:, 0], [0.0, 1.0, 0.0, 1.0, 0.0])
+        node(np.float64(0.0), (t, t), lambda g: (ones_on([0]), np.zeros((5, 2)))).backward()
+        assert t.grad_rows is None
+        t.grad = None
+        node(np.float64(0.0), (t,), lambda g: (ones_on([4]),)).backward()
+        assert t.grad_rows.tolist() == [4]
+        t.grad = t.grad.copy()
+        assert t.grad_rows is None
+
+    def test_non_finite_row_grad_raises(self):
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        dense = np.zeros((3, 2))
+        dense[1, 0] = np.nan
+        with pytest.raises(NonFiniteGradient):
+            node(np.float64(0.0), (t,), lambda g: ((dense, np.array([1])),)).backward()
+
     def test_detach_cuts_the_graph(self):
         model = small_model()
         d = Tensor(images(model).data)

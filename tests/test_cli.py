@@ -4,6 +4,7 @@ import argparse
 import gc
 import json
 import struct
+import sys
 import warnings
 import weakref
 
@@ -479,6 +480,42 @@ class TestExitCodes:
         assert main([
             "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
         ] + [a for item in outputs.items() for a in item] + TRAIN_FLAGS) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [".", "missing_dir/report.json"])
+    def test_unwritable_eval_output_fails_before_evaluating(
+        self, pipeline, tmp_path, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "load_dataset", lambda path: pytest.fail("data was loaded"))
+        monkeypatch.setattr(evaluate, "run_evaluation", lambda *a, **k: pytest.fail("evaluated"))
+        assert main([
+            "eval", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", pipeline["ckpt"], "--out", out,
+        ]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_step_counts_past_float_range_rejected(self, pipeline, tmp_path, capsys):
+        """A warmup or Adam step count that float arithmetic cannot take is a
+        usage error as a flag and a data error in a checkpoint header."""
+        huge, largest = 10**400, int(sys.float_info.max)
+        with pytest.raises(SystemExit) as exc:
+            main(["train"] + required_args("train", tmp_path) + ["--warmup-steps", str(huge)])
+        assert exc.value.code == 1 and "--warmup-steps" in capsys.readouterr().err
+        assert RunConfig(warmup_steps=largest).warmup_steps == largest
+        with pytest.raises(ValueError, match="warmup_steps"):
+            RunConfig(warmup_steps=largest + 1)
+        blob = open(pipeline["ckpt"], "rb").read()
+        for field, edit in (("warmup_steps", lambda h: h["run"].update(warmup_steps=huge)),
+                            ("adam_t", lambda h: h.update(adam_t=huge))):
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(rewrite_header(blob, edit))
+            with pytest.raises(BadCheckpoint, match=field):
+                train.load_checkpoint(str(bad))
+            common = ["--dataset", pipeline["data"], "--labels", pipeline["labels"]]
+            assert main(["eval", *common, "--checkpoint", str(bad)]) == 2
+            assert main(["train", *common, "--resume", str(bad), "--epochs", "3",
+                         "--checkpoint", str(tmp_path / "resumed.ckpt")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_grid_spec_is_data_error(self, tmp_path):

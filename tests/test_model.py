@@ -120,9 +120,11 @@ class TestTextPoolingBits:
         txt = model.encode_texts(token_lists)
         want_out, want_table = dense_text_reference(model, token_lists, g)
         assert txt.data.tobytes() == want_out.tobytes()
-        g_table = txt._vjp(g)[0]
+        g_table, rows = txt._vjp(g)[0]
         assert g_table.shape == model.tok_table.shape
         assert g_table.tobytes() == want_table.tobytes()
+        used = [t for ids in token_lists for t in (ids or [VOCAB_SIZE])]
+        assert rows.tolist() == sorted(set(used))
 
 
 class TestTemperature:

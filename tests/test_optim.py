@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mrcontrast.autodiff import Tensor
+from mrcontrast.autodiff import Tensor, node
 from mrcontrast.errors import NonFiniteGradient
 from mrcontrast.model import TAU_MAX, TAU_MIN
 from mrcontrast.optim import Adam, AdamConfig, clamp_log_tau, effective_lr
@@ -252,3 +252,50 @@ class TestRowRestrictedStep:
         Adam([("w", t, False)], self.config()).step()
         np.testing.assert_array_equal(before, 1.0)
         assert not np.array_equal(t.data, before)
+
+    def backward_rows(self, t, g, rows):
+        """Give t the gradient g through backward(), paired with rows."""
+        t.grad = None
+        node(np.float64(0.0), (t,), lambda _: ((g.copy(), np.array(rows)),)).backward()
+        assert t.grad_rows.tolist() == rows
+
+    def test_row_tracked_steps_match_dense_reference_with_resume(self):
+        """Gradients arrive with grad_rows (some listing a row whose gradient
+        is zero); the resumed optimizer holds m and v on rows outside the next
+        step's grad_rows, which must still move as in the dense update."""
+        config = self.config()
+        rng = np.random.default_rng(11)
+        p = rng.normal(size=(6, 3))
+        p[5, 2] = -0.0
+        t = Tensor(p.copy(), requires_grad=True)
+        opt = Adam([("table", t, True)], config)
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        schedule = [[0, 2], [2], [1, 2, 4], [0], [3], [3, 0], [4]]
+        for step, rows in enumerate(schedule, start=1):
+            if step == 4:
+                state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
+                t = Tensor(t.data.copy(), requires_grad=True)
+                opt = Adam([("table", t, True)], config)
+                opt.load_state_dict(state)
+            g = np.zeros_like(p)
+            g[rows] = rng.normal(size=(len(rows), 3))
+            g[4] = 0.0  # row 4 is named but has no gradient
+            self.backward_rows(t, g, rows)
+            opt.step()
+            p, m, v = reference_step(p, g, m, v, step, config, True)
+            assert t.data.tobytes() == p.tobytes(), step
+            assert opt.m["table"].tobytes() == m.tobytes(), step
+            assert opt.v["table"].tobytes() == v.tobytes(), step
+        assert np.signbit(t.data[5, 2]) and not opt.touched["table"][5]
+
+    def test_assigned_gradient_is_not_limited_to_stale_rows(self):
+        """After a backward naming row 1, an assigned gradient on every row
+        updates every row."""
+        t = Tensor(np.ones((4, 2)), requires_grad=True)
+        self.backward_rows(t, np.ones((4, 2)) * [[0.0], [1.0], [0.0], [0.0]], [1])
+        t.grad = np.full((4, 2), 0.5)
+        assert t.grad_rows is None
+        want, _, _ = reference_step(t.data.copy(), t.grad, 0.0, 0.0, 1, self.config(), False)
+        Adam([("w", t, False)], self.config()).step()
+        assert t.data.tobytes() == want.tobytes()
+        assert (t.data != 1.0).all()

@@ -233,3 +233,36 @@ class TestPromptBank:
         ]
         for word in ("acquired", "tesla", "plane", "sequence", "inversion"):
             assert any(reference_token(word) not in tokens for tokens in draws)
+
+    def test_batch_sampling_equals_the_per_row_loop(self):
+        """One batch call equals, row by row, a loop that walks each record's
+        clauses, takes one uniform per droppable clause and tokenizes what it
+        keeps; rows repeat, and the prompts differ in clause count."""
+        records = self.records() + [full_record(series_description=None, ti_ms=None)]
+        rows = np.array([3, 0, 2, 0, 1, 3])
+        configs = [PromptConfig(dropout=d) for d in (0.0, 0.5, 1.0)] + [
+            PromptConfig(dropout=0.5, numerical_only=True),
+            PromptConfig(dropout=0.5, include_series_description=True),
+        ]
+        rng = np.random.default_rng(5)
+        for config in configs:
+            bank = PromptBank(records, config)
+            uniforms = rng.random(bank.n_droppable(rows))
+            want, lengths, u = [], [], iter(uniforms.tolist())
+            for r in rows:
+                kept = [tokenize("MRI scan")] + [
+                    tokenize(p.text) for p in prompt_pieces(records[r], config)
+                    if p.clause in NEVER_DROPPED or next(u) >= config.dropout
+                ]
+                want += [t for ids in kept for t in ids]
+                lengths.append(sum(map(len, kept)))
+            assert next(u, None) is None
+            batch = bank.tokens(rows, uniforms)
+            assert batch.flat.tolist() == want and batch.lengths.tolist() == lengths, config
+            sizes = np.cumsum([0] + [bank.n_droppable(int(r)) for r in rows])
+            per_row = [bank.tokens_with_dropout(int(r), uniforms[a:b])
+                       for r, a, b in zip(rows, sizes, sizes[1:])]
+            assert batch.flat.tolist() == [t for ids in per_row for t in ids], config
+            full = bank.tokens(rows)
+            assert full.flat.tolist() == [t for r in rows for t in bank.tokens_full(int(r))]
+            assert full.lengths.tolist() == [len(bank.tokens_full(int(r))) for r in rows]

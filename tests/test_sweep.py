@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from mrcontrast.cli import main
+from mrcontrast.errors import BadCheckpoint
 from mrcontrast.model import ModelConfig
-from mrcontrast.train import RunConfig
+from mrcontrast.train import RunConfig, load_checkpoint
 from test_cli import SYNTH_FLAGS
 from test_train import rewrite_header
 
@@ -66,8 +67,8 @@ def mutate(obj, path, value) -> None:
 def sweep_cases(inputs) -> list[tuple[str, tuple, object]]:
     """(input, path, value) for every mutation: each field of the first dataset
     line (plus the optional ti_ms and series_description), each path of the
-    label file outside labels[1:], and each run and model field, epochs_done
-    and adam_t of the checkpoint header."""
+    label file outside labels[1:], and each run and model field, epochs_done,
+    adam_t and the two hashes of the checkpoint header."""
     line = json.loads(Path(inputs["data"]).read_text().splitlines()[0])
     labels = json.loads(Path(inputs["labels"]).read_text())
     fields = {
@@ -75,7 +76,7 @@ def sweep_cases(inputs) -> list[tuple[str, tuple, object]]:
         "labels": [p for p in json_paths(labels) if p[:1] != ("labels",) or p[1:2] in ((), (0,))],
         "header": [("run", k) for k in RunConfig.__dataclass_fields__]
         + [("model", k) for k in ModelConfig.__dataclass_fields__]
-        + [("epochs_done",), ("adam_t",)],
+        + [("epochs_done",), ("adam_t",), ("label_space_hash",), ("config_hash",)],
     }
     return [(kind, path, value) for kind, paths in fields.items() for path in paths
             for value in VALUES + [DELETE]]
@@ -115,4 +116,19 @@ def test_sampled_mutations_exit_cleanly(inputs, tmp_path, capsys):
     for kind, path, value in cases:
         codes = run_case(inputs, tmp_path, kind, path, value)
         assert set(codes) <= {0, 2, 3}, (kind, path, value, codes)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["label_space_hash", "config_hash"])
+def test_hash_that_is_not_a_string_is_bad_checkpoint(inputs, tmp_path, capsys, field):
+    """A header hash that is not a string never reaches a report: loading the
+    checkpoint raises BadCheckpoint naming it, and eval and train exit 2."""
+    for value in VALUES:
+        if isinstance(value, str):
+            continue
+        blob = rewrite_header(Path(inputs["ckpt"]).read_bytes(), lambda h: mutate(h, (field,), value))
+        Path(tmp_path / "bad.ckpt").write_bytes(blob)
+        with pytest.raises(BadCheckpoint, match=field):
+            load_checkpoint(str(tmp_path / "bad.ckpt"))
+        assert run_case(inputs, tmp_path, "header", (field,), value) == [2, 2], value
     assert "Traceback" not in capsys.readouterr().err

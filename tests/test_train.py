@@ -167,14 +167,16 @@ class TestTrainModel:
         )
 
     def test_batch_dropout_draw_equals_per_row_draws(self, tiny_dataset, monkeypatch):
-        """One rng.random per batch, split by row, hands each row the doubles
-        one draw per row would, and leaves the generator in the same state."""
+        """One rng.random per batch, sampled for the whole batch, hands each row
+        the doubles one draw per row would, and leaves the generator in the
+        same state: the batch's (flat ids, lengths) is the concatenation of
+        the per-row tuples."""
         slices, space, ids = tiny_dataset
         run = replace(TINY_RUN, epochs=2, batch_size=48, text_dropout=0.5)
         seen = []
         encode = DualEncoder.encode_texts
-        monkeypatch.setattr(DualEncoder, "encode_texts",
-                            lambda self, lists: seen.append(list(lists)) or encode(self, lists))
+        monkeypatch.setattr(DualEncoder, "encode_texts", lambda self, batch: seen.append(
+            (batch.flat.tolist(), batch.lengths.tolist())) or encode(self, batch))
         state = train_model(slices, space, ids, run)
 
         features, scan_ids, records = dataset_arrays(slices)
@@ -186,9 +188,10 @@ class TestTrainModel:
             perm = rng.permutation(train_rows.size)
             for start in range(0, train_rows.size, run.batch_size):
                 rows = train_rows[perm[start : start + run.batch_size]]
-                want.append([bank.tokens_with_dropout(int(r), rng.random(bank.n_droppable(int(r))))
-                             for r in rows])
-                dropped |= any(len(t) < len(bank.tokens_full(int(r))) for t, r in zip(want[-1], rows))
+                per_row = [bank.tokens_with_dropout(int(r), rng.random(bank.n_droppable(int(r))))
+                           for r in rows]
+                want.append(([t for ids in per_row for t in ids], [len(ids) for ids in per_row]))
+                dropped |= any(len(t) < len(bank.tokens_full(int(r))) for t, r in zip(per_row, rows))
         assert seen == want and dropped
         assert state.rng.bit_generator.state == rng.bit_generator.state
 

@@ -1,13 +1,17 @@
 """Minimal DICOM part-10 reader for acquisition metadata.
 
 Scope is deliberately narrow: explicit-VR little-endian files only, no pixel
-decoding, no recursion into sequences. Twelve tags are extracted; everything
-else is skipped by length. Anything outside that envelope should be converted
-with standard tooling and handed to the JSON manifest path instead.
+decoding, and only top-level elements are read. Twelve tags are extracted;
+everything else is skipped by length. An undefined-length value (a sequence,
+encapsulated pixel data, an undefined-length UN) is skipped by walking its
+items and counting nesting depth until the delimiter that closes it, without
+recursion. Anything outside that envelope should be converted with standard
+tooling and handed to the JSON manifest path instead.
 """
 from __future__ import annotations
 
 import re
+import struct
 from typing import Iterator, Optional
 
 from .errors import (
@@ -23,11 +27,19 @@ PREAMBLE_LEN = 128
 MAGIC = b"DICM"
 EXPLICIT_VR_LE_UID = "1.2.840.10008.1.2.1"
 
-# VRs whose explicit encoding uses 2 reserved bytes + a 4-byte length.
-LONG_LENGTH_VRS = frozenset({"OB", "OD", "OF", "OL", "OV", "OW", "SQ", "UN"})
+# explicit VRs with 2 reserved bytes and a 4-byte length (PS3.5 7.1.2)
+LONG_LENGTH_VRS = frozenset("OB OD OF OL OV OW SQ SV UC UN UR UT UV".split())
 
 UNDEFINED_LENGTH = 0xFFFFFFFF
-SEQ_DELIMITER = (0xFFFE, 0xE0DD)
+DELIMITERS = frozenset({(0xFFFE, 0xE00D), (0xFFFE, 0xE0DD)})  # item, sequence
+
+# every well-formed VR (two capitals) -> (VR, uses the 4-byte length)
+_CAPS = range(ord("A"), ord("Z") + 1)
+_VRS = {
+    bytes((a, b)): (chr(a) + chr(b), chr(a) + chr(b) in LONG_LENGTH_VRS)
+    for a in _CAPS
+    for b in _CAPS
+}
 
 TAG_TRANSFER_SYNTAX = (0x0002, 0x0010)
 TAG_MANUFACTURER = (0x0008, 0x0070)
@@ -64,82 +76,96 @@ _WANTED = {
 _DS_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedElement(
-                f"need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "little")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
+_TAG_VR = struct.Struct("<HH2s")
+_TAG_LENGTH = struct.Struct("<HHI")  # item headers; elements in implicit VR
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
-def _skip_undefined_length(r: _Reader) -> None:
-    # No recursion into items: scan forward for the sequence delimitation
-    # item (FFFE,E0DD) and skip its (zero) length field.
-    while True:
-        group = r.u16()
-        elem = r.u16()
-        if (group, elem) == SEQ_DELIMITER:
-            r.u32()
-            return
-        if group == 0xFFFE:  # item start / item delimiter
-            length = r.u32()
-            if length not in (0, UNDEFINED_LENGTH):
-                r.take(length)
-        # any other bytes are inside an item; keep scanning
+def _truncated(pos: int, need: int, end: int) -> TruncatedElement:
+    return TruncatedElement(
+        f"need {need} bytes at offset {pos}, have {max(end - pos, 0)}"
+    )
+
+
+def _explicit_header(data: bytes, pos: int, end: int) -> tuple[int, int, str, int, int]:
+    """(group, element, VR, length, value offset) of the element at pos."""
+    if pos + 6 > end:
+        raise _truncated(pos, 6, end)
+    group, elem, raw = _TAG_VR.unpack_from(data, pos)
+    if raw not in _VRS:
+        # explicit VR is the only supported encoding; a non-letter VR
+        # field almost always means an implicit-VR dataset
+        raise UnsupportedTransferSyntax(
+            f"bad VR {raw.decode('ascii', errors='replace')!r} at offset "
+            f"{pos + 4}; only explicit-VR little endian is supported"
+        )
+    vr, long_length = _VRS[raw]
+    if long_length:  # 2 reserved bytes, then a 4-byte length
+        if pos + 12 > end:
+            raise _truncated(pos + 6, 6, end)
+        return group, elem, vr, _U32.unpack_from(data, pos + 8)[0], pos + 12
+    if pos + 8 > end:
+        raise _truncated(pos + 6, 2, end)
+    return group, elem, vr, _U16.unpack_from(data, pos + 6)[0], pos + 8
+
+
+def _skip_undefined_length(data: bytes, pos: int, implicit: bool) -> int:
+    """Offset just past the delimiter closing the undefined-length value
+    whose contents start at pos.
+
+    Each undefined-length value inside (item, sequence, UN) opens a level and
+    each item or sequence delimiter closes one; everything else is skipped
+    by its length. Elements are explicit VR, except inside an undefined-length
+    UN, whose contents are implicit VR (tag + 4-byte length) by PS3.5 6.2.2.
+    """
+    end = len(data)
+    depth = 1
+    implicit_depth = 1 if implicit else 0  # shallowest implicit level, 0: none
+    while depth:
+        if pos + 8 > end:
+            raise _truncated(pos, 8, end)
+        group, elem, length = _TAG_LENGTH.unpack_from(data, pos)
+        vr = ""
+        if group == 0xFFFE or implicit_depth:
+            pos += 8
+        else:
+            group, elem, vr, length, pos = _explicit_header(data, pos, end)
+        if (group, elem) in DELIMITERS:
+            depth -= 1
+            if depth < implicit_depth:
+                implicit_depth = 0
+        elif length == UNDEFINED_LENGTH:
+            depth += 1
+            if vr == "UN" and not implicit_depth:
+                implicit_depth = depth
+        else:  # a value running past the end fails the next header read
+            pos += length
+    return pos
 
 
 def iter_elements(data: bytes) -> Iterator[tuple[int, int, str, bytes]]:
     """Yield (group, element, vr, value bytes) for every top-level element.
 
-    Raises MissingMagic if the part-10 preamble/magic is absent and
-    TruncatedElement if the buffer ends inside a header or value field.
+    Raises MissingMagic if the part-10 preamble/magic is absent,
+    TruncatedElement if the buffer ends inside a header or value field, and
+    UnsupportedTransferSyntax at the first VR that is not two capitals.
     """
     if len(data) < PREAMBLE_LEN + len(MAGIC):
         raise MissingMagic("file shorter than preamble + magic")
     if data[PREAMBLE_LEN : PREAMBLE_LEN + 4] != MAGIC:
         raise MissingMagic("DICM magic not found after 128-byte preamble")
-    r = _Reader(data)
-    r.pos = PREAMBLE_LEN + 4
-    while not r.exhausted:
-        group = r.u16()
-        elem = r.u16()
-        vr = r.take(2).decode("ascii", errors="replace")
-        if not (vr.isalpha() and vr.isupper()):
-            # explicit VR is the only supported encoding; a non-letter VR
-            # field almost always means an implicit-VR dataset
-            raise UnsupportedTransferSyntax(
-                f"bad VR {vr!r} at offset {r.pos - 2}; "
-                "only explicit-VR little endian is supported"
-            )
-        if vr in LONG_LENGTH_VRS:
-            r.take(2)  # reserved
-            length = r.u32()
-        else:
-            length = r.u16()
+    pos, end = PREAMBLE_LEN + len(MAGIC), len(data)
+    while pos < end:
+        group, elem, vr, length, pos = _explicit_header(data, pos, end)
         if length == UNDEFINED_LENGTH:
-            _skip_undefined_length(r)
+            pos = _skip_undefined_length(data, pos, vr == "UN")
             yield group, elem, vr, b""
             continue
-        value = r.take(length)
-        yield group, elem, vr, value
+        if pos + length > end:
+            raise _truncated(pos, length, end)
+        yield group, elem, vr, data[pos : pos + length]
+        pos += length
 
 
 def _decode_string(raw: bytes) -> str:

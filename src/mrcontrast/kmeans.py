@@ -85,8 +85,16 @@ def fit_kmeans(points: np.ndarray, n_clusters: int, seed: int) -> KMeansModel:
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _seed_centroids(points, n_clusters, rng)
     model = KMeansModel(centroids=centroids)
+    d2 = np.empty((points.shape[0], n_clusters))
+    # the centroids whose distances d2 holds; NaN differs from every value,
+    # so the first iteration computes every column
+    held = np.full_like(centroids, np.nan)
     for iteration in range(MAX_ITER):
-        d2 = _sq_dists(points, centroids)
+        # recompute only the columns of centroids that moved: one column alone
+        # has the same bits as the full einsum
+        moved = (centroids != held).any(axis=1)
+        d2[:, moved] = _sq_dists(points, centroids[moved])
+        held = centroids.copy()  # the refill below edits centroids in place
         assign = np.argmin(d2, axis=1)
         point_cost = d2[np.arange(points.shape[0]), assign]
 
@@ -102,9 +110,13 @@ def fit_kmeans(points: np.ndarray, n_clusters: int, seed: int) -> KMeansModel:
         model.inertia_history.append(float(point_cost.sum()))
         model.n_iter = iteration + 1
 
-        new_centroids = np.empty_like(centroids)
-        for j in range(n_clusters):
-            new_centroids[j] = points[assign == j].mean(axis=0)
+        if points.shape[1] == 1:
+            # a one-column mean is numpy's pairwise sum; wider means add row
+            # by row, which per-column bincount reproduces bit for bit
+            new_centroids = np.array([points[assign == j].mean(axis=0) for j in range(n_clusters)])
+        else:
+            sums = [np.bincount(assign, col, n_clusters) for col in points.T]
+            new_centroids = np.stack(sums, axis=1) / counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         model.centroids = centroids

@@ -3,14 +3,19 @@
 Every fixture is constructed by hand with struct.pack so the tests do not
 depend on the parser under test. The corpus covers the tag combinations the
 ingest path must survive: missing or empty inversion time, multi-valued
-pixel spacing, long-form VR elements, undefined-length sequences, padded
+pixel spacing, long-form VR elements (including the long text and 64-bit
+VRs), nested undefined-length sequences and items, an undefined-length UN
+holding implicit-VR items, encapsulated pixel data, padded
 and exponent-form decimal strings, plus a set of deliberately broken files
 that must each raise a typed error.
 """
 
 import struct
 
-LONG_VRS = {"OB", "OD", "OF", "OL", "OV", "OW", "SQ", "UN"}
+LONG_VRS = {
+    "OB", "OD", "OF", "OL", "OV", "OW", "SQ", "SV", "UC", "UN", "UR", "UT",
+    "UV",
+}
 EXPLICIT_VR_LE = b"1.2.840.10008.1.2.1"
 
 
@@ -25,13 +30,88 @@ def element(group: int, elem: int, vr: str, value: bytes) -> bytes:
     return head + struct.pack("<H", len(value)) + value
 
 
+def implicit_element(group: int, elem: int, value: bytes) -> bytes:
+    """Encode one implicit-VR data element: tag and a 4-byte length."""
+    return struct.pack("<HHI", group, elem, len(value)) + value
+
+
+def item(payload: bytes, undefined_length: bool = False) -> bytes:
+    """A sequence item: defined length, or closed by an item delimiter."""
+    if undefined_length:
+        return (
+            struct.pack("<HHI", 0xFFFE, 0xE000, 0xFFFFFFFF) + payload
+            + struct.pack("<HHI", 0xFFFE, 0xE00D, 0)
+        )
+    return struct.pack("<HHI", 0xFFFE, 0xE000, len(payload)) + payload
+
+
+def undefined_length_value(group: int, elem: int, vr: str, items) -> bytes:
+    """A long-VR element with undefined length: items, then a delimiter."""
+    head = struct.pack("<HH", group, elem) + vr.encode("ascii")
+    head += b"\x00\x00" + struct.pack("<I", 0xFFFFFFFF)
+    delim = struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
+    return head + b"".join(items) + delim
+
+
 def undefined_sequence(group: int, elem: int, item_payload: bytes) -> bytes:
     """An SQ element with undefined length holding one defined-length item."""
-    head = struct.pack("<HH", group, elem) + b"SQ"
-    head += b"\x00\x00" + struct.pack("<I", 0xFFFFFFFF)
-    item = struct.pack("<HHI", 0xFFFE, 0xE000, len(item_payload))
-    delim = struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
-    return head + item + item_payload + delim
+    return undefined_length_value(group, elem, "SQ", [item(item_payload)])
+
+
+def long_text_elements() -> list:
+    """One element of each long-text and 64-bit VR (UC, UR, UT, SV, UV)."""
+    return [
+        element(0x0008, 0x0119, "UC", b"LONG CODE VALUE"),
+        element(0x0008, 0x0120, "UR", b"http://example.org/code"),
+        element(0x0040, 0xA160, "UT", b"free text " * 20),
+        element(0x0029, 0x1001, "SV", struct.pack("<q", -5)),
+        element(0x0029, 0x1002, "UV", struct.pack("<Q", 5)),
+    ]
+
+
+def nested_sequences() -> bytes:
+    """Two levels of undefined-length sequences in undefined-length items,
+    with elements after the inner sequence and a defined-length item last."""
+    inner = undefined_length_value(0x0040, 0xA730, "SQ", [
+        item(element(0x0040, 0xA040, "CS", b"TEXT"), undefined_length=True),
+        item(element(0x0040, 0xA160, "UT", b"inner")),
+    ])
+    outer_item = inner + element(0x0008, 0x0100, "SH", b"T-A0100")
+    return undefined_length_value(0x0040, 0xA730, "SQ", [
+        item(outer_item, undefined_length=True),
+        item(element(0x0008, 0x0104, "LO", b"second item")),
+    ])
+
+
+def defined_item_holding_delimiter_bytes() -> bytes:
+    """An undefined-length SQ whose defined-length item carries the bytes of
+    a sequence delimiter inside an OB value."""
+    fake = struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
+    return undefined_sequence(
+        0x0008, 0x1140, element(0x0009, 0x1010, "OB", fake * 2)
+    )
+
+
+def undefined_length_un() -> bytes:
+    """An undefined-length UN: implicit-VR items, one with a nested
+    undefined-length sequence, as PS3.5 6.2.2 encodes them."""
+    nested = (
+        struct.pack("<HHI", 0x0040, 0xA730, 0xFFFFFFFF)
+        + item(implicit_element(0x0040, 0xA040, b"TEXT"), undefined_length=True)
+        + struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
+    )
+    return undefined_length_value(0x0029, 0x1020, "UN", [
+        item(implicit_element(0x0029, 0x0010, b"PRIVATE ") + nested,
+             undefined_length=True),
+        item(implicit_element(0x0029, 0x1030, b"1.5 ")),
+    ])
+
+
+def encapsulated_pixel_data() -> bytes:
+    """Undefined-length OB pixel data: empty offset table, two fragments."""
+    return undefined_length_value(0x7FE0, 0x0010, "OB", [
+        item(b""), item(b"\xff\xd8" * 8), item(b"\x01\x02\x03\x04"),
+    ])
 
 
 def dicom_file(
@@ -287,6 +367,42 @@ def round_trip_cases() -> list:
         expected(),
     )
     add(
+        "long_text_vrs_before_timings",
+        dicom_file(long_text_elements() + scan_elements()),
+        expected(),
+    )
+    add(
+        "nested_undefined_length_sequences",
+        dicom_file([nested_sequences()] + scan_elements()),
+        expected(),
+    )
+    add(
+        "defined_item_holding_delimiter_bytes",
+        dicom_file([defined_item_holding_delimiter_bytes()] + scan_elements()),
+        expected(),
+    )
+    add(
+        "undefined_length_un_with_implicit_items",
+        dicom_file([undefined_length_un()] + scan_elements()),
+        expected(),
+    )
+    add(
+        "undefined_length_un_inside_sequence",
+        dicom_file(
+            [undefined_length_value(0x0008, 0x1140, "SQ", [
+                item(undefined_length_un() + element(0x0008, 0x1150, "UI", b"1.2"),
+                     undefined_length=True),
+            ])]
+            + scan_elements()
+        ),
+        expected(),
+    )
+    add(
+        "encapsulated_pixel_data_skipped",
+        dicom_file(scan_elements(extra=(encapsulated_pixel_data(),))),
+        expected(),
+    )
+    add(
         "latin1_strings",
         dicom_file(scan_elements(series=b"s\xe9rie sagittale")),
         expected(series_description="S\xc9RIE SAGITTALE"),
@@ -321,6 +437,17 @@ def error_cases() -> list:
              [undefined_sequence(0x0008, 0x1140, b"")[:-4]]
          ),
          "TruncatedElement"),
+        ("unterminated_nested_sequence",
+         dicom_file([nested_sequences()[:-8]] + scan_elements()),
+         "TruncatedElement"),
+        ("bad_vr_inside_item",
+         dicom_file(
+             [undefined_length_value(0x0008, 0x1140, "SQ", [
+                 item(b"\x08\x00\x50\x11x1\x00\x00", undefined_length=True)
+             ])]
+             + scan_elements()
+         ),
+         "UnsupportedTransferSyntax"),
         ("implicit_vr_body",
          b"\x00" * 128 + b"DICM" + struct.pack("<HHI", 0x0008, 0x0070, 8)
          + b"SIEMENS ",

@@ -4,6 +4,9 @@ Fixture bytes come from dicom_fixtures, which encodes elements with
 struct.pack independently of the code under test.
 """
 
+import itertools
+import struct
+
 import pytest
 
 import dicom_fixtures as fx
@@ -61,14 +64,30 @@ def test_truncation_never_escapes_typed_errors():
     A cut landing exactly on an element boundary after TE/TR leaves a
     shorter but complete dataset, which parses; every other cut must raise
     one of the parser's typed errors, never IndexError or struct.error.
+    Besides the plain scan, the files lead with the long text VRs, a
+    two-level nested sequence, or a defined-length item inside an
+    undefined-length sequence; a cut inside a leading element is always a
+    truncated element.
     """
-    good = fx.dicom_file(fx.scan_elements())
-    for cut in range(len(good)):
-        try:
-            parse_dicom_tags(good[:cut])
-        except (MissingMagic, TruncatedElement, MissingRequiredTag,
-                MalformedNumeric, UnsupportedTransferSyntax):
-            continue
+    start = len(fx.dicom_file([]))
+    for lead in (
+        [],
+        fx.long_text_elements(),
+        [fx.nested_sequences()],
+        [fx.defined_item_holding_delimiter_bytes()],
+    ):
+        ends = {start + n for n in itertools.accumulate(map(len, lead))}
+        stop = max(ends, default=start)
+        good = fx.dicom_file(lead + fx.scan_elements())
+        for cut in range(len(good)):
+            try:
+                parse_dicom_tags(good[:cut])
+            except (MissingMagic, TruncatedElement, MissingRequiredTag,
+                    MalformedNumeric, UnsupportedTransferSyntax) as exc:
+                if start < cut < stop and cut not in ends:
+                    assert isinstance(exc, TruncatedElement), (cut, exc)
+                continue
+            assert cut > stop, cut
 
 
 class TestIterElements:
@@ -100,6 +119,41 @@ class TestIterElements:
         assert (0x0008, 0x1140) in tags
         assert (0x0008, 0x1150) not in tags
         assert tags[-1] == (0x0018, 0x0081)
+
+    @pytest.mark.parametrize("vr", ["UC", "UR", "UT", "SV", "UV"])
+    def test_long_text_and_64_bit_vrs_use_four_byte_length(self, vr):
+        payload = b"ab" * 40000  # longer than a 2-byte length can declare
+        data = fx.dicom_file([
+            fx.element(0x0029, 0x1001, vr, payload),
+            fx.element(0x0018, 0x0081, "DS", b"90"),
+        ])
+        got = [(g, e, v, value) for g, e, v, value in iter_elements(data)]
+        assert got[1:] == [
+            (0x0029, 0x1001, vr, payload), (0x0018, 0x0081, "DS", b"90"),
+        ]
+
+    @pytest.mark.parametrize("value", [
+        fx.nested_sequences(), fx.undefined_length_un(),
+        fx.encapsulated_pixel_data(),
+    ], ids=["nested_sq", "undefined_un", "pixel_fragments"])
+    def test_undefined_length_value_skipped_whole(self, value):
+        data = fx.dicom_file([value, fx.element(0x0018, 0x0081, "DS", b"90")])
+        got = [(g, e, value) for g, e, _, value in iter_elements(data)]
+        group, elem = struct.unpack_from("<HH", value)
+        assert got[1:] == [(group, elem, b""), (0x0018, 0x0081, b"90")]
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 5000
+        opener = fx.undefined_length_value(0x0040, 0xA730, "SQ", [])[:12]
+        item_open = struct.pack("<HHI", 0xFFFE, 0xE000, 0xFFFFFFFF)
+        item_close = struct.pack("<HHI", 0xFFFE, 0xE00D, 0)
+        seq_close = struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
+        nest = (opener + item_open) * depth + (item_close + seq_close) * depth
+        data = fx.dicom_file([nest, fx.element(0x0018, 0x0081, "DS", b"90")])
+        tags = [(g, e) for g, e, _, _ in iter_elements(data)]
+        assert tags[1:] == [(0x0040, 0xA730), (0x0018, 0x0081)]
+        with pytest.raises(TruncatedElement):
+            list(iter_elements(fx.dicom_file([nest[:-8]])))
 
     def test_lowercase_vr_rejected(self):
         data = fx.dicom_file([b"\x08\x00\x70\x00lo\x07\x00SIEMENS "])

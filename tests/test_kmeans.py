@@ -1,15 +1,97 @@
-"""Lloyd iteration tests: inertia descent, exact toy solutions, determinism."""
+"""Lloyd iteration tests: inertia descent, exact toy solutions, determinism,
+and bit identity with the plain Lloyd loop."""
 
 import numpy as np
 import pytest
 
+from mrcontrast import kmeans
 from mrcontrast.errors import NonFiniteInput, TooFewDistinctPoints
-from mrcontrast.kmeans import fit_kmeans
+from mrcontrast.kmeans import CONVERGENCE_TOL, MAX_ITER, _sq_dists, fit_kmeans
 
 
 def brute_force_inertia(points, centroids):
     d = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return float(d.min(axis=1).sum())
+
+
+def reference_lloyd(points, n_clusters, seed):
+    """The plain Lloyd loop: every distance and every mean recomputed each
+    iteration. fit_kmeans must reproduce it bit for bit. Also returns how
+    many empty clusters were refilled."""
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = kmeans._seed_centroids(points, n_clusters, rng)
+    history, n_iter, refills = [], 0, 0
+    for iteration in range(MAX_ITER):
+        d2 = _sq_dists(points, centroids)
+        assign = np.argmin(d2, axis=1)
+        point_cost = d2[np.arange(points.shape[0]), assign]
+        counts = np.bincount(assign, minlength=n_clusters)
+        for empty in np.flatnonzero(counts == 0):
+            far = int(np.argmax(point_cost))
+            centroids[empty] = points[far]
+            assign[far] = empty
+            point_cost[far] = 0.0
+            counts = np.bincount(assign, minlength=n_clusters)
+            refills += 1
+        history.append(float(point_cost.sum()))
+        n_iter = iteration + 1
+        new_centroids = np.empty_like(centroids)
+        for j in range(n_clusters):
+            new_centroids[j] = points[assign == j].mean(axis=0)
+        movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if movement < CONVERGENCE_TOL:
+            break
+    return centroids, history, n_iter, refills
+
+
+def assert_matches_reference(points, n_clusters, seed):
+    """fit_kmeans equals reference_lloyd bitwise; returns the refill count."""
+    centroids, history, n_iter, refills = reference_lloyd(points, n_clusters, seed)
+    model = fit_kmeans(points, n_clusters, seed)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert [h.hex() for h in model.inertia_history] == [h.hex() for h in history]
+    assert model.n_iter == n_iter
+    return refills
+
+
+class TestMatchesPlainLloyd:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bitwise_equal_over_seeds_and_shapes(self, d):
+        rng = np.random.default_rng(100 + d)
+        for trial in range(8):
+            n = int(rng.integers(20, 400))
+            # rounding repeats rows, so distance ties and large clusters occur
+            points = np.round(rng.normal(size=(n, d)) * rng.choice([1.0, 30.0]), 1)
+            distinct = np.unique(points, axis=0).shape[0]
+            for k in (1, 2, min(7, distinct), min(40, distinct), distinct):
+                assert_matches_reference(points, k, seed=trial)
+
+    def test_bitwise_equal_on_clustered_timings(self):
+        # TE/TR/TI-like features after min-max scaling, as build-labels fits
+        rng = np.random.default_rng(11)
+        centres = rng.random((25, 4))
+        points = centres[rng.integers(0, 25, 3000)] + rng.normal(scale=0.01, size=(3000, 4))
+        for seed in range(3):
+            assert_matches_reference(points, 40, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bitwise_equal_when_clusters_are_refilled(self, d, monkeypatch):
+        # k-means++ never seeds two centroids on one point; forcing repeats
+        # leaves every later copy without points, so the refill runs, and the
+        # refilled columns must be recomputed
+        monkeypatch.setattr(
+            kmeans, "_seed_centroids",
+            lambda points, k, rng: points[rng.integers(0, 3, k)].copy(),
+        )
+        rng = np.random.default_rng(200 + d)
+        refills = 0
+        for trial in range(6):
+            points = rng.normal(size=(int(rng.integers(30, 300)), d))
+            for k in (2, 5, 12):
+                refills += assert_matches_reference(points, k, seed=trial)
+        assert refills > 0
 
 
 class TestInertia:

@@ -11,7 +11,7 @@ from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
 from .loss import ContrastiveBatch, ShardPlan, sharded_loss, supcon_bidirectional
 from .model import DualEncoder, ModelConfig
 from .prompts import PromptConfig, render_prompt, tokenize
-from .records import MetadataRecord, make_record, parse_manifest_line
+from .records import MetadataRecord, parse_manifest_line
 from .synth import SynthConfig, default_protocols, generate_dataset
 from .train import RunConfig, train_model
 
@@ -33,7 +33,6 @@ __all__ = [
     "render_prompt",
     "tokenize",
     "MetadataRecord",
-    "make_record",
     "parse_manifest_line",
     "SynthConfig",
     "default_protocols",

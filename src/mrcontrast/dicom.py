@@ -21,7 +21,7 @@ from .errors import (
     TruncatedElement,
     UnsupportedTransferSyntax,
 )
-from .records import MetadataRecord, make_record
+from .records import MetadataRecord
 
 PREAMBLE_LEN = 128
 MAGIC = b"DICM"
@@ -237,7 +237,7 @@ def parse_dicom_tags(data: bytes, source_id: str = "") -> MetadataRecord:
         if thick is not None:
             spacing = (pix[0], pix[1], thick)
 
-    return make_record(
+    return MetadataRecord(
         source_id,
         manufacturer=_decode_string(found.get(TAG_MANUFACTURER, b"")),
         scanner_model=_decode_string(found.get(TAG_MODEL, b"")),

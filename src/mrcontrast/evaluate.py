@@ -7,7 +7,7 @@ deterministic (ascending label id) to keep reports reproducible bit for bit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -353,18 +353,7 @@ class EvalReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "recalls": self.recalls,
-            "probe_accuracy": self.probe_accuracy,
-            "per_tag_error": self.per_tag_error,
-            "te_bin_mae": self.te_bin_mae,
-            "tr_bin_mae": self.tr_bin_mae,
-            "te_mae_ms": self.te_mae_ms,
-            "tr_mae_ms": self.tr_mae_ms,
-            "config_hash": self.config_hash,
-            "probe": self.probe,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 def _recall_dict(r: dict[int, float]) -> dict[str, float]:

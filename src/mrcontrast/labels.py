@@ -21,10 +21,12 @@ from .errors import (
     EmptyDataset,
     IncompatibleRanges,
     LabelDecodeFailure,
+    MalformedNumeric,
     NonFiniteInput,
 )
 from .kmeans import KMeansModel, fit_kmeans
 from .records import MetadataRecord, Plane, plane_for_record
+from .rules import positive_int
 
 # Canonical field order for label keys. Configs may drop fields but never
 # reorder them. series_description is deliberately not groupable.
@@ -44,6 +46,7 @@ CATEGORICAL_FIELDS = FIELD_ORDER[:7]
 BIN_FIELDS = FIELD_ORDER[7:]
 
 DEFAULT_TI_EDGES = (400.0, 1000.0, 3000.0)
+LABEL_FILE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -327,7 +330,7 @@ class LabelSpace:
 
     def to_json_dict(self) -> dict:
         out: dict = {
-            "version": 1,
+            "version": LABEL_FILE_VERSION,
             "config": {
                 "grid": {
                     "te_lo": self.config.grid.te_lo,
@@ -370,11 +373,18 @@ class LabelSpace:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        """Inverse of `to_json_dict`; a missing or wrongly typed entry, a
-        ``rep`` that is not (finite TE, finite TR, finite TI or null), or a
-        k-means block whose arrays are misshapen, non-finite or have a
-        non-positive range, raises LabelDecodeFailure."""
+        """Inverse of `to_json_dict`; a version other than 1, a missing or
+        wrongly typed entry, a count that is not an int of at least 1, a
+        ``rep`` that is not [TE, TR, TI or null], timings or key values that
+        break a `MetadataRecord` rule, or a k-means block whose arrays are
+        misshapen, non-finite or have a non-positive range, raises
+        LabelDecodeFailure."""
         try:
+            version = obj["version"]
+            if type(version) is not int or version != LABEL_FILE_VERSION:
+                raise LabelDecodeFailure(
+                    f"label file version must be {LABEL_FILE_VERSION}, got {version!r}"
+                )
             cfg = obj["config"]
             config = LabelConfig(
                 grid=GridSpec(**cfg["grid"]),
@@ -408,7 +418,8 @@ class LabelSpace:
                     )
                 grouper = KMeansGrouper(mins, ranges, KMeansModel(centroids))
             keys_with_counts = {
-                tuple(lab["key"]): lab["count"] for lab in obj["labels"]
+                tuple(lab["key"]): positive_int(lab["count"], "count", LabelDecodeFailure)
+                for lab in obj["labels"]
             }
             reps_by_key = {
                 tuple(lab["key"]): _decode_rep(lab["rep"]) for lab in obj["labels"]
@@ -417,7 +428,7 @@ class LabelSpace:
             ids_in_order = all(
                 space._key_to_id[tuple(lab["key"])] == lab["id"] for lab in obj["labels"]
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, MalformedNumeric) as exc:
             raise LabelDecodeFailure(f"malformed label space: {exc!r}") from exc
         if not ids_in_order:
             raise LabelDecodeFailure("label ids do not match sorted order")
@@ -425,19 +436,21 @@ class LabelSpace:
 
 
 def _decode_rep(raw) -> tuple:
-    """A label file's ``rep`` as (te, tr, ti): TE and TR finite numbers, TI a
-    finite number or null."""
+    """A label file's ``rep`` as (te, tr, ti): TE and TR numbers, TI a number
+    or null; their ranges are the record's rules, which the label's canonical
+    text applies."""
     if not (isinstance(raw, list) and len(raw) == 3):
         raise LabelDecodeFailure(f"rep must be [te, tr, ti], got {raw!r}")
     timings = raw[:2] if raw[2] is None else raw
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in timings):
-        raise LabelDecodeFailure(f"rep timings must be finite numbers, got {raw!r}")
+    if not all(type(v) in (int, float) for v in timings):
+        raise LabelDecodeFailure(f"rep timings must be numbers, got {raw!r}")
     return tuple(raw)
 
 
 def representative_record(key: tuple, config: LabelConfig, rep: tuple) -> MetadataRecord:
     """A record that reproduces the label key, with the observed member
-    timings ``rep`` = (te, tr, ti or None)."""
+    timings ``rep`` = (te, tr, ti or None); values that break a record rule
+    raise MalformedNumeric."""
     values = dict(zip(config.key_fields, key))
     te, tr, ti = rep
     plane = Plane[values["plane"]] if "plane" in values else Plane.AXIAL
@@ -452,11 +465,11 @@ def representative_record(key: tuple, config: LabelConfig, rep: tuple) -> Metada
         scanner_model=str(values.get("scanner_model", "")),
         sequence_type=str(values.get("sequence_type", "")),
         sequence_variant=str(values.get("sequence_variant", "")),
-        field_strength_tesla=float(values.get("field_strength", 0.0)),
-        te_ms=float(te),
-        tr_ms=float(tr),
-        ti_ms=None if ti is None else float(ti),
-        flip_angle_deg=float(values.get("flip_angle", 0.0)),
+        field_strength_tesla=values.get("field_strength", 0.0),
+        te_ms=te,
+        tr_ms=tr,
+        ti_ms=ti,
+        flip_angle_deg=values.get("flip_angle", 0.0),
         voxel_spacing_mm=spacing,
     )
 

@@ -44,9 +44,6 @@ class ModelConfig:
     def __post_init__(self) -> None:
         check_fields(self, MODEL_RULES)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def parameter_layout(c: ModelConfig) -> list[tuple[str, tuple[int, ...], bool]]:
     """(name, shape, weight-decay eligible) of each parameter in draw and

@@ -188,9 +188,6 @@ class PromptBank:
         real = ids >= 0
         return TokenBatch(ids[real], real.sum(axis=(1, 2)))
 
-    def tokens_full(self, index: int) -> tuple[int, ...]:
-        return tuple(self.tokens([index]).flat.tolist())
-
     def tokens_with_dropout(self, index: int, uniforms) -> tuple[int, ...]:
         """One row of `tokens` with dropout drawn from `uniforms`."""
         return tuple(self.tokens([index], uniforms).flat.tolist())

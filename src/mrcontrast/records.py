@@ -49,7 +49,18 @@ def canonical_string(value: str, name: str = "value") -> str:
 
 @dataclass(frozen=True)
 class MetadataRecord:
-    """One acquisition's metadata in canonical form."""
+    """One acquisition's metadata, validated and put in canonical form on
+    construction (strings trimmed and uppercased, numbers as floats, spacing
+    as a 3-tuple of floats), so equal records mean equal acquisitions.
+
+    Raises:
+        MalformedJson: a text field (manufacturer, scanner model, series
+            description, sequence type or variant) is not a string.
+        MalformedNumeric: a numeric field is non-finite or out of domain
+            (te/tr < 0, ti <= 0, field strength < 0, flip angle outside
+            [0, 360)), or num_slices is not an int of at least 1.
+        NonPositiveSpacing: voxel spacing has a non-positive component.
+    """
 
     source_id: str
     manufacturer: str = ""
@@ -65,27 +76,55 @@ class MetadataRecord:
     voxel_spacing_mm: Optional[tuple[float, float, float]] = None
     num_slices: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        te = _check_finite("te_ms", self.te_ms)
+        tr = _check_finite("tr_ms", self.tr_ms)
+        if te < 0 or tr < 0:
+            raise MalformedNumeric(f"te_ms/tr_ms must be >= 0, got {te}, {tr}")
+        fs = _check_finite("field_strength_tesla", self.field_strength_tesla)
+        if fs < 0:
+            raise MalformedNumeric(f"field_strength_tesla must be >= 0, got {fs}")
+        fa = _check_finite("flip_angle_deg", self.flip_angle_deg)
+        if not (0.0 <= fa < 360.0):
+            raise MalformedNumeric(f"flip_angle_deg must be in [0, 360), got {fa}")
+        ti = self.ti_ms
+        if ti is not None:
+            ti = _check_finite("ti_ms", ti)
+            if ti <= 0:
+                # an inversion pulse at TI=0 is meaningless; absence means no pulse
+                raise MalformedNumeric(f"ti_ms must be > 0 when present, got {ti}")
+        spacing = self.voxel_spacing_mm
+        if spacing is not None:
+            spacing = tuple(_check_finite("voxel_spacing_mm", v) for v in spacing)
+            if len(spacing) != 3:
+                raise MalformedNumeric(
+                    f"voxel_spacing_mm needs 3 components, got {len(spacing)}"
+                )
+            if any(v <= 0 for v in spacing):
+                raise NonPositiveSpacing(f"voxel spacing must be > 0, got {list(spacing)}")
+        if self.num_slices is not None:
+            positive_int(self.num_slices, "num_slices", MalformedNumeric)
+        set_ = object.__setattr__  # the class is frozen
+        set_(self, "source_id", str(self.source_id))
+        set_(self, "manufacturer", canonical_string(self.manufacturer, "manufacturer"))
+        set_(self, "scanner_model", canonical_string(self.scanner_model, "scanner_model"))
+        if self.series_description is not None:
+            set_(self, "series_description",
+                 canonical_string(self.series_description, "series_description"))
+        set_(self, "sequence_type", canonical_string(self.sequence_type, "sequence_type"))
+        set_(self, "sequence_variant", canonical_string(self.sequence_variant, "sequence_variant"))
+        set_(self, "field_strength_tesla", fs)
+        set_(self, "te_ms", te)
+        set_(self, "tr_ms", tr)
+        set_(self, "ti_ms", ti)
+        set_(self, "flip_angle_deg", fa)
+        set_(self, "voxel_spacing_mm", spacing)
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dict; optional fields are omitted when absent."""
-        out: dict[str, Any] = {
-            "source_id": self.source_id,
-            "manufacturer": self.manufacturer,
-            "scanner_model": self.scanner_model,
-            "sequence_type": self.sequence_type,
-            "sequence_variant": self.sequence_variant,
-            "field_strength_tesla": self.field_strength_tesla,
-            "te_ms": self.te_ms,
-            "tr_ms": self.tr_ms,
-            "flip_angle_deg": self.flip_angle_deg,
-        }
-        if self.series_description is not None:
-            out["series_description"] = self.series_description
-        if self.ti_ms is not None:
-            out["ti_ms"] = self.ti_ms
+        out = {k: v for k in _RECORD_FIELDS if (v := getattr(self, k)) is not None}
         if self.voxel_spacing_mm is not None:
             out["voxel_spacing_mm"] = list(self.voxel_spacing_mm)
-        if self.num_slices is not None:
-            out["num_slices"] = self.num_slices
         return out
 
 
@@ -99,84 +138,7 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def make_record(
-    source_id: str,
-    *,
-    manufacturer: str = "",
-    scanner_model: str = "",
-    series_description: Optional[str] = None,
-    sequence_type: str = "",
-    sequence_variant: str = "",
-    field_strength_tesla: float = 0.0,
-    te_ms: float = 0.0,
-    tr_ms: float = 0.0,
-    ti_ms: Optional[float] = None,
-    flip_angle_deg: float = 0.0,
-    voxel_spacing_mm: Optional[Sequence[float]] = None,
-    num_slices: Optional[int] = None,
-) -> MetadataRecord:
-    """Validate raw field values and return a canonical record.
-
-    Raises:
-        MalformedJson: a text field (manufacturer, scanner model, series
-            description, sequence type or variant) is not a string.
-        MalformedNumeric: a numeric field is non-finite or out of domain
-            (te/tr < 0, ti <= 0, field strength < 0, flip angle outside
-            [0, 360)), or num_slices is not an int of at least 1.
-        NonPositiveSpacing: voxel spacing has a non-positive component.
-    """
-    te = _check_finite("te_ms", te_ms)
-    tr = _check_finite("tr_ms", tr_ms)
-    if te < 0 or tr < 0:
-        raise MalformedNumeric(f"te_ms/tr_ms must be >= 0, got {te}, {tr}")
-    fs = _check_finite("field_strength_tesla", field_strength_tesla)
-    if fs < 0:
-        raise MalformedNumeric(f"field_strength_tesla must be >= 0, got {fs}")
-    fa = _check_finite("flip_angle_deg", flip_angle_deg)
-    if not (0.0 <= fa < 360.0):
-        raise MalformedNumeric(f"flip_angle_deg must be in [0, 360), got {fa}")
-    ti: Optional[float] = None
-    if ti_ms is not None:
-        ti = _check_finite("ti_ms", ti_ms)
-        if ti <= 0:
-            # an inversion pulse at TI=0 is meaningless; absence means no pulse
-            raise MalformedNumeric(f"ti_ms must be > 0 when present, got {ti}")
-    spacing: Optional[tuple[float, float, float]] = None
-    if voxel_spacing_mm is not None:
-        vals = [
-            _check_finite("voxel_spacing_mm", v) for v in voxel_spacing_mm
-        ]
-        if len(vals) != 3:
-            raise MalformedNumeric(
-                f"voxel_spacing_mm needs 3 components, got {len(vals)}"
-            )
-        if any(v <= 0 for v in vals):
-            raise NonPositiveSpacing(f"voxel spacing must be > 0, got {vals}")
-        spacing = (vals[0], vals[1], vals[2])
-    if num_slices is not None:
-        positive_int(num_slices, "num_slices", MalformedNumeric)
-    return MetadataRecord(
-        source_id=str(source_id),
-        manufacturer=canonical_string(manufacturer, "manufacturer"),
-        scanner_model=canonical_string(scanner_model, "scanner_model"),
-        series_description=(
-            canonical_string(series_description, "series_description")
-            if series_description is not None
-            else None
-        ),
-        sequence_type=canonical_string(sequence_type, "sequence_type"),
-        sequence_variant=canonical_string(sequence_variant, "sequence_variant"),
-        field_strength_tesla=fs,
-        te_ms=te,
-        tr_ms=tr,
-        ti_ms=ti,
-        flip_angle_deg=fa,
-        voxel_spacing_mm=spacing,
-        num_slices=num_slices,
-    )
-
-
-_RECORD_FIELDS = frozenset(f.name for f in fields(MetadataRecord))
+_RECORD_FIELDS = dict.fromkeys(f.name for f in fields(MetadataRecord))  # ordered, O(1) `in`
 
 
 def manifest_lines(path) -> Iterator[tuple[int, bytes]]:
@@ -208,18 +170,15 @@ def record_from_dict(obj: Any) -> MetadataRecord:
 
     Unknown keys are ignored so feature-bearing dataset files remain valid
     manifests. Raises MalformedJson when the value is not a JSON object or
-    lacks source_id/te_ms/tr_ms; numeric validation errors propagate from
-    make_record.
+    lacks source_id/te_ms/tr_ms; the record's own validation errors propagate.
     """
     if not isinstance(obj, dict):
         raise MalformedJson("manifest line must be a JSON object")
     for required in ("source_id", "te_ms", "tr_ms"):
         if obj.get(required) is None:
             raise MalformedJson(f"manifest line lacks required field {required}")
-    kwargs = {k: v for k, v in obj.items() if k in _RECORD_FIELDS}
-    source_id = kwargs.pop("source_id")
     try:
-        return make_record(source_id, **kwargs)
+        return MetadataRecord(**{k: v for k, v in obj.items() if k in _RECORD_FIELDS})
     except TypeError as exc:
         raise MalformedJson(f"bad field type: {exc}") from exc
 

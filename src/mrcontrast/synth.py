@@ -22,7 +22,6 @@ from .errors import EmptyProtocolList, MalformedFeatures, NonFiniteInput
 from .records import (
     MetadataRecord,
     decode_manifest_line,
-    make_record,
     manifest_lines,
     plane_for_record,
     record_from_dict,
@@ -229,7 +228,7 @@ def default_protocols(
                     for fs in field_strengths:
                         for ti in INVERSION_TIMES_MS:
                             protocols.append(
-                                make_record(
+                                MetadataRecord(
                                     "protocol",
                                     manufacturer=mfr,
                                     scanner_model=model,

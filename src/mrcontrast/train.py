@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,13 +60,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         check_fields(self, RUN_RULES)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def config_hash(run: RunConfig, label_space_hash: str) -> str:
     blob = json.dumps(
-        {"run": run.to_dict(), "label_space": label_space_hash}, sort_keys=True
+        {"run": asdict(run), "label_space": label_space_hash}, sort_keys=True
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -230,8 +227,8 @@ def checkpoint_bytes(
     manifest = [[name, list(p.data.shape)] for name, p, _ in params]
     header = {
         "version": CHECKPOINT_VERSION,
-        "run": run.to_dict(),
-        "model": state.model.config.to_dict(),
+        "run": asdict(run),
+        "model": asdict(state.model.config),
         "epochs_done": state.epochs_done,
         "rng_state": _rng_state_to_json(state.rng.bit_generator.state),
         "label_space_hash": label_space_hash,

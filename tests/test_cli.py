@@ -14,8 +14,8 @@ import pytest
 import dicom_fixtures
 from mrcontrast import cli, evaluate, synth, train
 from mrcontrast.cli import main
-from mrcontrast.errors import BadCheckpoint
-from mrcontrast.records import make_record, parse_manifest_line
+from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
+from mrcontrast.records import MetadataRecord, parse_manifest_line
 from mrcontrast.train import RunConfig
 from test_train import rewrite_header
 
@@ -271,7 +271,7 @@ class TestIngest:
             dicom_fixtures.dicom_file(dicom_fixtures.scan_elements())
         )
         (src / "b_garbage.dcm").write_bytes(b"this is not imaging data")
-        record = make_record(
+        record = MetadataRecord(
             "manual-1", manufacturer="GE", scanner_model="SIGNA",
             sequence_type="SE", sequence_variant="SK",
             field_strength_tesla=3.0, te_ms=30.0, tr_ms=2000.0,
@@ -599,7 +599,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["ingest", "build-labels"])
     def test_non_utf8_manifest_line_is_data_error(self, tmp_path, capsys, command):
         manifest = tmp_path / "manifest.jsonl"
-        good = make_record("m-1", te_ms=30.0, tr_ms=2000.0).to_dict()
+        good = MetadataRecord("m-1", te_ms=30.0, tr_ms=2000.0).to_dict()
         manifest.write_bytes(json.dumps(good).encode() + b'\n{"source_id": "\xff"}\n')
         args = [str(manifest)] if command == "ingest" else ["--dataset", str(manifest)]
         assert main([command] + args + ["--out", str(tmp_path / "out")]) == 2
@@ -633,6 +633,37 @@ class TestExitCodes:
         ] + TRAIN_FLAGS)
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda o: o["labels"][0].update(rep=[-5.0, 1200.0, None]), "te_ms/tr_ms must be >= 0"),
+            (lambda o: o["labels"][0].update(rep=[30.0, 1200.0, 0.0]), "ti_ms must be > 0"),
+            (lambda o: o.update(version=99), "version must be 1"),
+            (lambda o: o["labels"][0].update(count="x"), "count must be an int"),
+        ],
+        ids=["rep-negative-te", "rep-zero-ti", "version-99", "count-string"],
+    )
+    def test_label_file_breaking_a_rule_writes_nothing(
+        self, pipeline, tmp_path, capsys, command, edit, message
+    ):
+        obj = json.loads(open(pipeline["labels"]).read())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        with pytest.raises(LabelDecodeFailure, match=message):
+            cli._load_space(str(bad))
+        outputs = [tmp_path / "out.ckpt", tmp_path / "out.log"]
+        args = ["--dataset", pipeline["data"], "--labels", str(bad)]
+        if command == "train":
+            args += ["--checkpoint", str(outputs[0]), "--log", str(outputs[1])] + TRAIN_FLAGS
+        else:
+            args += ["--checkpoint", pipeline["ckpt"], "--out", str(outputs[0])]
+        assert main([command] + args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not any(p.exists() for p in outputs)
 
     def test_non_finite_training_is_numerical_error(self, pipeline, tmp_path):
         poisoned = tmp_path / "poisoned.jsonl"

@@ -30,7 +30,7 @@ from mrcontrast.evaluate import (
     text_to_image_recall,
 )
 from mrcontrast.labels import GridSpec, LabelConfig, build_label_space
-from mrcontrast.records import make_record
+from mrcontrast.records import MetadataRecord
 from mrcontrast.train import dataset_arrays
 
 
@@ -521,7 +521,7 @@ class TestLinearProbe:
 class TestPerTagError:
     def space(self):
         def rec(te, tr, manufacturer="SIEMENS", model="AVANTO"):
-            return make_record(
+            return MetadataRecord(
                 "r", manufacturer=manufacturer, scanner_model=model,
                 sequence_type="SE", sequence_variant="SK",
                 field_strength_tesla=1.5, te_ms=te, tr_ms=tr,

@@ -25,7 +25,7 @@ from mrcontrast.labels import (
     median_rep,
     quantize_te_tr,
 )
-from mrcontrast.records import make_record
+from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 
 
@@ -36,7 +36,7 @@ def rec(te, tr, ti=None, **kw):
         field_strength_tesla=1.5, flip_angle_deg=90.0,
     )
     base.update(kw)
-    return make_record("r", te_ms=te, tr_ms=tr, ti_ms=ti, **base)
+    return MetadataRecord("r", te_ms=te, tr_ms=tr, ti_ms=ti, **base)
 
 
 class TestGridSpec:
@@ -308,6 +308,13 @@ class TestLabelSpace:
             lambda o: o["labels"][0].update(rep=[25.0, 1145.0]),
             lambda o: o["labels"][0].update(rep=[25.0, 1e999, None]),
             lambda o: o["labels"][0].update(rep=[25.0, 1145.0, float("nan")]),
+            lambda o: o["labels"][0].update(rep=[-5.0, 1145.0, None]),
+            lambda o: o["labels"][0].update(rep=[25.0, 1145.0, 0.0]),
+            lambda o: o["labels"][-1]["key"].__setitem__(6, 400.0),
+            lambda o: o.update(version=99),
+            lambda o: o.pop("version"),
+            lambda o: o["labels"][0].update(count="x"),
+            lambda o: o["labels"][0].update(count=0),
             lambda o: o["labels"][0].pop("id"),
             lambda o: with_kmeans(o, centroids=[[0.5, 0.5, 0.0]]),
             lambda o: with_kmeans(o, centroids=[]),
@@ -322,7 +329,9 @@ class TestLabelSpace:
             "no-config", "no-labels", "no-grid", "grid-type", "unknown-field",
             "kmeans-without-centroids", "labels-not-objects", "no-key",
             "unhashable-key", "rep-type", "no-rep", "null-rep", "rep-two-entries",
-            "rep-overflow", "rep-nan-ti", "no-id", "centroid-columns",
+            "rep-overflow", "rep-nan-ti", "rep-negative-te", "rep-zero-ti",
+            "key-flip-angle", "version-99", "no-version", "count-string",
+            "count-zero", "no-id", "centroid-columns",
             "no-centroids", "centroids-1d", "mins-shape", "ranges-shape",
             "zero-range", "nan-min", "inf-centroid",
         ],

@@ -17,7 +17,7 @@ from mrcontrast.prompts import (
     render_prompt,
     tokenize,
 )
-from mrcontrast.records import make_record
+from mrcontrast.records import MetadataRecord
 
 
 def full_record(**kw):
@@ -29,7 +29,7 @@ def full_record(**kw):
         voxel_spacing_mm=(1.0, 1.0, 5.0),
     )
     base.update(kw)
-    return make_record("r", **base)
+    return MetadataRecord("r", **base)
 
 
 def reference_token(word: str) -> int:
@@ -164,7 +164,7 @@ class TestPromptBank:
         )
         for i, record in enumerate(self.records()):
             want = tuple(tokenize(render_prompt(record, rendered).text))
-            assert bank.tokens_full(i) == want
+            assert tuple(bank.tokens([i]).flat.tolist()) == want
 
     def test_each_distinct_clause_text_is_tokenized_once(self, monkeypatch):
         calls = []
@@ -182,7 +182,7 @@ class TestPromptBank:
         assert sorted(calls) == sorted(distinct)
         for i, record in enumerate(records):
             want = tuple(tokenize(render_prompt(record, PromptConfig()).text))
-            assert bank.tokens_full(i) == want
+            assert tuple(bank.tokens([i]).flat.tolist()) == want
 
     def test_dropout_uniforms_control_clauses(self):
         config = PromptConfig(dropout=0.5)
@@ -190,7 +190,7 @@ class TestPromptBank:
         n = bank.n_droppable(0)
         assert n > 0
         keep_all = bank.tokens_with_dropout(0, np.ones(n))
-        assert keep_all == bank.tokens_full(0)
+        assert keep_all == tuple(bank.tokens([0]).flat.tolist())
         drop_all = bank.tokens_with_dropout(0, np.zeros(n))
         assert len(drop_all) < len(keep_all)
 
@@ -198,7 +198,7 @@ class TestPromptBank:
         config = PromptConfig(dropout=0.5)
         bank = PromptBank(self.records(), config)
         rng = np.random.default_rng(0)
-        full = bank.tokens_full(0)
+        full = tuple(bank.tokens([0]).flat.tolist())
         for _ in range(20):
             sub = bank.tokens_with_dropout(0, rng.uniform(size=bank.n_droppable(0)))
             it = iter(full)
@@ -264,5 +264,5 @@ class TestPromptBank:
                        for r, a, b in zip(rows, sizes, sizes[1:])]
             assert batch.flat.tolist() == [t for ids in per_row for t in ids], config
             full = bank.tokens(rows)
-            assert full.flat.tolist() == [t for r in rows for t in bank.tokens_full(int(r))]
-            assert full.lengths.tolist() == [len(bank.tokens_full(int(r))) for r in rows]
+            assert full.flat.tolist() == [t for r in rows for t in bank.tokens([int(r)]).flat.tolist()]
+            assert full.lengths.tolist() == [bank.tokens([int(r)]).flat.size for r in rows]

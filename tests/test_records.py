@@ -1,6 +1,7 @@
 """Tests for metadata records: validation, manifests, plane inference."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,14 +15,13 @@ from mrcontrast.records import (
     Plane,
     canonical_string,
     infer_plane,
-    make_record,
     parse_manifest_line,
     plane_for_record,
 )
 
 
 def full_record() -> MetadataRecord:
-    return make_record(
+    return MetadataRecord(
         "scan001",
         manufacturer=" Siemens ",
         scanner_model="avanto",
@@ -48,6 +48,8 @@ class TestCanonicalString:
 
 
 class TestMakeRecord:
+    """`MetadataRecord` validates and canonicalizes its fields on construction."""
+
     def test_canonicalizes_strings(self):
         rec = full_record()
         assert rec.manufacturer == "SIEMENS"
@@ -57,7 +59,7 @@ class TestMakeRecord:
         assert rec.sequence_variant == "SK"
 
     def test_optional_fields_default_to_none(self):
-        rec = make_record("s", te_ms=10.0, tr_ms=100.0)
+        rec = MetadataRecord("s", te_ms=10.0, tr_ms=100.0)
         assert rec.series_description is None
         assert rec.ti_ms is None
         assert rec.voxel_spacing_mm is None
@@ -89,15 +91,15 @@ class TestMakeRecord:
     ])
     def test_domain_violations_raise(self, field, value):
         with pytest.raises(MalformedNumeric):
-            make_record("s", **{field: value})
+            MetadataRecord("s", **{field: value})
 
     def test_flip_angle_boundaries(self):
-        assert make_record("s", flip_angle_deg=0.0).flip_angle_deg == 0.0
-        assert make_record("s", flip_angle_deg=359.9).flip_angle_deg == 359.9
+        assert MetadataRecord("s", flip_angle_deg=0.0).flip_angle_deg == 0.0
+        assert MetadataRecord("s", flip_angle_deg=359.9).flip_angle_deg == 359.9
 
     def test_spacing_needs_three_components(self):
         with pytest.raises(MalformedNumeric):
-            make_record("s", voxel_spacing_mm=(1.0, 1.0))
+            MetadataRecord("s", voxel_spacing_mm=(1.0, 1.0))
 
     @pytest.mark.parametrize("spacing", [
         (0.0, 1.0, 1.0),
@@ -106,12 +108,47 @@ class TestMakeRecord:
     ])
     def test_nonpositive_spacing_raises(self, spacing):
         with pytest.raises(NonPositiveSpacing):
-            make_record("s", voxel_spacing_mm=spacing)
+            MetadataRecord("s", voxel_spacing_mm=spacing)
+
+    def test_numbers_and_spacing_are_stored_canonically(self):
+        rec = MetadataRecord(7, te_ms=10, tr_ms=100, voxel_spacing_mm=[1, 1, 5])
+        assert rec.source_id == "7"
+        assert type(rec.te_ms) is float and type(rec.tr_ms) is float
+        assert rec.voxel_spacing_mm == (1.0, 1.0, 5.0)
+        assert all(type(v) is float for v in rec.voxel_spacing_mm)
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("te_ms", -5.0, MalformedNumeric),
+        ("ti_ms", 0.0, MalformedNumeric),
+        ("voxel_spacing_mm", (1.0, 0.0, 1.0), NonPositiveSpacing),
+        ("manufacturer", 5, MalformedJson),
+    ])
+    def test_replace_validates_like_construction(self, field, value, error):
+        with pytest.raises(error):
+            replace(full_record(), **{field: value})
 
 
 class TestToDict:
+    def test_full_record(self):
+        assert full_record().to_dict() == {
+            "source_id": "scan001", "manufacturer": "SIEMENS",
+            "scanner_model": "AVANTO", "sequence_type": "SE",
+            "sequence_variant": "SK", "field_strength_tesla": 1.5,
+            "te_ms": 90.0, "tr_ms": 4000.0, "flip_angle_deg": 150.0,
+            "series_description": "T2_TSE", "ti_ms": 150.0,
+            "voxel_spacing_mm": [0.5, 0.5, 5.0], "num_slices": 24,
+        }
+
+    def test_minimal_record(self):
+        assert MetadataRecord("s", te_ms=10, tr_ms=100).to_dict() == {
+            "source_id": "s", "manufacturer": "", "scanner_model": "",
+            "sequence_type": "", "sequence_variant": "",
+            "field_strength_tesla": 0.0, "te_ms": 10.0, "tr_ms": 100.0,
+            "flip_angle_deg": 0.0,
+        }
+
     def test_absent_optionals_are_omitted(self):
-        d = make_record("s", te_ms=10.0, tr_ms=100.0).to_dict()
+        d = MetadataRecord("s", te_ms=10.0, tr_ms=100.0).to_dict()
         assert "ti_ms" not in d
         assert "series_description" not in d
         assert "voxel_spacing_mm" not in d
@@ -131,7 +168,7 @@ class TestManifestLines:
         assert again == rec
 
     def test_round_trip_without_optionals(self):
-        rec = make_record("s", te_ms=10.0, tr_ms=100.0)
+        rec = MetadataRecord("s", te_ms=10.0, tr_ms=100.0)
         assert parse_manifest_line(json.dumps(rec.to_dict())) == rec
 
     def test_unknown_keys_ignored(self):
@@ -193,11 +230,11 @@ class TestPlaneInference:
             infer_plane(spacing)
 
     def test_record_without_spacing_defaults_axial(self):
-        rec = make_record("s", te_ms=1.0, tr_ms=2.0)
+        rec = MetadataRecord("s", te_ms=1.0, tr_ms=2.0)
         assert plane_for_record(rec) is Plane.AXIAL
 
     def test_record_with_spacing_uses_it(self):
-        rec = make_record(
+        rec = MetadataRecord(
             "s", te_ms=1.0, tr_ms=2.0, voxel_spacing_mm=(6.0, 1.0, 1.0)
         )
         assert plane_for_record(rec) is Plane.SAGITTAL

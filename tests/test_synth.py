@@ -12,7 +12,7 @@ from mrcontrast.errors import (
     MalformedJson,
     NonFiniteInput,
 )
-from mrcontrast.records import make_record
+from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import (
     DEFAULT_TISSUES,
     SynthConfig,
@@ -34,7 +34,7 @@ def rec(te, tr, ti=None, fa=90.0, fs=1.5, **kw):
         sequence_variant="SK",
     )
     base.update(kw)
-    return make_record(
+    return MetadataRecord(
         "r", te_ms=te, tr_ms=tr, ti_ms=ti, flip_angle_deg=fa,
         field_strength_tesla=fs, **base,
     )

@@ -4,7 +4,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -106,7 +106,7 @@ class TestConfigHash:
     def test_matches_reference_construction(self):
         run = RunConfig()
         blob = json.dumps(
-            {"run": run.to_dict(), "label_space": "abc123"}, sort_keys=True
+            {"run": asdict(run), "label_space": "abc123"}, sort_keys=True
         ).encode()
         assert config_hash(run, "abc123") == hashlib.sha256(blob).hexdigest()[:16]
 
@@ -191,7 +191,7 @@ class TestTrainModel:
                 per_row = [bank.tokens_with_dropout(int(r), rng.random(bank.n_droppable(int(r))))
                            for r in rows]
                 want.append(([t for ids in per_row for t in ids], [len(ids) for ids in per_row]))
-                dropped |= any(len(t) < len(bank.tokens_full(int(r))) for t, r in zip(per_row, rows))
+                dropped |= any(len(t) < bank.tokens([int(r)]).flat.size for t, r in zip(per_row, rows))
         assert seen == want and dropped
         assert state.rng.bit_generator.state == rng.bit_generator.state
 

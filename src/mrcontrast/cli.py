@@ -156,9 +156,7 @@ def cmd_build_labels(args) -> int:
         kmeans_seed=args.kmeans_seed,
     )
     space, ids = build_label_space(records, config)
-    Path(args.out).write_text(
-        json.dumps(space.to_json_dict(), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(args.out).write_text(space.to_json() + "\n", encoding="utf-8")
     print(f"built {len(space)} labels over {len(records)} records -> {args.out}")
     return 0
 

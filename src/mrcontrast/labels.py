@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,9 @@ from .errors import (
 )
 from .kmeans import KMeansModel, fit_kmeans
 from .records import MetadataRecord, Plane, plane_for_record
-from .rules import positive_int
+from .rules import (
+    check_fields, instance_of, non_negative_int, one_of, ordered_subset, positive_int,
+)
 
 # Canonical field order for label keys. Configs may drop fields but never
 # reorder them. series_description is deliberately not groupable.
@@ -45,34 +47,31 @@ FIELD_ORDER = (
 CATEGORICAL_FIELDS = FIELD_ORDER[:7]
 BIN_FIELDS = FIELD_ORDER[7:]
 
-DEFAULT_TI_EDGES = (400.0, 1000.0, 3000.0)
+# The value ranges that every TE/TR grid splits, and the TI bin edges.
+TE_RANGE_MS = (0.0, 200.0)
+TR_RANGE_MS = (0.0, 10000.0)
+TI_EDGES_MS = (400.0, 1000.0, 3000.0)
 LABEL_FILE_VERSION = 1
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Half-open TE/TR value ranges split into uniform bins."""
+    """TE_RANGE_MS and TR_RANGE_MS split into n_te and n_tr uniform,
+    half-open bins."""
 
-    te_lo: float = 0.0
-    te_hi: float = 200.0
     n_te: int = 20
-    tr_lo: float = 0.0
-    tr_hi: float = 10000.0
     n_tr: int = 20
 
     def __post_init__(self):
-        if not (self.te_hi > self.te_lo and self.tr_hi > self.tr_lo):
-            raise ValueError("grid ranges must be non-empty")
-        if self.n_te < 1 or self.n_tr < 1:
-            raise ValueError("bin counts must be >= 1")
+        check_fields(self, dict(n_te=positive_int, n_tr=positive_int))
 
     @property
     def te_width(self) -> float:
-        return (self.te_hi - self.te_lo) / self.n_te
+        return (TE_RANGE_MS[1] - TE_RANGE_MS[0]) / self.n_te
 
     @property
     def tr_width(self) -> float:
-        return (self.tr_hi - self.tr_lo) / self.n_tr
+        return (TR_RANGE_MS[1] - TR_RANGE_MS[0]) / self.n_tr
 
 
 def quantize_te_tr(te_ms: float, tr_ms: float, grid: GridSpec) -> tuple[int, int]:
@@ -80,64 +79,50 @@ def quantize_te_tr(te_ms: float, tr_ms: float, grid: GridSpec) -> tuple[int, int
     for v in (te_ms, tr_ms):
         if not math.isfinite(v):
             raise NonFiniteInput(f"cannot quantize non-finite value {v!r}")
-    te_bin = int(math.floor((te_ms - grid.te_lo) / grid.te_width))
-    tr_bin = int(math.floor((tr_ms - grid.tr_lo) / grid.tr_width))
+    te_bin = int(math.floor((te_ms - TE_RANGE_MS[0]) / grid.te_width))
+    tr_bin = int(math.floor((tr_ms - TR_RANGE_MS[0]) / grid.tr_width))
     te_bin = min(max(te_bin, 0), grid.n_te - 1)
     tr_bin = min(max(tr_bin, 0), grid.n_tr - 1)
     return te_bin, tr_bin
 
 
-def bin_ti(ti_ms: Optional[float], edges: Sequence[float] = DEFAULT_TI_EDGES) -> int:
-    """TI bin: 0 means no inversion pulse; otherwise 1 + #edges below ti."""
+def bin_ti(ti_ms: Optional[float]) -> int:
+    """TI bin: 0 means no inversion pulse; otherwise 1 + #TI_EDGES_MS below ti."""
     if ti_ms is None:
         return 0
     if not math.isfinite(ti_ms):
         raise NonFiniteInput(f"cannot bin non-finite TI {ti_ms!r}")
-    k = sum(1 for e in edges if e < ti_ms)
-    return min(k + 1, len(edges) + 1)
+    return 1 + sum(1 for e in TI_EDGES_MS if e < ti_ms)
 
 
 def coarsen_te_tr(
     te_bin: int, tr_bin: int, fine: GridSpec, coarse: GridSpec
 ) -> tuple[int, int]:
-    """Map fine-grid bins onto a coarser grid over the same value ranges.
+    """Map fine-grid bins onto a coarser grid.
 
     When the fine bin count is a multiple of the coarse one this is exact
     nesting (floor division); otherwise the fine bin's center is re-quantized.
     Both cases are the same arithmetic: quantize the fine bin center.
-
-    Raises IncompatibleRanges when the two specs cover different ranges.
     """
-    if (fine.te_lo, fine.te_hi, fine.tr_lo, fine.tr_hi) != (
-        coarse.te_lo,
-        coarse.te_hi,
-        coarse.tr_lo,
-        coarse.tr_hi,
-    ):
-        raise IncompatibleRanges("grid specs cover different TE/TR ranges")
-    te_center = fine.te_lo + (te_bin + 0.5) * fine.te_width
-    tr_center = fine.tr_lo + (tr_bin + 0.5) * fine.tr_width
+    te_center = TE_RANGE_MS[0] + (te_bin + 0.5) * fine.te_width
+    tr_center = TR_RANGE_MS[0] + (tr_bin + 0.5) * fine.tr_width
     return quantize_te_tr(te_center, tr_center, coarse)
 
 
 @dataclass(frozen=True)
 class LabelConfig:
     grid: GridSpec = field(default_factory=GridSpec)
-    ti_edges: tuple[float, ...] = DEFAULT_TI_EDGES
     fields: tuple[str, ...] = FIELD_ORDER
-    grouping: str = "grid"  # "grid" | "kmeans"
+    grouping: str = "grid"
     n_clusters: int = 20
     kmeans_seed: int = 0
 
     def __post_init__(self):
-        for f in self.fields:
-            if f not in FIELD_ORDER:
-                raise ValueError(f"unknown label field {f!r}")
-        ordered = tuple(f for f in FIELD_ORDER if f in self.fields)
-        if ordered != tuple(self.fields):
-            raise ValueError("label fields must follow canonical order")
-        if self.grouping not in ("grid", "kmeans"):
-            raise ValueError(f"unknown grouping {self.grouping!r}")
+        check_fields(self, dict(
+            grid=instance_of(GridSpec), fields=ordered_subset(FIELD_ORDER),
+            grouping=one_of(("grid", "kmeans")), n_clusters=positive_int,
+            kmeans_seed=non_negative_int,
+        ))
 
     @property
     def key_fields(self) -> tuple[str, ...]:
@@ -148,7 +133,7 @@ class LabelConfig:
         return cats + tuple(f for f in self.fields if f in BIN_FIELDS)
 
 
-def _field_value(record: MetadataRecord, name: str, config: LabelConfig):
+def _field_value(record: MetadataRecord, name: str):
     if name == "manufacturer":
         return record.manufacturer
     if name == "scanner_model":
@@ -164,7 +149,7 @@ def _field_value(record: MetadataRecord, name: str, config: LabelConfig):
     if name == "flip_angle":
         return round(record.flip_angle_deg, 1)
     if name == "ti_bin":
-        return bin_ti(record.ti_ms, config.ti_edges)
+        return bin_ti(record.ti_ms)
     raise KeyError(name)
 
 
@@ -192,7 +177,7 @@ def label_keys(
             )
         keys.append(
             tuple(
-                derived[f] if f in derived else _field_value(record, f, config)
+                derived[f] if f in derived else _field_value(record, f)
                 for f in fields
             )
         )
@@ -220,6 +205,16 @@ class KMeansGrouper:
     mins: np.ndarray
     ranges: np.ndarray  # zero-spread columns get range 1 (normalize to 0)
     model: KMeansModel
+
+    def __post_init__(self):
+        centroids = self.model.centroids
+        if not (self.mins.shape == self.ranges.shape == (KMEANS_DIM,)
+                and centroids.shape[1:] == (KMEANS_DIM,) and len(centroids) >= 1):
+            raise ValueError(f"k-means needs mins and ranges of shape ({KMEANS_DIM},) "
+                             f"and centroids of shape (k, {KMEANS_DIM}), k >= 1")
+        finite = all(np.isfinite(a).all() for a in (self.mins, self.ranges, centroids))
+        if not (finite and (self.ranges > 0).all()):
+            raise ValueError("k-means has non-finite values or a non-positive range")
 
     def normalize(self, feats: np.ndarray) -> np.ndarray:
         return (feats - self.mins) / self.ranges
@@ -300,11 +295,11 @@ class LabelSpace:
         self.labels: list[ContrastLabel] = []
         self._key_to_id: dict[tuple, int] = {}
         for label_id, key in enumerate(sorted(keys_with_counts)):
-            rep = reps_by_key[key]
-            text = canonical_text_for_key(key, config, rep)
-            self.labels.append(
-                ContrastLabel(label_id, key, text, keys_with_counts[key], rep)
-            )
+            record = representative_record(key, config, reps_by_key[key])
+            self.labels.append(ContrastLabel(
+                label_id, key, canonical_text(record, config), keys_with_counts[key],
+                (record.te_ms, record.tr_ms, record.ti_ms),
+            ))
             self._key_to_id[key] = label_id
 
     def __len__(self) -> int:
@@ -329,32 +324,20 @@ class LabelSpace:
     # --- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The label file: the config (with the fixed TE/TR ranges and TI
+        edges), the labels in id order and any k-means block."""
+        config = asdict(self.config)
+        config["grid"].update(
+            te_lo=TE_RANGE_MS[0], te_hi=TE_RANGE_MS[1], tr_lo=TR_RANGE_MS[0], tr_hi=TR_RANGE_MS[1]
+        )
+        config["ti_edges"] = TI_EDGES_MS
         out: dict = {
             "version": LABEL_FILE_VERSION,
-            "config": {
-                "grid": {
-                    "te_lo": self.config.grid.te_lo,
-                    "te_hi": self.config.grid.te_hi,
-                    "n_te": self.config.grid.n_te,
-                    "tr_lo": self.config.grid.tr_lo,
-                    "tr_hi": self.config.grid.tr_hi,
-                    "n_tr": self.config.grid.n_tr,
-                },
-                "ti_edges": list(self.config.ti_edges),
-                "fields": list(self.config.fields),
-                "grouping": self.config.grouping,
-                "n_clusters": self.config.n_clusters,
-                "kmeans_seed": self.config.kmeans_seed,
-            },
-            "key_fields": list(self.key_fields),
+            "config": config,
+            "key_fields": self.key_fields,
             "labels": [
-                {
-                    "id": lab.label_id,
-                    "key": list(lab.key),
-                    "text": lab.canonical_text,
-                    "count": lab.count,
-                    "rep": list(lab.rep),
-                }
+                dict(id=lab.label_id, key=lab.key, text=lab.canonical_text, count=lab.count,
+                     rep=lab.rep)
                 for lab in self.labels
             ],
         }
@@ -366,88 +349,89 @@ class LabelSpace:
             }
         return out
 
+    def to_json(self) -> str:
+        """The label file's text, as `build-labels` writes it and `hash_hex`
+        hashes it."""
+        return _canonical_json(self.to_json_dict())
+
     @property
     def hash_hex(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        """Inverse of `to_json_dict`; a version other than 1, a missing or
-        wrongly typed entry, a count that is not an int of at least 1, a
-        ``rep`` that is not [TE, TR, TI or null], timings or key values that
-        break a `MetadataRecord` rule, or a k-means block whose arrays are
-        misshapen, non-finite or have a non-positive range, raises
-        LabelDecodeFailure."""
+        """Inverse of `to_json_dict`. The file must declare version 1 and be
+        exactly what `to_json` writes for the space it describes, up to
+        whitespace and key order; anything else raises LabelDecodeFailure."""
         try:
             version = obj["version"]
             if type(version) is not int or version != LABEL_FILE_VERSION:
                 raise LabelDecodeFailure(
                     f"label file version must be {LABEL_FILE_VERSION}, got {version!r}"
                 )
-            cfg = obj["config"]
+            cfg, labels = obj["config"], obj["labels"]
             config = LabelConfig(
-                grid=GridSpec(**cfg["grid"]),
-                ti_edges=tuple(cfg["ti_edges"]),
+                grid=GridSpec(n_te=cfg["grid"]["n_te"], n_tr=cfg["grid"]["n_tr"]),
                 fields=tuple(cfg["fields"]),
                 grouping=cfg["grouping"],
                 n_clusters=cfg["n_clusters"],
                 kmeans_seed=cfg["kmeans_seed"],
             )
+            keys = [tuple(lab["key"]) for lab in labels]
+            reps = [lab["rep"] for lab in labels]
             grouper = None
-            if config.grouping == "kmeans":
-                km = obj["kmeans"]
-                mins, ranges, centroids = (
-                    np.asarray(km[k], dtype=np.float64)
-                    for k in ("mins", "ranges", "centroids")
+            if config.grouping == "grid":  # a grid key is a function of its rep
+                keys = label_keys(
+                    [representative_record(k, config, r) for k, r in zip(keys, reps)], config
                 )
-                if not (
-                    mins.shape == ranges.shape == (KMEANS_DIM,)
-                    and centroids.ndim == 2
-                    and centroids.shape[0] >= 1
-                    and centroids.shape[1] == KMEANS_DIM
+            else:
+                mins, ranges, centroids = (
+                    np.asarray(obj["kmeans"][name], dtype=np.float64)
+                    for name in ("mins", "ranges", "centroids")
+                )
+                grouper = KMeansGrouper(mins, ranges, KMeansModel(centroids))
+                n = config.n_clusters
+                if len(centroids) != n or not all(
+                    len(k) == len(config.key_fields) and type(k[-1]) is int and 0 <= k[-1] < n
+                    for k in keys
                 ):
                     raise LabelDecodeFailure(
-                        f"k-means block needs mins and ranges of shape ({KMEANS_DIM},) "
-                        f"and centroids of shape (k, {KMEANS_DIM})"
+                        f"k-means needs n_clusters = {n} centroids and label keys that "
+                        "end in a cluster id below it"
                     )
-                finite = all(np.isfinite(a).all() for a in (mins, ranges, centroids))
-                if not (finite and (ranges > 0).all()):
-                    raise LabelDecodeFailure(
-                        "k-means block has non-finite values or a non-positive range"
-                    )
-                grouper = KMeansGrouper(mins, ranges, KMeansModel(centroids))
-            keys_with_counts = {
-                tuple(lab["key"]): positive_int(lab["count"], "count", LabelDecodeFailure)
-                for lab in obj["labels"]
-            }
-            reps_by_key = {
-                tuple(lab["key"]): _decode_rep(lab["rep"]) for lab in obj["labels"]
-            }
-            space = LabelSpace(config, keys_with_counts, grouper, reps_by_key)
-            ids_in_order = all(
-                space._key_to_id[tuple(lab["key"])] == lab["id"] for lab in obj["labels"]
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, MalformedNumeric) as exc:
+            counts = [positive_int(lab["count"], "count", LabelDecodeFailure) for lab in labels]
+            space = LabelSpace(config, dict(zip(keys, counts)), grouper, dict(zip(keys, reps)))
+            text = space.to_json()
+        except (
+            KeyError, TypeError, ValueError, OverflowError, MalformedNumeric, EmptyDataset
+        ) as exc:
             raise LabelDecodeFailure(f"malformed label space: {exc!r}") from exc
-        if not ids_in_order:
-            raise LabelDecodeFailure("label ids do not match sorted order")
+        if _canonical_json(obj) != text:
+            raise LabelDecodeFailure(
+                "label file is not what build-labels writes for the space it "
+                f"describes: {_first_difference(obj, json.loads(text))} differs"
+            )
         return space
 
 
-def _decode_rep(raw) -> tuple:
-    """A label file's ``rep`` as (te, tr, ti): TE and TR numbers, TI a number
-    or null; their ranges are the record's rules, which the label's canonical
-    text applies."""
-    if not (isinstance(raw, list) and len(raw) == 3):
-        raise LabelDecodeFailure(f"rep must be [te, tr, ti], got {raw!r}")
-    timings = raw[:2] if raw[2] is None else raw
-    if not all(type(v) in (int, float) for v in timings):
-        raise LabelDecodeFailure(f"rep timings must be numbers, got {raw!r}")
-    return tuple(raw)
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
-def representative_record(key: tuple, config: LabelConfig, rep: tuple) -> MetadataRecord:
+def _first_difference(got, want, pointer: str = "") -> str:
+    """JSON pointer to the first value at which ``got`` differs from ``want``."""
+    steps = ()
+    if type(got) is type(want) is dict:
+        steps = [(k, got.get(k), want.get(k)) for k in sorted(got.keys() | want.keys())]
+    elif type(got) is type(want) is list and len(got) == len(want):
+        steps = zip(range(len(got)), got, want)
+    for k, g, w in steps:
+        if _canonical_json(g) != _canonical_json(w):
+            return _first_difference(g, w, f"{pointer}/{k}")
+    return pointer or "/"
+
+
+def representative_record(key: tuple, config: LabelConfig, rep) -> MetadataRecord:
     """A record that reproduces the label key, with the observed member
     timings ``rep`` = (te, tr, ti or None); values that break a record rule
     raise MalformedNumeric."""
@@ -474,9 +458,9 @@ def representative_record(key: tuple, config: LabelConfig, rep: tuple) -> Metada
     )
 
 
-def canonical_text_for_key(key: tuple, config: LabelConfig, rep: tuple) -> str:
-    """Dropout-free prompt for a label, restricted to the label's fields."""
-    record = representative_record(key, config, rep)
+def canonical_text(record: MetadataRecord, config: LabelConfig) -> str:
+    """Dropout-free prompt for a label's representative record, restricted to
+    the label's fields."""
     clauses = set()
     for name in config.key_fields:
         clause = _CLAUSES_FOR_FIELD[name]

@@ -1,7 +1,8 @@
-"""Value rules shared by the CLI flag types, `RunConfig`, `ModelConfig` and the
-record, dataset and checkpoint readers. A rule returns its value or raises
-`error` (ValueError by default) naming the value. Ints exclude bools and floats
-must be floats, so a value that passes round-trips through JSON unchanged."""
+"""Value rules shared by the CLI flag types, `RunConfig`, `ModelConfig`, the
+label configs and the record, dataset and checkpoint readers. A rule returns
+its value or raises `error` (ValueError by default) naming the value. Ints
+exclude bools and floats must be floats, so a value that passes round-trips
+through JSON unchanged."""
 from __future__ import annotations
 
 import sys
@@ -34,6 +35,15 @@ string = _rule(lambda v: isinstance(v, str), "a string")
 
 def one_of(names: tuple[str, ...]):
     return _rule(lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
+
+
+def ordered_subset(names: tuple[str, ...]):
+    return _rule(lambda v: isinstance(v, tuple) and list(v) == [n for n in names if n in v],
+                 f"a tuple of distinct names from {', '.join(names)}, in that order")
+
+
+def instance_of(cls: type):
+    return _rule(lambda v: isinstance(v, cls), f"a {cls.__name__}")
 
 
 def check_fields(config, rules: dict) -> None:

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyProtocolList, MalformedFeatures, NonFiniteInput
+from .labels import TE_RANGE_MS, TR_RANGE_MS
 from .records import (
     MetadataRecord,
     decode_manifest_line,
@@ -191,10 +192,8 @@ def generate_dataset(
     return slices
 
 
-# Protocol timings span the default label grid; half the protocols carry an
-# inversion pulse (IR) and half do not (SE).
-TE_RANGE_MS = (0.0, 200.0)
-TR_RANGE_MS = (0.0, 10000.0)
+# Protocol timings span the label grid's TE/TR ranges; half the protocols
+# carry an inversion pulse (IR) and half do not (SE).
 INVERSION_TIMES_MS: tuple[Optional[float], ...] = (None, 150.0)
 FLIP_ANGLE_DEG = 90.0
 

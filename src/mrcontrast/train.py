@@ -294,8 +294,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     """Inverse of `checkpoint_bytes`. BadCheckpoint for any malformed input: a
-    header value that breaks its rule, a tensor manifest other than the model
-    config's layout (before any tensor is built), a non-finite value."""
+    header value that breaks its rule, a config_hash other than `config_hash`
+    of the header's run and label space hash, a tensor manifest other than the
+    model config's layout (before any tensor is built), a non-finite value."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
     if len(data) < 12:
@@ -323,6 +324,8 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             adam_m={},
             adam_v={},
         )
+        if checkpoint.config_hash != config_hash(checkpoint.run, checkpoint.label_space_hash):
+            raise BadCheckpoint("config_hash does not match the run config and label space hash")
         manifest = [(name, shape) for name, shape, _ in parameter_layout(checkpoint.model_config)]
         if header["params"] != [[name, list(shape)] for name, shape in manifest]:
             raise BadCheckpoint("tensor manifest does not match the model config")

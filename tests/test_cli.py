@@ -642,8 +642,14 @@ class TestExitCodes:
             (lambda o: o["labels"][0].update(rep=[30.0, 1200.0, 0.0]), "ti_ms must be > 0"),
             (lambda o: o.update(version=99), "version must be 1"),
             (lambda o: o["labels"][0].update(count="x"), "count must be an int"),
+            (lambda o: o["config"].update(ti_edges=[3000.0, 400.0, 1000.0]),
+             "/config/ti_edges/0 differs"),
+            (lambda o: o["config"].update(n_clusters="x"), "n_clusters must be an int"),
+            (lambda o: o["config"]["grid"].update(n_te=2.5), "n_te must be an int"),
+            (lambda o: o["labels"][0].update(text="bogus"), "/labels/0/text differs"),
         ],
-        ids=["rep-negative-te", "rep-zero-ti", "version-99", "count-string"],
+        ids=["rep-negative-te", "rep-zero-ti", "version-99", "count-string",
+             "unsorted-ti-edges", "n-clusters-string", "fractional-n-te", "bogus-text"],
     )
     def test_label_file_breaking_a_rule_writes_nothing(
         self, pipeline, tmp_path, capsys, command, edit, message

@@ -1,6 +1,8 @@
 """Label construction tests: quantization, grouping, coarsening, round-trips."""
 
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from mrcontrast.errors import (
 )
 from mrcontrast.labels import (
     CATEGORICAL_FIELDS,
-    DEFAULT_TI_EDGES,
     FIELD_ORDER,
+    TI_EDGES_MS,
     GridSpec,
     LabelConfig,
     LabelSpace,
@@ -27,6 +29,7 @@ from mrcontrast.labels import (
 )
 from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
+from test_sweep import DELETE, SEED, VALUES, json_paths, mutate
 
 
 def rec(te, tr, ti=None, **kw):
@@ -51,8 +54,8 @@ class TestGridSpec:
         assert grid.tr_width == 2000.0
 
     @pytest.mark.parametrize("kw", [
-        {"te_lo": 5.0, "te_hi": 5.0},
-        {"tr_lo": 10.0, "tr_hi": 5.0},
+        {"n_te": 2.5},
+        {"n_tr": True},
         {"n_te": 0},
         {"n_tr": -1},
     ])
@@ -80,15 +83,15 @@ class TestQuantize:
         assert quantize_te_tr(-1.0, -1.0, grid) == (0, 0)
 
     def test_matches_floor_formula(self):
-        grid = GridSpec(te_lo=10.0, te_hi=110.0, n_te=8, tr_lo=100.0,
-                        tr_hi=6100.0, n_tr=12)
+        grid = GridSpec(n_te=8, n_tr=12)
+        assert (grid.te_width, grid.tr_width) == (25.0, 10000.0 / 12)
         rng = np.random.default_rng(0)
         for _ in range(200):
             te = float(rng.uniform(-50, 250))
-            tr = float(rng.uniform(-500, 9000))
+            tr = float(rng.uniform(-500, 12000))
             tb, rb = quantize_te_tr(te, tr, grid)
-            want_tb = min(max(int(np.floor((te - 10.0) / grid.te_width)), 0), 7)
-            want_rb = min(max(int(np.floor((tr - 100.0) / grid.tr_width)), 0), 11)
+            want_tb = min(max(int(np.floor(te / grid.te_width)), 0), 7)
+            want_rb = min(max(int(np.floor(tr / grid.tr_width)), 0), 11)
             assert (tb, rb) == (want_tb, want_rb)
 
     @pytest.mark.parametrize("te,tr", [
@@ -114,8 +117,7 @@ class TestTiBins:
 
     def test_bin_count(self):
         values = (None, 150.0, 500.0, 2500.0, 5000.0, 1e6)
-        assert {bin_ti(v) for v in values} == set(range(len(DEFAULT_TI_EDGES) + 2))
-        assert {bin_ti(v, (100.0,)) for v in (None, 50.0, 100.0, 1e6)} == {0, 1, 2}
+        assert {bin_ti(v) for v in values} == set(range(len(TI_EDGES_MS) + 2))
 
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteInput):
@@ -137,10 +139,6 @@ class TestCoarsening:
     def test_identity_coarsening(self):
         grid = GridSpec()
         assert coarsen_te_tr(13, 4, grid, grid) == (13, 4)
-
-    def test_range_mismatch_raises(self):
-        with pytest.raises(IncompatibleRanges):
-            coarsen_te_tr(0, 0, GridSpec(), GridSpec(te_hi=100.0))
 
 
 class TestLabelConfig:
@@ -166,6 +164,14 @@ class TestLabelConfig:
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
             LabelConfig(grouping="dbscan")
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid", (20, 20)), ("fields", ["te_bin"]), ("fields", ("te_bin", "te_bin")),
+        ("n_clusters", 0), ("n_clusters", "x"), ("kmeans_seed", -1), ("kmeans_seed", 1.0),
+    ])
+    def test_each_field_has_a_rule(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LabelConfig(**{field: value})
 
 
 class TestMedianRep:
@@ -316,6 +322,20 @@ class TestLabelSpace:
             lambda o: o["labels"][0].update(count="x"),
             lambda o: o["labels"][0].update(count=0),
             lambda o: o["labels"][0].pop("id"),
+            lambda o: o.update(labels=[]),
+            lambda o: o["labels"][0].update(text="bogus"),
+            lambda o: o["key_fields"].pop(),
+            lambda o: o["labels"].reverse(),
+            lambda o: o["labels"][0].update(id=1),
+            lambda o: o["labels"][0]["key"].__setitem__(7, o["labels"][0]["key"][7] + 1),
+            lambda o: o["labels"][0]["key"].__setitem__(7, -0.0),
+            lambda o: o["config"]["grid"].update(n_te=7),
+            lambda o: o["config"]["grid"].update(te_hi=100.0),
+            lambda o: o["config"].update(ti_edges=[3000.0, 400.0, 1000.0]),
+            lambda o: o["labels"][0].update(rep=[v if v is None else int(v)
+                                                 for v in o["labels"][0]["rep"]]),
+            lambda o: o.update(kmeans={"mins": [0.0] * 4, "ranges": [1.0] * 4,
+                                       "centroids": [[0.5] * 4]}),
             lambda o: with_kmeans(o, centroids=[[0.5, 0.5, 0.0]]),
             lambda o: with_kmeans(o, centroids=[]),
             lambda o: with_kmeans(o, centroids=[0.5] * 4),
@@ -331,7 +351,10 @@ class TestLabelSpace:
             "unhashable-key", "rep-type", "no-rep", "null-rep", "rep-two-entries",
             "rep-overflow", "rep-nan-ti", "rep-negative-te", "rep-zero-ti",
             "key-flip-angle", "version-99", "no-version", "count-string",
-            "count-zero", "no-id", "centroid-columns",
+            "count-zero", "no-id", "no-labels-left", "text-edited", "key-field-dropped",
+            "labels-reversed", "id-edited", "te-bin-edited", "te-bin-negative-zero",
+            "n-te-edited", "other-te-range", "unsorted-ti-edges", "rep-int-timings",
+            "stray-kmeans-block", "centroid-columns",
             "no-centroids", "centroids-1d", "mins-shape", "ranges-shape",
             "zero-range", "nan-min", "inf-centroid",
         ],
@@ -342,6 +365,28 @@ class TestLabelSpace:
         edit(obj)
         with pytest.raises(LabelDecodeFailure):
             LabelSpace.from_json_dict(obj)
+
+    @pytest.mark.parametrize("edit,pointer", [
+        (lambda o: o["labels"][0].update(text="bogus"), "/labels/0/text differs"),
+        (lambda o: o["config"].update(ti_edges=[3000.0, 400.0, 1000.0]), "/config/ti_edges/0 "),
+        (lambda o: o["config"]["grid"].update(tr_lo=-1.0), "/config/grid/tr_lo "),
+        (lambda o: o.update(kmeans={}), "/kmeans "),
+        (lambda o: o["labels"].reverse(), "/labels/0/"),
+    ], ids=["text", "ti-edges", "tr-lo", "stray-kmeans", "order"])
+    def test_decode_failure_names_the_first_difference(self, edit, pointer):
+        space, _ = build_label_space(self.records(), LabelConfig())
+        obj = json.loads(space.to_json())
+        edit(obj)
+        with pytest.raises(LabelDecodeFailure, match=pointer):
+            LabelSpace.from_json_dict(obj)
+
+    def test_file_is_the_canonical_json(self):
+        space, _ = build_label_space(self.records(), LabelConfig())
+        assert space.to_json() == json.dumps(space.to_json_dict(), sort_keys=True)
+        config = json.loads(space.to_json())["config"]
+        assert config["grid"] == {"te_lo": 0.0, "te_hi": 200.0, "n_te": 20,
+                                  "tr_lo": 0.0, "tr_hi": 10000.0, "n_tr": 20}
+        assert config["ti_edges"] == [400.0, 1000.0, 3000.0]
 
     def test_hash_changes_with_contents(self):
         space, _ = build_label_space(self.records(), LabelConfig())
@@ -390,6 +435,23 @@ class TestKMeansGrouping:
         assert [l.canonical_text for l in again.labels] == \
             [l.canonical_text for l in space.labels]
         np.testing.assert_array_equal(again.assign(self.records()), ids)
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o["labels"][0]["key"].__setitem__(-1, -1),
+        lambda o: o["labels"][0]["key"].__setitem__(-1, 3),
+        lambda o: o["labels"][0]["key"].__setitem__(-1, True),
+        lambda o: o["labels"][0]["key"].append(0),
+        lambda o: o["config"].update(n_clusters=2),
+        lambda o: o["kmeans"]["centroids"].pop(),
+    ], ids=["cluster-negative", "cluster-past-k", "cluster-bool", "key-too-long",
+            "n-clusters-edited", "centroid-dropped"])
+    def test_cluster_ids_and_count_are_checked(self, edit):
+        config = LabelConfig(grouping="kmeans", n_clusters=3, kmeans_seed=0)
+        space, _ = build_label_space(self.records(), config)
+        obj = json.loads(space.to_json())
+        edit(obj)
+        with pytest.raises(LabelDecodeFailure):
+            LabelSpace.from_json_dict(obj)
 
 
 class TestCoarsenedSpace:
@@ -451,3 +513,62 @@ class TestCoarsenedSpace:
         space, ids = build_label_space([s.record for s in slices], config)
         with pytest.raises(IncompatibleRanges):
             coarsened_space(space, ids, GridSpec(n_te=2, n_tr=2))
+
+
+# Every mutation of these paths, or of a path under one, changes what the file
+# describes, so none may load.
+PINNED_PATHS = (
+    ("version",), ("key_fields",), ("labels", 0, "id"), ("labels", 0, "text"),
+    ("config", "ti_edges"), ("config", "grid", "te_lo"), ("config", "grid", "te_hi"),
+    ("config", "grid", "tr_lo"), ("config", "grid", "tr_hi"),
+)
+SWEEP_SAMPLE = 400
+
+
+def label_files() -> dict:
+    """A grid, a numerical and a k-means label file of one synthetic set."""
+    protocols = default_protocols(
+        n_te_cells=3, n_tr_cells=3, scanners=(("SIEMENS", "AVANTO"),), field_strengths=(1.5,)
+    )
+    slices = generate_dataset(protocols, SynthConfig(n_scans=60, slices_per_scan=3, seed=11))
+    records = [s.record for s in slices]
+    configs = {
+        "grid": LabelConfig(grid=GridSpec(n_te=3, n_tr=3)),
+        "numerical": LabelConfig(
+            grid=GridSpec(n_te=3, n_tr=3), fields=("flip_angle", "te_bin", "tr_bin", "ti_bin")
+        ),
+        "kmeans": LabelConfig(grouping="kmeans", n_clusters=4),
+    }
+    return {name: json.loads(build_label_space(records, config)[0].to_json())
+            for name, config in configs.items()}
+
+
+def test_label_file_mutation_sweep():
+    """Each path of the three files (labels[1:] aside) is deleted or set to one
+    of test_sweep's 14 values. A changed pinned path raises LabelDecodeFailure.
+    Any other change either raises LabelDecodeFailure or loads a space whose
+    canonical JSON is the changed file, a valid file of another space (for
+    example a different count). No other exception type may escape."""
+    pinned, others = [], []
+    for obj in label_files().values():
+        for path in json_paths(obj):
+            if path[:1] == ("labels",) and path[1:2] not in ((), (0,)):
+                continue
+            is_pinned = any(path[:len(p)] == p for p in PINNED_PATHS)
+            for value in VALUES + [DELETE]:
+                (pinned if is_pinned else others).append((obj, path, value))
+    sample = random.Random(SEED).sample(others, SWEEP_SAMPLE)
+    assert len(pinned) > 500
+    for cases, must_fail in ((pinned, True), (sample, False)):
+        for obj, path, value in cases:
+            changed = copy.deepcopy(obj)
+            mutate(changed, path, value)
+            text = json.dumps(changed, sort_keys=True)
+            if text == json.dumps(obj, sort_keys=True):
+                continue  # the value was already there
+            try:
+                space = LabelSpace.from_json_dict(json.loads(text))
+            except LabelDecodeFailure:
+                continue
+            assert not must_fail, (path, value)
+            assert space.to_json() == text, (path, value)

@@ -338,11 +338,14 @@ class TestCheckpoint:
             lambda h: h.update(epochs_done="two"),
             lambda h: h["rng_state"].update(bit_generator="MT19937"),
             lambda h: h["rng_state"]["state"].update(state="-1"),
+            lambda h: h["run"].update(val_fraction=0.5),
+            lambda h: h.update(label_space_hash="0" * 64),
         ],
         ids=[
             "no-adam_t", "no-rng_state", "no-run-lr", "unknown-run-key",
             "unknown-model-key", "run-not-object", "epochs-not-int",
-            "foreign-rng", "negative-rng-state",
+            "foreign-rng", "negative-rng-state", "run-edited-under-its-hash",
+            "label-hash-edited-under-config-hash",
         ],
     )
     def test_bad_header_keys_rejected(self, small_blob, edit):

@@ -7,7 +7,7 @@ supervised contrastive loss, and evaluate retrieval at slice and scan level.
 """
 
 from .errors import MrContrastError
-from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
+from .labels import GridSpec, KMeansLabelConfig, LabelConfig, LabelSpace, build_label_space
 from .loss import ContrastiveBatch, ShardPlan, sharded_loss, supcon_bidirectional
 from .model import DualEncoder, ModelConfig
 from .prompts import PromptConfig, render_prompt, tokenize
@@ -21,6 +21,7 @@ __all__ = [
     "MrContrastError",
     "GridSpec",
     "LabelConfig",
+    "KMeansLabelConfig",
     "LabelSpace",
     "build_label_space",
     "ContrastiveBatch",

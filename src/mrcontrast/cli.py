@@ -15,7 +15,9 @@ from typing import Optional
 
 from . import dicom, synth
 from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
-from .labels import GridSpec, LabelConfig, LabelSpace, build_label_space
+from .labels import (
+    CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, LabelSpace, build_label_space,
+)
 from .loss import LOSS_KINDS
 from .records import manifest_lines, parse_manifest_line
 from .rules import non_negative_float, non_negative_int, positive_int
@@ -144,17 +146,12 @@ def _load_records(path: str):
 
 def cmd_build_labels(args) -> int:
     records = _load_records(args.dataset)
-    if args.numerical_labels:
-        fields = ("flip_angle", "te_bin", "tr_bin", "ti_bin")
+    cats = ("flip_angle",) if args.numerical_labels else CATEGORICAL_FIELDS
+    if args.kmeans is None:
+        grid = _parse_grid(args.grid) if args.grid else GridSpec()
+        config = LabelConfig(grid, cats + ("te_bin", "tr_bin", "ti_bin"))
     else:
-        fields = LabelConfig().fields
-    config = LabelConfig(
-        grid=_parse_grid(args.grid),
-        fields=fields,
-        grouping="grid" if args.kmeans is None else "kmeans",
-        n_clusters=20 if args.kmeans is None else args.kmeans,
-        kmeans_seed=args.kmeans_seed,
-    )
+        config = KMeansLabelConfig(args.kmeans, args.kmeans_seed, cats)
     space, ids = build_label_space(records, config)
     Path(args.out).write_text(space.to_json() + "\n", encoding="utf-8")
     print(f"built {len(space)} labels over {len(records)} records -> {args.out}")
@@ -228,11 +225,13 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     train_mask, eval_mask = split_by_scan(
         scan_ids, ckpt.run.val_fraction, ckpt.run.seed
     )
-    transfer_grid = _load_space(args.transfer).config.grid if args.transfer else None
+    transfer = _load_space(args.transfer).config if args.transfer else None
+    if isinstance(transfer, KMeansLabelConfig):
+        raise DataError(f"--transfer needs a grid label file, not the k-means file {args.transfer}")
     return (
         model, space, features[train_mask], ids[train_mask], features[eval_mask],
         ids[eval_mask], scan_ids[eval_mask], ckpt.config_hash,
-    ), transfer_grid
+    ), transfer.grid if transfer else None
 
 
 def cmd_eval(args) -> int:
@@ -275,8 +274,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-labels", help="construct the label space")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", default="20x20")
-    p.add_argument("--kmeans", type=_flag_type(int, positive_int), default=None)
+    grouping = p.add_mutually_exclusive_group()
+    grouping.add_argument("--grid", default=None, help="TExTR bin counts (default 20x20)")
+    grouping.add_argument("--kmeans", type=_flag_type(int, positive_int), default=None)
     p.add_argument("--kmeans-seed", type=_flag_type(int, non_negative_int), default=0)
     p.add_argument("--numerical-labels", action="store_true")
     p.set_defaults(func=cmd_build_labels)

@@ -307,7 +307,7 @@ def per_tag_error(
     """Per-field mismatch rates plus TE/TR bin distances.
 
     Bin MAE is reported in bins and converted to milliseconds exactly as
-    bins * bin width.
+    bins * bin width; a k-means space has no bins, and all four stay 0.0.
     """
     if len(predicted_ids) != len(true_ids):
         raise LabelDecodeFailure("prediction/truth length mismatch")
@@ -326,16 +326,13 @@ def per_tag_error(
             tr_dist.append(abs(pk["tr_bin"] - tk["tr_bin"]))
     n = len(true_ids)
     rates = {f: mismatches[f] / n for f in fields}
-    te_bin_mae = float(np.mean(te_dist)) if te_dist else 0.0
-    tr_bin_mae = float(np.mean(tr_dist)) if tr_dist else 0.0
-    grid = space.config.grid
-    return PerTagError(
-        rates=rates,
-        te_bin_mae=te_bin_mae,
-        tr_bin_mae=tr_bin_mae,
-        te_mae_ms=te_bin_mae * grid.te_width,
-        tr_mae_ms=tr_bin_mae * grid.tr_width,
-    )
+    tags = PerTagError(rates, 0.0, 0.0, 0.0, 0.0)
+    if te_dist:
+        grid = space.config.grid
+        tags.te_bin_mae, tags.tr_bin_mae = float(np.mean(te_dist)), float(np.mean(tr_dist))
+        tags.te_mae_ms = tags.te_bin_mae * grid.te_width
+        tags.tr_mae_ms = tags.tr_bin_mae * grid.tr_width
+    return tags
 
 
 @dataclass

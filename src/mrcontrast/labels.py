@@ -1,9 +1,10 @@
 """Grouped contrast-aware labels from acquisition metadata.
 
 Records are grouped either by joint TE/TR grid quantization plus TI binning
-(default) or by k-means over the numerical tags; the grouping key also carries
-the categorical tags. Label ids are dense and assigned in sorted key order so
-a label space is a pure function of (records, config).
+(`LabelConfig`) or by k-means over the numerical tags (`KMeansLabelConfig`);
+the grouping key also carries the categorical tags. Label ids are dense and
+assigned in sorted key order so a label space is a pure function of
+(records, config).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .errors import (
 from .kmeans import KMeansModel, fit_kmeans
 from .records import MetadataRecord, Plane, plane_for_record
 from .rules import (
-    check_fields, instance_of, non_negative_int, one_of, ordered_subset, positive_int,
+    check_fields, float_range_count, instance_of, non_negative_int, one_of, ordered_subset,
+    positive_int,
 )
 
 # Canonical field order for label keys. Configs may drop fields but never
@@ -45,25 +47,24 @@ FIELD_ORDER = (
     "ti_bin",
 )
 CATEGORICAL_FIELDS = FIELD_ORDER[:7]
-BIN_FIELDS = FIELD_ORDER[7:]
 
 # The value ranges that every TE/TR grid splits, and the TI bin edges.
 TE_RANGE_MS = (0.0, 200.0)
 TR_RANGE_MS = (0.0, 10000.0)
 TI_EDGES_MS = (400.0, 1000.0, 3000.0)
-LABEL_FILE_VERSION = 1
+LABEL_FILE_VERSION = 2
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """TE_RANGE_MS and TR_RANGE_MS split into n_te and n_tr uniform,
-    half-open bins."""
+    half-open bins; a count past the largest float has no bin width."""
 
     n_te: int = 20
     n_tr: int = 20
 
     def __post_init__(self):
-        check_fields(self, dict(n_te=positive_int, n_tr=positive_int))
+        check_fields(self, dict(n_te=float_range_count, n_tr=float_range_count))
 
     @property
     def te_width(self) -> float:
@@ -75,14 +76,13 @@ class GridSpec:
 
 
 def quantize_te_tr(te_ms: float, tr_ms: float, grid: GridSpec) -> tuple[int, int]:
-    """Joint TE/TR bin indices; out-of-range values clamp to edge bins."""
+    """Joint TE/TR bin indices; out-of-range values clamp to edge bins. The
+    clamp comes before the floor, so an overflowed (inf) quotient clamps too."""
     for v in (te_ms, tr_ms):
         if not math.isfinite(v):
             raise NonFiniteInput(f"cannot quantize non-finite value {v!r}")
-    te_bin = int(math.floor((te_ms - TE_RANGE_MS[0]) / grid.te_width))
-    tr_bin = int(math.floor((tr_ms - TR_RANGE_MS[0]) / grid.tr_width))
-    te_bin = min(max(te_bin, 0), grid.n_te - 1)
-    tr_bin = min(max(tr_bin, 0), grid.n_tr - 1)
+    te_bin = math.floor(min(max((te_ms - TE_RANGE_MS[0]) / grid.te_width, 0), grid.n_te - 1))
+    tr_bin = math.floor(min(max((tr_ms - TR_RANGE_MS[0]) / grid.tr_width, 0), grid.n_tr - 1))
     return te_bin, tr_bin
 
 
@@ -111,26 +111,41 @@ def coarsen_te_tr(
 
 @dataclass(frozen=True)
 class LabelConfig:
+    """Grid grouping: the key is ``fields``, categoricals then TE/TR/TI bins."""
+
     grid: GridSpec = field(default_factory=GridSpec)
     fields: tuple[str, ...] = FIELD_ORDER
-    grouping: str = "grid"
-    n_clusters: int = 20
-    kmeans_seed: int = 0
+    grouping: ClassVar[str] = "grid"
 
     def __post_init__(self):
         check_fields(self, dict(
-            grid=instance_of(GridSpec), fields=ordered_subset(FIELD_ORDER),
-            grouping=one_of(("grid", "kmeans")), n_clusters=positive_int,
-            kmeans_seed=non_negative_int,
+            grid=instance_of(GridSpec), fields=ordered_subset(FIELD_ORDER, ("te_bin", "tr_bin")),
         ))
 
     @property
     def key_fields(self) -> tuple[str, ...]:
-        """Key components: categorical fields, then bins (or cluster id)."""
-        cats = tuple(f for f in self.fields if f in CATEGORICAL_FIELDS)
-        if self.grouping == "kmeans":
-            return cats + ("cluster",)
-        return cats + tuple(f for f in self.fields if f in BIN_FIELDS)
+        return self.fields
+
+
+@dataclass(frozen=True)
+class KMeansLabelConfig:
+    """K-means grouping: the key is the categorical ``fields`` plus the id of
+    the record's cluster of (TE, TR, TI)."""
+
+    n_clusters: int = 20
+    kmeans_seed: int = 0
+    fields: tuple[str, ...] = CATEGORICAL_FIELDS
+    grouping: ClassVar[str] = "kmeans"
+
+    def __post_init__(self):
+        check_fields(self, dict(
+            n_clusters=positive_int, kmeans_seed=non_negative_int,
+            fields=ordered_subset(CATEGORICAL_FIELDS),
+        ))
+
+    @property
+    def key_fields(self) -> tuple[str, ...]:
+        return self.fields + ("cluster",)
 
 
 def _field_value(record: MetadataRecord, name: str):
@@ -155,33 +170,26 @@ def _field_value(record: MetadataRecord, name: str):
 
 def label_keys(
     records: Sequence[MetadataRecord],
-    config: LabelConfig,
+    config: LabelConfig | KMeansLabelConfig,
     grouper: Optional[KMeansGrouper] = None,
 ) -> list[tuple]:
     """Label key per record: its value for each of ``config.key_fields``.
 
-    TE/TR are quantized once per record; k-means cluster ids come from the
+    A grid quantizes TE/TR once per record; k-means cluster ids come from the
     grouper in one call for the whole batch.
     """
     fields = config.key_fields
-    clusters = [None] * len(records)
-    if "cluster" in fields:
-        clusters = grouper.cluster_ids(records).tolist()
-    binned = "te_bin" in fields or "tr_bin" in fields
-    keys = []
-    for record, cluster in zip(records, clusters):
-        derived = {"cluster": cluster}
-        if binned:
-            derived["te_bin"], derived["tr_bin"] = quantize_te_tr(
-                record.te_ms, record.tr_ms, config.grid
-            )
-        keys.append(
-            tuple(
-                derived[f] if f in derived else _field_value(record, f)
-                for f in fields
-            )
+    if isinstance(config, KMeansLabelConfig):
+        derived = ({"cluster": c} for c in grouper.cluster_ids(records).tolist())
+    else:
+        derived = (
+            dict(zip(("te_bin", "tr_bin"), quantize_te_tr(r.te_ms, r.tr_ms, config.grid)))
+            for r in records
         )
-    return keys
+    return [
+        tuple(d[f] if f in d else _field_value(record, f) for f in fields)
+        for record, d in zip(records, derived)
+    ]
 
 
 KMEANS_DIM = 4
@@ -263,17 +271,17 @@ def median_rep(values: Sequence[tuple]) -> tuple:
 
 
 _CLAUSES_FOR_FIELD = {
-    "manufacturer": "scanner",
-    "scanner_model": "scanner",
-    "plane": "plane",
-    "field_strength": "field",
-    "sequence_type": "sequence",
-    "sequence_variant": "sequence",
-    "flip_angle": "flip_angle",
-    "te_bin": "te",
-    "tr_bin": "tr",
-    "ti_bin": "ti",
-    "cluster": None,  # expands to all numeric clauses
+    "manufacturer": ("scanner",),
+    "scanner_model": ("scanner",),
+    "plane": ("plane",),
+    "field_strength": ("field",),
+    "sequence_type": ("sequence",),
+    "sequence_variant": ("sequence",),
+    "flip_angle": ("flip_angle",),
+    "te_bin": ("te",),
+    "tr_bin": ("tr",),
+    "ti_bin": ("ti",),
+    "cluster": ("te", "tr", "ti"),
 }
 
 
@@ -282,7 +290,7 @@ class LabelSpace:
 
     def __init__(
         self,
-        config: LabelConfig,
+        config: LabelConfig | KMeansLabelConfig,
         keys_with_counts: dict[tuple, int],
         grouper: Optional[KMeansGrouper],
         reps_by_key: dict[tuple, tuple],
@@ -324,17 +332,17 @@ class LabelSpace:
     # --- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The label file: the config (with the fixed TE/TR ranges and TI
-        edges), the labels in id order and any k-means block."""
-        config = asdict(self.config)
-        config["grid"].update(
-            te_lo=TE_RANGE_MS[0], te_hi=TE_RANGE_MS[1], tr_lo=TR_RANGE_MS[0], tr_hi=TR_RANGE_MS[1]
-        )
-        config["ti_edges"] = TI_EDGES_MS
+        """The label file: the config's grouping and settings (a grid's with
+        the fixed TE/TR ranges and TI edges), the labels in id order and any
+        k-means block."""
+        config = dict(asdict(self.config), grouping=self.config.grouping)
+        if isinstance(self.config, LabelConfig):
+            config["grid"].update(te_lo=TE_RANGE_MS[0], te_hi=TE_RANGE_MS[1],
+                                  tr_lo=TR_RANGE_MS[0], tr_hi=TR_RANGE_MS[1])
+            config["ti_edges"] = TI_EDGES_MS
         out: dict = {
             "version": LABEL_FILE_VERSION,
             "config": config,
-            "key_fields": self.key_fields,
             "labels": [
                 dict(id=lab.label_id, key=lab.key, text=lab.canonical_text, count=lab.count,
                      rep=lab.rep)
@@ -360,7 +368,7 @@ class LabelSpace:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LabelSpace":
-        """Inverse of `to_json_dict`. The file must declare version 1 and be
+        """Inverse of `to_json_dict`. The file must declare version 2 and be
         exactly what `to_json` writes for the space it describes, up to
         whitespace and key order; anything else raises LabelDecodeFailure."""
         try:
@@ -370,21 +378,19 @@ class LabelSpace:
                     f"label file version must be {LABEL_FILE_VERSION}, got {version!r}"
                 )
             cfg, labels = obj["config"], obj["labels"]
-            config = LabelConfig(
-                grid=GridSpec(n_te=cfg["grid"]["n_te"], n_tr=cfg["grid"]["n_tr"]),
-                fields=tuple(cfg["fields"]),
-                grouping=cfg["grouping"],
-                n_clusters=cfg["n_clusters"],
-                kmeans_seed=cfg["kmeans_seed"],
-            )
+            fields = tuple(cfg["fields"])
             keys = [tuple(lab["key"]) for lab in labels]
             reps = [lab["rep"] for lab in labels]
             grouper = None
-            if config.grouping == "grid":  # a grid key is a function of its rep
-                keys = label_keys(
+            grouping = one_of(("grid", "kmeans"))(cfg["grouping"], "grouping", LabelDecodeFailure)
+            if grouping == "grid":
+                grid = GridSpec(n_te=cfg["grid"]["n_te"], n_tr=cfg["grid"]["n_tr"])
+                config = LabelConfig(grid, fields)
+                keys = label_keys(  # a grid key is a function of its rep
                     [representative_record(k, config, r) for k, r in zip(keys, reps)], config
                 )
             else:
+                config = KMeansLabelConfig(cfg["n_clusters"], cfg["kmeans_seed"], fields)
                 mins, ranges, centroids = (
                     np.asarray(obj["kmeans"][name], dtype=np.float64)
                     for name in ("mins", "ranges", "centroids")
@@ -431,7 +437,9 @@ def _first_difference(got, want, pointer: str = "") -> str:
     return pointer or "/"
 
 
-def representative_record(key: tuple, config: LabelConfig, rep) -> MetadataRecord:
+def representative_record(
+    key: tuple, config: LabelConfig | KMeansLabelConfig, rep
+) -> MetadataRecord:
     """A record that reproduces the label key, with the observed member
     timings ``rep`` = (te, tr, ti or None); values that break a record rule
     raise MalformedNumeric."""
@@ -458,30 +466,23 @@ def representative_record(key: tuple, config: LabelConfig, rep) -> MetadataRecor
     )
 
 
-def canonical_text(record: MetadataRecord, config: LabelConfig) -> str:
+def canonical_text(record: MetadataRecord, config: LabelConfig | KMeansLabelConfig) -> str:
     """Dropout-free prompt for a label's representative record, restricted to
     the label's fields."""
-    clauses = set()
-    for name in config.key_fields:
-        clause = _CLAUSES_FOR_FIELD[name]
-        if clause is None:
-            clauses.update(("te", "tr", "ti"))
-        else:
-            clauses.add(clause)
-    pconf = prompts.PromptConfig(
-        dropout=0.0, include_series_description=False, restrict_clauses=frozenset(clauses)
-    )
+    clauses = frozenset(c for name in config.key_fields for c in _CLAUSES_FOR_FIELD[name])
+    pconf = prompts.PromptConfig(dropout=0.0, include_series_description=False,
+                                 restrict_clauses=clauses)
     return prompts.render_prompt(record, pconf).text
 
 
 def build_label_space(
-    records: Sequence[MetadataRecord], config: LabelConfig
+    records: Sequence[MetadataRecord], config: LabelConfig | KMeansLabelConfig
 ) -> tuple[LabelSpace, np.ndarray]:
     """Group records into labels; returns the space and per-record ids."""
     if not records:
         raise EmptyDataset("no records")
     grouper = None
-    if config.grouping == "kmeans":
+    if isinstance(config, KMeansLabelConfig):
         grouper = KMeansGrouper.fit(records, config.n_clusters, config.kmeans_seed)
     keys = label_keys(records, config, grouper)
     counts = Counter(keys)
@@ -501,25 +502,21 @@ def coarsened_space(
     eval_ids: np.ndarray,
     coarse_grid: GridSpec,
 ) -> tuple[LabelSpace, np.ndarray, dict[int, int]]:
-    """Relabel grid-mode assignments under a coarser grid.
+    """Relabel grid-grouped assignments under a coarser grid.
 
     Returns the coarse space over the keys present in eval_ids, the coarse id
     per evaluation row, and the fine-id -> coarse-id mapping.
     """
-    if space.config.grouping != "grid":
-        raise IncompatibleRanges("coarsening applies to grid-mode spaces")
-    fields = space.key_fields
-    te_pos = fields.index("te_bin")
-    tr_pos = fields.index("tr_bin")
+    if not isinstance(space.config, LabelConfig):
+        raise IncompatibleRanges("coarsening applies to grid-grouped spaces")
+    te_pos, tr_pos = (space.key_fields.index(f) for f in ("te_bin", "tr_bin"))
     coarse_config = replace(space.config, grid=coarse_grid)
     fine_to_coarse_key: dict[int, tuple] = {}
     for lab in space.labels:
-        te_b, tr_b = coarsen_te_tr(
+        key = list(lab.key)
+        key[te_pos], key[tr_pos] = coarsen_te_tr(
             lab.key[te_pos], lab.key[tr_pos], space.config.grid, coarse_grid
         )
-        key = list(lab.key)
-        key[te_pos] = te_b
-        key[tr_pos] = tr_b
         fine_to_coarse_key[lab.label_id] = tuple(key)
     present = Counter(fine_to_coarse_key[int(i)] for i in eval_ids)
     fine_reps: dict[tuple, list] = {}

@@ -6,6 +6,7 @@ through JSON unchanged."""
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from math import inf
 
 
@@ -26,6 +27,7 @@ positive_int = _rule(_int_in(1), "an int of at least 1")
 non_negative_int = _rule(_int_in(0), "an int of at least 0")
 int64 = _rule(_int_in(-(2**63), 2**63 - 1), "an int that fits in int64")
 float_range_int = _rule(_int_in(0, int(sys.float_info.max)), "an int in [0, largest float]")
+float_range_count = _rule(_int_in(1, int(sys.float_info.max)), "an int in [1, largest float]")
 non_negative_float = _rule(lambda v: isinstance(v, float) and 0 <= v < inf, "a float in [0, inf)")
 positive_float = _rule(lambda v: isinstance(v, float) and 0 < v < inf, "a float in (0, inf)")
 fraction = _rule(lambda v: isinstance(v, float) and 0 <= v <= 1, "a float in [0, 1]")
@@ -37,9 +39,11 @@ def one_of(names: tuple[str, ...]):
     return _rule(lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
 
 
-def ordered_subset(names: tuple[str, ...]):
-    return _rule(lambda v: isinstance(v, tuple) and list(v) == [n for n in names if n in v],
-                 f"a tuple of distinct names from {', '.join(names)}, in that order")
+def ordered_subset(names: tuple[str, ...], required: tuple[str, ...] = ()):
+    return _rule(lambda v: isinstance(v, tuple) and list(v) == [n for n in names if n in v]
+                 and set(required) <= set(v),
+                 f"a tuple of distinct names from {', '.join(names)}, in that order"
+                 + (f", including {' and '.join(required)}" if required else ""))
 
 
 def instance_of(cls: type):
@@ -48,5 +52,5 @@ def instance_of(cls: type):
 
 def check_fields(config, rules: dict) -> None:
     """Apply every dataclass field's rule to the field; a ValueError names it."""
-    for name in config.__dataclass_fields__:
-        rules[name](getattr(config, name), name)
+    for f in fields(config):
+        rules[f.name](getattr(config, f.name), f.name)

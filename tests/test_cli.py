@@ -218,6 +218,22 @@ class TestPipeline:
         assert report["probe"] is None
         assert report["counts"]["n_labels"] == 2
 
+    def test_eval_transfer_onto_kmeans_labels_is_data_error(self, pipeline, tmp_path, capsys):
+        """A k-means file has no grid to coarsen onto: exit 2, no report."""
+        kmeans_labels = str(tmp_path / "kmeans.json")
+        out = tmp_path / "transfer.json"
+        assert main([
+            "build-labels", "--dataset", pipeline["data"], "--out", kmeans_labels, "--kmeans", "4",
+        ]) == 0
+        assert main([
+            "eval", "--dataset", pipeline["data"],
+            "--labels", pipeline["labels"], "--checkpoint", pipeline["ckpt"],
+            "--transfer", kmeans_labels, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--transfer needs a grid label file" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_frees_dataset_and_checkpoint_before_the_probe(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -518,6 +534,30 @@ class TestExitCodes:
                          "--checkpoint", str(tmp_path / "resumed.ckpt")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_grid_and_kmeans_together_are_usage_error(self, tmp_path, capsys):
+        for flags in (["--grid", "5x5", "--kmeans", "4"], ["--kmeans", "4", "--grid", "20x20"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["build-labels"] + required_args("build-labels", tmp_path) + flags)
+            assert exc.value.code == 1
+            assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_grid_past_float_range(self, tmp_path, capsys):
+        """A TE whose bin quotient overflows lands in the top bin; a bin count
+        past the largest float is a bad grid spec."""
+        data, labels = tmp_path / "d.jsonl", tmp_path / "l.json"
+        rows = [MetadataRecord(f"r{i}", te_ms=te, tr_ms=2000.0).to_dict()
+                for i, te in enumerate((30.0, 1e308))]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        common = ["build-labels", "--dataset", str(data), "--out", str(labels)]
+        assert main(common + ["--grid", "1000x5"]) == 0
+        keys = [lab["key"] for lab in json.loads(labels.read_text())["labels"]]
+        assert sorted(key[7] for key in keys) == [150, 999]
+        labels.unlink()
+        assert main(common + ["--grid", "1x1" + "0" * 400]) == 2
+        err = capsys.readouterr().err
+        assert "bad grid spec" in err and "Traceback" not in err
+        assert not labels.exists()
+
     def test_bad_grid_spec_is_data_error(self, tmp_path):
         code = main([
             "synth", "--out", str(tmp_path / "x.jsonl"),
@@ -640,11 +680,11 @@ class TestExitCodes:
         [
             (lambda o: o["labels"][0].update(rep=[-5.0, 1200.0, None]), "te_ms/tr_ms must be >= 0"),
             (lambda o: o["labels"][0].update(rep=[30.0, 1200.0, 0.0]), "ti_ms must be > 0"),
-            (lambda o: o.update(version=99), "version must be 1"),
+            (lambda o: o.update(version=99), "version must be 2"),
             (lambda o: o["labels"][0].update(count="x"), "count must be an int"),
             (lambda o: o["config"].update(ti_edges=[3000.0, 400.0, 1000.0]),
              "/config/ti_edges/0 differs"),
-            (lambda o: o["config"].update(n_clusters="x"), "n_clusters must be an int"),
+            (lambda o: o["config"].update(n_clusters="x"), "/config/n_clusters differs"),
             (lambda o: o["config"]["grid"].update(n_te=2.5), "n_te must be an int"),
             (lambda o: o["labels"][0].update(text="bogus"), "/labels/0/text differs"),
         ],

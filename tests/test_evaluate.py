@@ -29,7 +29,7 @@ from mrcontrast.evaluate import (
     scan_to_text_recall,
     text_to_image_recall,
 )
-from mrcontrast.labels import GridSpec, LabelConfig, build_label_space
+from mrcontrast.labels import GridSpec, KMeansLabelConfig, LabelConfig, build_label_space
 from mrcontrast.records import MetadataRecord
 from mrcontrast.train import dataset_arrays
 
@@ -578,6 +578,17 @@ class TestPerTagError:
         space, ids = self.space()
         with pytest.raises(LabelDecodeFailure):
             per_tag_error(ids[:1], ids, space)
+
+    def test_kmeans_space_has_no_bin_error(self):
+        """A k-means space has no grid: cluster mismatches count as a field,
+        and the four bin numbers stay 0.0."""
+        records = [MetadataRecord("r", te_ms=5.0, tr_ms=250.0),
+                   MetadataRecord("r", te_ms=90.0, tr_ms=4000.0)]
+        space, ids = build_label_space(records, KMeansLabelConfig(n_clusters=2))
+        report = per_tag_error(ids[::-1], ids, space)
+        assert report.rates["cluster"] == 1.0
+        bins = (report.te_bin_mae, report.tr_bin_mae, report.te_mae_ms, report.tr_mae_ms)
+        assert bins == (0.0,) * 4
 
 
 class TestGalleryAndEndToEnd:

@@ -151,7 +151,7 @@ def cmd_build_labels(args) -> int:
         grid = _parse_grid(args.grid) if args.grid else GridSpec()
         config = LabelConfig(grid, cats + ("te_bin", "tr_bin", "ti_bin"))
     else:
-        config = KMeansLabelConfig(args.kmeans, args.kmeans_seed, cats)
+        config = KMeansLabelConfig(args.kmeans, args.kmeans_seed or 0, cats)
     space, ids = build_label_space(records, config)
     Path(args.out).write_text(space.to_json() + "\n", encoding="utf-8")
     print(f"built {len(space)} labels over {len(records)} records -> {args.out}")
@@ -211,7 +211,11 @@ def cmd_train(args) -> int:
 def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     """run_evaluation's positional arguments and the transfer grid. The
     slices, the checkpoint and the restored optimizer go out of scope on
-    return, so none of them is alive while eval ranks and probes."""
+    return, so none of them is alive while eval ranks and probes. The
+    transfer file is read and checked first, before any of that work."""
+    transfer = _load_space(args.transfer).config if args.transfer else None
+    if isinstance(transfer, KMeansLabelConfig):
+        raise DataError(f"--transfer needs a grid label file, not the k-means file {args.transfer}")
     slices = synth.load_dataset(args.dataset)
     space = _load_space(args.labels)
     ckpt = load_checkpoint(args.checkpoint)
@@ -225,9 +229,6 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     train_mask, eval_mask = split_by_scan(
         scan_ids, ckpt.run.val_fraction, ckpt.run.seed
     )
-    transfer = _load_space(args.transfer).config if args.transfer else None
-    if isinstance(transfer, KMeansLabelConfig):
-        raise DataError(f"--transfer needs a grid label file, not the k-means file {args.transfer}")
     return (
         model, space, features[train_mask], ids[train_mask], features[eval_mask],
         ids[eval_mask], scan_ids[eval_mask], ckpt.config_hash,
@@ -277,7 +278,8 @@ def build_parser() -> _Parser:
     grouping = p.add_mutually_exclusive_group()
     grouping.add_argument("--grid", default=None, help="TExTR bin counts (default 20x20)")
     grouping.add_argument("--kmeans", type=_flag_type(int, positive_int), default=None)
-    p.add_argument("--kmeans-seed", type=_flag_type(int, non_negative_int), default=0)
+    p.add_argument("--kmeans-seed", type=_flag_type(int, non_negative_int), default=None,
+                   help="k-means seed (default 0); needs --kmeans")
     p.add_argument("--numerical-labels", action="store_true")
     p.set_defaults(func=cmd_build_labels)
 
@@ -319,6 +321,8 @@ def build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "kmeans_seed", None) is not None and args.kmeans is None:
+        parser.error("argument --kmeans-seed: needs --kmeans")
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -82,13 +82,21 @@ def _mlp(x, w1, b1, w2, b2):
     return o * r, vjp
 
 
-def _sum_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row i of the (n_rows, d) result sums values[index == i]. np.bincount on
-    the linear indices row * d + col adds in input order from +0.0, as np.add.at
-    does, so the bits match add.at's without its per-element overhead."""
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, values.ravel(), n_rows * d).reshape(n_rows, d)
+def _pool_slotwise(table: np.ndarray, flat_idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i sums table[id] over the counts[i] ids that follow sum(counts[:i])
+    in flat_idx, as ((+0.0 + t0) + t1) + ... in token order: the additions
+    np.bincount makes, without a (tokens, d) gather. Rows sorted longest first
+    make slot j's rows a prefix, so each slot adds one (rows, d) block."""
+    order = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
+    desc = -counts[order]
+    acc = np.zeros((counts.size, table.shape[1]))
+    for j in range(int(counts.max(initial=0))):
+        n = np.searchsorted(desc, -j, side="left")  # rows with more than j ids
+        acc[:n] += table[flat_idx[starts[:n] + j]]
+    pooled = np.empty_like(acc)
+    pooled[order] = acc
+    return pooled
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -154,9 +162,8 @@ class DualEncoder:
             raise TokenIdOutOfRange(f"token id {flat_idx[bad.argmax()]} outside [0, {VOCAB_SIZE})")
         flat_idx = np.insert(flat_idx, np.cumsum(lengths)[lengths == 0], VOCAB_SIZE)
         counts = np.maximum(lengths, 1)
-        seg_idx = np.repeat(np.arange(lengths.size), counts)
         table = self.tok_table.data
-        pooled = _sum_rows(seg_idx, table[flat_idx], lengths.size) / counts[:, None]
+        pooled = _pool_slotwise(table, flat_idx, counts) / counts[:, None]
 
         params = (self.tok_table, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2)
         w1 = self.txt_w1.data
@@ -164,10 +171,12 @@ class DualEncoder:
 
         def text_vjp(g):
             ga, *weight_grads = vjp(g)
-            g_pooled = (ga @ w1.T) / counts[:, None]
+            g_pooled_t = ((ga @ w1.T) / counts[:, None]).T.copy()
+            seg_idx = np.repeat(np.arange(counts.size), counts)
             ids, slot = np.unique(flat_idx, return_inverse=True)
             g_table = np.zeros_like(table)
-            g_table[ids] = _sum_rows(slot, g_pooled[seg_idx], ids.size)
+            for c, column in enumerate(g_pooled_t):
+                g_table[ids, c] = np.bincount(slot, column[seg_idx], ids.size)
             return ((g_table, ids), *weight_grads)
 
         return node(out, params, text_vjp)

@@ -168,9 +168,12 @@ def train_model(
             out = loss_graph(
                 img, txt, batch_labels, model.tau(), run.loss_kind, plan
             )
-            model.zero_grad()
             out.backward()
             lr_eff = state.optimizer.step()
+            loss = float(out.data)
+            # the next forward must not run on top of this step's graph and gradients
+            del img, txt, out
+            model.zero_grad()
             clamp_log_tau(model.log_tau)
             step += 1
             state.log_lines.append(
@@ -178,7 +181,7 @@ def train_model(
                     {
                         "epoch": epoch,
                         "step": step,
-                        "loss": float(out.data),
+                        "loss": loss,
                         "lr": lr_eff,
                         "tau": float(model.tau().data),
                     },

@@ -234,6 +234,27 @@ class TestPipeline:
         assert "--transfer needs a grid label file" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_transfer_is_checked_before_the_dataset_loads(self, pipeline, tmp_path, monkeypatch,
+                                                          capsys):
+        """A k-means transfer file fails before eval loads the dataset, the
+        checkpoint or the model."""
+        kmeans_labels = str(tmp_path / "kmeans.json")
+        assert main([
+            "build-labels", "--dataset", pipeline["data"], "--out", kmeans_labels, "--kmeans", "4",
+        ]) == 0
+
+        def no_load(path):
+            raise AssertionError("eval loaded the dataset before checking --transfer")
+
+        monkeypatch.setattr(synth, "load_dataset", no_load)
+        assert main([
+            "eval", "--dataset", pipeline["data"],
+            "--labels", pipeline["labels"], "--checkpoint", pipeline["ckpt"],
+            "--transfer", kmeans_labels, "--out", str(tmp_path / "transfer.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--transfer needs a grid label file" in err and "Traceback" not in err
+
     def test_eval_frees_dataset_and_checkpoint_before_the_probe(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -540,6 +561,22 @@ class TestExitCodes:
                 main(["build-labels"] + required_args("build-labels", tmp_path) + flags)
             assert exc.value.code == 1
             assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_kmeans_seed_without_kmeans_is_usage_error(self, tmp_path, capsys):
+        """--kmeans-seed only seeds k-means: without --kmeans it is a usage
+        error and no label file is written."""
+        data, labels = tmp_path / "d.jsonl", tmp_path / "l.json"
+        data.write_text(json.dumps(MetadataRecord("r0", te_ms=30.0, tr_ms=2000.0).to_dict()) + "\n")
+        common = ["build-labels", "--dataset", str(data), "--out", str(labels)]
+        for flags in (["--grid", "5x5", "--kmeans-seed", "9"], ["--kmeans-seed", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(common + flags)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert "--kmeans-seed: needs --kmeans" in err and "Traceback" not in err
+            assert not labels.exists()
+        assert main(common + ["--kmeans", "1", "--kmeans-seed", "9"]) == 0
+        assert json.loads(labels.read_text())["config"]["kmeans_seed"] == 9
 
     def test_grid_past_float_range(self, tmp_path, capsys):
         """A TE whose bin quotient overflows lands in the top bin; a bin count

@@ -2,14 +2,18 @@
 the closed-form gradients of the encoder and temperature nodes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mrcontrast.autodiff import node
 from mrcontrast.errors import ShapeMismatch, TokenIdOutOfRange
 from mrcontrast.loss import loss_graph
 from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig, _mlp
-from mrcontrast.prompts import VOCAB_SIZE
+from mrcontrast.prompts import VOCAB_SIZE, PromptBank, PromptConfig, TokenBatch
+from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
+from mrcontrast.train import RunConfig
 
 
 def small_model(seed=0):
@@ -102,22 +106,53 @@ def dense_text_reference(model, token_lists, g):
     return out, g_table
 
 
+def bank_batch(rng):
+    """A dropout TokenBatch from a PromptBank over synthetic records, with an
+    empty row after every fifth prompt (the bank always keeps the head, so
+    its own rows are never empty), and the same prompts as id lists."""
+    protocols = default_protocols(n_te_cells=3, n_tr_cells=3)
+    slices = generate_dataset(protocols, SynthConfig(n_scans=60, slices_per_scan=1, seed=3))
+    bank = PromptBank([s.record for s in slices], PromptConfig(dropout=0.5))
+    rows = rng.integers(0, len(slices), size=300)
+    batch = bank.tokens(rows, rng.random(bank.n_droppable(rows)))
+    ends = np.cumsum(batch.lengths)
+    lists = [batch.flat[end - n : end].tolist() for end, n in zip(ends, batch.lengths)]
+    lists = [ids for i, row in enumerate(lists) for ids in ([row, []] if i % 5 == 4 else [row])]
+    lengths = np.array([len(ids) for ids in lists], dtype=np.int64)
+    return TokenBatch(np.array([t for ids in lists for t in ids], dtype=np.int64), lengths), lists
+
+
+def random_lists(rng, n, min_len, max_len):
+    """n id lists of min_len to max_len - 1 ids over 40 ids, so ids repeat,
+    and those 40 ids."""
+    vocab = rng.integers(0, VOCAB_SIZE, size=40)
+    return [[int(t) for t in rng.choice(vocab, size=rng.integers(min_len, max_len))]
+            for _ in range(n)], vocab
+
+
 class TestTextPoolingBits:
     """Pooling and the token-table gradient equal a dense np.add.at
     reference bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 5, 1024])
+    @pytest.mark.parametrize("n", [1, 5, 1024, "bank-dropout", "equal-lengths", "long-rows"])
     def test_pooling_and_table_gradient_match_dense_add_at(self, n):
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(n if isinstance(n, int) else len(n))
         model = small_model(seed=4)
-        vocab = rng.integers(0, VOCAB_SIZE, size=40)  # few ids: many repeats
-        token_lists = [[int(t) for t in rng.choice(vocab, size=rng.integers(0, 12))]
-                       for _ in range(n)]
-        token_lists[0] = []  # the null row
-        if n > 1:
-            token_lists[1] = [int(vocab[0])] * 3 + [int(vocab[1])]  # a repeated id
-        g = rng.normal(size=(n, 8))
-        txt = model.encode_texts(token_lists)
+        if n == "bank-dropout":
+            tokens, token_lists = bank_batch(rng)
+        elif n == "equal-lengths":
+            tokens = token_lists = random_lists(rng, 64, 7, 8)[0]
+        elif n == "long-rows":
+            tokens = token_lists = random_lists(rng, 200, 13, 41)[0]
+        else:
+            token_lists, vocab = random_lists(rng, n, 0, 12)
+            token_lists[0] = []  # the null row
+            if n > 1:
+                token_lists[1] = [int(vocab[0])] * 3 + [int(vocab[1])]  # a repeated id
+            tokens = token_lists
+        assert any(not ids for ids in token_lists) == (n not in ("equal-lengths", "long-rows"))
+        g = rng.normal(size=(len(token_lists), 8))
+        txt = model.encode_texts(tokens)
         want_out, want_table = dense_text_reference(model, token_lists, g)
         assert txt.data.tobytes() == want_out.tobytes()
         g_table, rows = txt._vjp(g)[0]
@@ -125,6 +160,33 @@ class TestTextPoolingBits:
         assert g_table.tobytes() == want_table.tobytes()
         used = [t for ids in token_lists for t in (ids or [VOCAB_SIZE])]
         assert rows.tolist() == sorted(set(used))
+
+
+class TestTextTowerMemory:
+    def test_forward_and_backward_build_no_token_sized_array(self):
+        """On a 1024-row PromptBank batch with the run's default dropout
+        (about 28 ids a row), one text forward and its backward peak below
+        the size of one (tokens, d_tok) float64 array."""
+        rng = np.random.default_rng(0)
+        protocols = default_protocols(n_te_cells=5, n_tr_cells=5)
+        slices = generate_dataset(protocols, SynthConfig(n_scans=200, slices_per_scan=1, seed=1))
+        dropout = RunConfig().text_dropout
+        bank = PromptBank([s.record for s in slices], PromptConfig(dropout=dropout))
+        rows = rng.integers(0, len(slices), size=1024)
+        batch = bank.tokens(rows, rng.random(bank.n_droppable(rows)))
+        model = DualEncoder(ModelConfig(), seed=0)
+        g = rng.normal(size=(rows.size, model.config.d_emb))
+        token_array_bytes = batch.flat.size * model.config.d_tok * 8
+        tracemalloc.start()
+        try:
+            txt = model.encode_texts(batch)
+            node(np.float64(0.0), (txt,), lambda _: (g,)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 25 < batch.flat.size / rows.size < 30
+        assert model.tok_table.grad_rows.size > 0
+        assert peak < token_array_bytes
 
 
 class TestTemperature:

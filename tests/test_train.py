@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -194,6 +195,23 @@ class TestTrainModel:
                 dropped |= any(len(t) < bank.tokens([int(r)]).flat.size for t, r in zip(per_row, rows))
         assert seen == want and dropped
         assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_each_step_is_freed_before_the_next_forward(self, tiny_dataset, monkeypatch):
+        """A step's image embeddings (and so its graph) are gone by the time
+        the next step's image forward starts."""
+        slices, space, ids = tiny_dataset
+        refs, alive = [], []
+        encode = DualEncoder.encode_images
+
+        def tracked(self, features):
+            alive.append(sum(ref() is not None for ref in refs))
+            img = encode(self, features)
+            refs.append(weakref.ref(img.data))
+            return img
+
+        monkeypatch.setattr(DualEncoder, "encode_images", tracked)
+        train_model(slices, space, ids, replace(TINY_RUN, epochs=2))
+        assert len(alive) > 2 and not any(alive)
 
     def test_single_scan_with_holdout_has_no_training_rows(self, tiny_dataset):
         slices, space, ids = tiny_dataset

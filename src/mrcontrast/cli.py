@@ -141,7 +141,10 @@ def cmd_ingest(args) -> int:
 
 
 def _load_records(path: str):
-    return [parse_manifest_line(line, number) for number, line in manifest_lines(path)]
+    records = []
+    for number, line in manifest_lines(path):
+        records.append(parse_manifest_line(line, number, records[-1] if records else None))
+    return records
 
 
 def cmd_build_labels(args) -> int:

@@ -52,7 +52,7 @@ class NonPositiveSpacing(DataError):
 # --- label space ------------------------------------------------------------
 
 class EmptyDataset(DataError):
-    """No records to build a label space from."""
+    """A dataset without lines, or no records to build a label space from."""
 
 
 class TooFewDistinctPoints(DataError):

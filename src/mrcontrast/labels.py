@@ -176,20 +176,24 @@ def label_keys(
     """Label key per record: its value for each of ``config.key_fields``.
 
     A grid quantizes TE/TR once per record; k-means cluster ids come from the
-    grouper in one call for the whole batch.
+    grouper in one call for the whole batch. A run of one shared record (the
+    slices of a scan) reuses its first key.
     """
     fields = config.key_fields
-    if isinstance(config, KMeansLabelConfig):
-        derived = ({"cluster": c} for c in grouper.cluster_ids(records).tolist())
-    else:
-        derived = (
-            dict(zip(("te_bin", "tr_bin"), quantize_te_tr(r.te_ms, r.tr_ms, config.grid)))
-            for r in records
-        )
-    return [
-        tuple(d[f] if f in d else _field_value(record, f) for f in fields)
-        for record, d in zip(records, derived)
-    ]
+    kmeans = isinstance(config, KMeansLabelConfig)
+    clusters = grouper.cluster_ids(records).tolist() if kmeans else None
+    keys, previous = [], None
+    for i, record in enumerate(records):
+        if record is not previous:
+            if kmeans:
+                derived = {"cluster": clusters[i]}
+            else:
+                te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
+                derived = {"te_bin": te_bin, "tr_bin": tr_bin}
+            key = tuple(derived[f] if f in derived else _field_value(record, f) for f in fields)
+            previous = record
+        keys.append(key)
+    return keys
 
 
 KMEANS_DIM = 4

@@ -164,15 +164,21 @@ class PromptBank:
     def __init__(self, records: Sequence[MetadataRecord], config: PromptConfig):
         self.config = config
         column = {clause: j for j, clause in enumerate(CLAUSE_ORDER, start=1)}
-        clause_id, rows = {"MRI scan": 1}, []
+        clause_id, rows, lengths, previous = {"MRI scan": 1}, [], [], None
         for record in records:
+            if record is previous:  # a run of one shared record (a scan's slices): one row
+                lengths[-1] += 1
+                continue
+            previous = record
+            lengths.append(1)
             rows.append([1] + [0] * len(CLAUSE_ORDER))
             for p in prompt_pieces(record, config):
                 rows[-1][column[p.clause]] = clause_id.setdefault(p.text, len(clause_id) + 1)
         chunks = [[]] + [tokenize(text) for text in clause_id]
         longest = max(map(len, chunks))
         self._tokens = np.array([c + [-1] * (longest - len(c)) for c in chunks], dtype=np.int64)
-        self._clauses = np.array(rows, dtype=np.intp).reshape(len(records), len(column) + 1)
+        rows = np.array(rows, dtype=np.intp).reshape(len(lengths), len(column) + 1)
+        self._clauses = np.repeat(rows, lengths, axis=0)
         can_drop = [False] + [clause not in NEVER_DROPPED for clause in CLAUSE_ORDER]
         self._droppable = (self._clauses != 0) & can_drop
 

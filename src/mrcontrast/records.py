@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Iterator, Optional, Sequence, Union
 
 from .errors import (
+    DataError,
     MalformedJson,
     MalformedNumeric,
     NonPositiveSpacing,
@@ -160,27 +161,47 @@ def decode_manifest_line(line: Union[str, bytes], number: int = 1) -> Any:
         raise MalformedJson(f"line {number}: not UTF-8 JSON: {exc}") from exc
 
 
-def parse_manifest_line(line: Union[str, bytes], number: int = 1) -> MetadataRecord:
+def parse_manifest_line(line: Union[str, bytes], number: int = 1, previous=None) -> MetadataRecord:
     """`record_from_dict` of `decode_manifest_line`."""
-    return record_from_dict(decode_manifest_line(line, number))
+    return record_from_dict(decode_manifest_line(line, number), number, previous)
 
 
-def record_from_dict(obj: Any) -> MetadataRecord:
+def record_from_dict(obj: Any, number: int = 1, previous=None) -> MetadataRecord:
     """Validate one decoded manifest entry into a canonical record.
 
     Unknown keys are ignored so feature-bearing dataset files remain valid
     manifests. Raises MalformedJson when the value is not a JSON object or
     lacks source_id/te_ms/tr_ms; the record's own validation errors propagate.
+    Every error names line `number`. Loaders pass the previous line's record
+    as `previous`; an entry that would build it again (`_builds_again`) gets
+    it back, so the slices of one scan share one record.
     """
     if not isinstance(obj, dict):
-        raise MalformedJson("manifest line must be a JSON object")
+        raise MalformedJson(f"line {number}: manifest line must be a JSON object")
+    values = {k: obj[k] for k in _RECORD_FIELDS if k in obj}  # in `to_dict` order
+    if previous is not None and _builds_again(values, previous):
+        return previous
     for required in ("source_id", "te_ms", "tr_ms"):
         if obj.get(required) is None:
-            raise MalformedJson(f"manifest line lacks required field {required}")
+            raise MalformedJson(f"line {number}: manifest line lacks required field {required}")
     try:
-        return MetadataRecord(**{k: v for k, v in obj.items() if k in _RECORD_FIELDS})
+        return MetadataRecord(**values)
     except TypeError as exc:
-        raise MalformedJson(f"bad field type: {exc}") from exc
+        raise MalformedJson(f"line {number}: bad field type: {exc}") from exc
+    except DataError as exc:
+        raise type(exc)(f"line {number}: {exc}") from exc
+
+
+def _builds_again(values: dict, record: MetadataRecord) -> bool:
+    """Whether entry fields `values` are exactly `record.to_dict()`: equal
+    values of equal JSON types (1, 1.0 and true differ), zeros compared by
+    repr as 0.0 == -0.0. Spacing items need only be equal: they become floats."""
+    if values.get("source_id") != record.source_id:  # another scan: fail fast
+        return False
+    canon = record.to_dict()
+    return (values == canon
+            and list(map(type, values.values())) == list(map(type, canon.values()))
+            and (0.0 not in canon.values() or repr(values) == repr(canon)))
 
 
 def infer_plane(spacing: Sequence[float]) -> Plane:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyProtocolList, MalformedFeatures, NonFiniteInput
+from .errors import EmptyDataset, EmptyProtocolList, MalformedFeatures, NonFiniteInput
 from .labels import TE_RANGE_MS, TR_RANGE_MS
 from .records import (
     MetadataRecord,
@@ -257,12 +257,14 @@ def load_dataset(path: str) -> list[SyntheticSlice]:
     ``features``: a list of numbers as long as the first line's (else
     MalformedFeatures), all of them finite (else NonFiniteInput, a numerical
     error like other non-finite input). ``scan_id`` and ``slice_index``, 0
-    when absent, must be ints that fit in int64 (else MalformedFeatures).
+    when absent, must be ints that fit in int64 (else MalformedFeatures); a
+    file without lines raises EmptyDataset. A scan's slices share one record.
     """
     out: list[SyntheticSlice] = []
+    record = None
     for number, line in manifest_lines(path):
         obj = decode_manifest_line(line, number)
-        record = record_from_dict(obj)
+        record = record_from_dict(obj, number, record)
         try:
             features = np.asarray(obj["features"], dtype=np.float64)
             scan_id = int64(obj.get("scan_id", 0), "scan_id")
@@ -276,4 +278,6 @@ def load_dataset(path: str) -> list[SyntheticSlice]:
         if not np.isfinite(features).all():
             raise NonFiniteInput(f"line {number}: non-finite features")
         out.append(SyntheticSlice(record, scan_id, slice_index, features))
+    if not out:
+        raise EmptyDataset(f"{path}: no records")
     return out

@@ -673,6 +673,20 @@ class TestExitCodes:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_dataset_without_lines_is_data_error(self, pipeline, tmp_path, capsys, command, text):
+        data = tmp_path / "empty.jsonl"
+        data.write_text(text)
+        out = tmp_path / "out"
+        flags = (["--checkpoint", str(out)] + TRAIN_FLAGS if command == "train"
+                 else ["--checkpoint", pipeline["ckpt"], "--out", str(out)])
+        code = main([command, "--dataset", str(data), "--labels", pipeline["labels"]] + flags)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "no records" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["ingest", "build-labels"])
     def test_non_utf8_manifest_line_is_data_error(self, tmp_path, capsys, command):
         manifest = tmp_path / "manifest.jsonl"

@@ -27,6 +27,7 @@ from mrcontrast.labels import (
     build_label_space,
     coarsen_te_tr,
     coarsened_space,
+    label_keys,
     median_rep,
     quantize_te_tr,
 )
@@ -612,6 +613,24 @@ def label_files() -> dict:
     records = label_records()
     return {name: json.loads(build_label_space(records, config)[0].to_json())
             for name, config in configs.items()}
+
+
+@pytest.mark.parametrize("config", [
+    LabelConfig(grid=GridSpec(n_te=3, n_tr=3)), KMeansLabelConfig(n_clusters=4),
+], ids=["grid", "kmeans"])
+def test_shared_records_label_as_their_copies(config):
+    """Keys, label files and ids are computed once per run of a shared record
+    and equal those of distinct copies."""
+    shared = label_records()  # one record object per scan
+    copies = [copy.copy(r) for r in shared]
+    assert len(set(map(id, shared))) == 60 and len(set(map(id, copies))) == len(shared)
+    space, ids = build_label_space(copies, config)
+    space_shared, ids_shared = build_label_space(shared, config)
+    assert space_shared.to_json() == space.to_json()
+    np.testing.assert_array_equal(ids_shared, ids)
+    assert label_keys(shared, config, space.grouper) == label_keys(copies, config, space.grouper)
+    mixed = shared[5:] + copies[:5] + shared[:5]
+    np.testing.assert_array_equal(space.assign(mixed), space.assign(copies[5:] + copies[:5] * 2))
 
 
 def test_config_holds_only_its_groupings_settings():

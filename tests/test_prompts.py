@@ -1,5 +1,6 @@
 """Prompt rendering and tokenization tests."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -153,6 +154,25 @@ class TestPromptBank:
             full_record(te_ms=90.0, ti_ms=None, sequence_type="SE"),
             full_record(manufacturer="SIEMENS", scanner_model="AVANTO"),
         ]
+
+    def test_shared_records_give_the_bank_of_copies(self):
+        """Rows built once per run of a shared record equal rows built per copy,
+        including a record whose runs are apart."""
+        a, b, c = self.records()
+        shared = [a] * 3 + [b] + [c] * 2 + [a] * 2 + [b]
+        copies = [copy.copy(r) for r in shared]
+        rng = np.random.default_rng(3)
+        for config in (PromptConfig(dropout=0.5), PromptConfig(dropout=0.5, numerical_only=True)):
+            banks = PromptBank(shared, config), PromptBank(copies, config)
+            for name in ("_tokens", "_clauses", "_droppable"):
+                want = getattr(banks[1], name)
+                assert getattr(banks[0], name).dtype == want.dtype
+                np.testing.assert_array_equal(getattr(banks[0], name), want)
+            rows = rng.integers(len(shared), size=32)
+            uniforms = rng.random(banks[1].n_droppable(rows))
+            got, want = (bank.tokens(rows, uniforms) for bank in banks)
+            np.testing.assert_array_equal(got.flat, want.flat)
+            np.testing.assert_array_equal(got.lengths, want.lengths)
 
     def test_tokens_full_matches_rendered_sentence(self):
         config = PromptConfig(dropout=0.5)

@@ -1,11 +1,14 @@
 """Tests for metadata records: validation, manifests, plane inference."""
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from mrcontrast.errors import (
+    DataError,
     MalformedJson,
     MalformedNumeric,
     NonPositiveSpacing,
@@ -17,6 +20,7 @@ from mrcontrast.records import (
     infer_plane,
     parse_manifest_line,
     plane_for_record,
+    record_from_dict,
 )
 
 
@@ -202,6 +206,97 @@ class TestManifestLines:
         line = json.dumps({"source_id": "s", "te_ms": te, "tr_ms": 2.0})
         with pytest.raises(MalformedNumeric):
             parse_manifest_line(line)
+
+
+def scan_line(**kw) -> str:
+    """One slice's dataset line with record fields as `to_dict` writes them."""
+    entry = dict(
+        source_id="scan00001", manufacturer="GE", scanner_model="SIGNA", sequence_type="SE",
+        sequence_variant="SK", field_strength_tesla=3.0, te_ms=30.0, tr_ms=2000.0,
+        flip_angle_deg=90.0, voxel_spacing_mm=[1.0, 1.0, 5.0], num_slices=10,
+        features=[0.5, 0.25], scan_id=1, slice_index=0,
+    )
+    entry.update(kw)
+    return json.dumps(entry, sort_keys=True)
+
+
+def load_lines(lines: list) -> list:
+    """Records of consecutive lines, each given the previous one's, as the loaders do."""
+    records = []
+    for number, line in enumerate(lines, 1):
+        records.append(parse_manifest_line(line, number, records[-1] if records else None))
+    return records
+
+
+ZERO_FIELDS = ("field_strength_tesla", "te_ms", "tr_ms", "flip_angle_deg")
+# (field, first line's value, second line's value): equal under ==, but the
+# second line builds another record or raises
+TYPED_PAIRS = [
+    ("source_id", a, b) for a in (1, 1.0, True) for b in (1, 1.0, True) if repr(a) != repr(b)
+] + [("num_slices", 10, 10.0), ("num_slices", 1, True)] + [
+    (field, a, b) for field in ZERO_FIELDS for a, b in ((0.0, -0.0), (-0.0, 0.0))
+]
+
+
+class TestSharedRecords:
+    """A line whose record fields are exactly the previous line's record gets
+    that record object; any other line builds (or fails) as on its own."""
+
+    def test_identical_consecutive_lines_share_one_record(self):
+        lines = [scan_line(slice_index=i, features=[0.1 * i, 0.2]) for i in range(4)]
+        records = load_lines(lines)
+        assert all(r is records[0] for r in records)
+        assert records[0] == parse_manifest_line(lines[0])
+
+    def test_key_order_and_unknown_keys_do_not_matter(self):
+        first = parse_manifest_line(scan_line())
+        reordered = json.dumps(dict(reversed(json.loads(scan_line(extra=[1, 2])).items())))
+        assert parse_manifest_line(reordered, 2, first) is first
+
+    @pytest.mark.parametrize("field, first, second", TYPED_PAIRS)
+    def test_typed_values_build_their_own_record(self, field, first, second):
+        lines = [scan_line(**{field: first}), scan_line(**{field: second})]
+        previous = parse_manifest_line(lines[0], 1)
+        try:
+            want = parse_manifest_line(lines[1], 2)
+        except DataError as exc:
+            assert "line 2" in str(exc)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                parse_manifest_line(lines[1], 2, previous)
+            return
+        got = parse_manifest_line(lines[1], 2, previous)
+        assert got.to_dict() == want.to_dict()
+        got_signs, want_signs = (
+            [math.copysign(1.0, getattr(r, name)) for name in ZERO_FIELDS] for r in (got, want)
+        )
+        assert got_signs == want_signs
+
+    @pytest.mark.parametrize("edit", [
+        dict(source_id="scan00002"),
+        dict(manufacturer="ge"),
+        dict(te_ms=30),
+        dict(ti_ms=None),
+        dict(te_ms=31.0),
+        dict(voxel_spacing_mm=[1.0, 5.0, 1.0]),
+    ], ids=["other-source", "not-canonical", "int-te", "null-ti", "other-te", "other-plane"])
+    def test_other_lines_build_a_new_record(self, edit):
+        first = parse_manifest_line(scan_line())
+        got = parse_manifest_line(scan_line(**edit), 2, first)
+        assert got is not first
+        assert got.to_dict() == parse_manifest_line(scan_line(**edit)).to_dict()
+
+    def test_equal_lines_apart_build_their_own_records(self):
+        a, b = scan_line(), scan_line(source_id="scan00002", te_ms=90.0)
+        records = load_lines([a, a, b, a])
+        assert records[1] is records[0] and records[3] is not records[0]
+        alone = [parse_manifest_line(line).to_dict() for line in (a, a, b, a)]
+        assert [r.to_dict() for r in records] == alone
+
+    def test_error_names_its_own_line(self):
+        with pytest.raises(MalformedNumeric, match="line 3"):
+            load_lines([scan_line(), scan_line(), scan_line(te_ms=-1.0)])
+        with pytest.raises(MalformedJson, match="line 2"):
+            record_from_dict([scan_line()], 2)
 
 
 class TestPlaneInference:

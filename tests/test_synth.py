@@ -1,18 +1,23 @@
 """Synthetic data generator tests against a literal signal reference."""
 
+import gc
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mrcontrast.errors import (
+    DataError,
+    EmptyDataset,
     EmptyProtocolList,
     MalformedFeatures,
     MalformedJson,
     NonFiniteInput,
 )
-from mrcontrast.records import MetadataRecord
+from mrcontrast.records import MetadataRecord, record_from_dict
 from mrcontrast.synth import (
     DEFAULT_TISSUES,
     SynthConfig,
@@ -311,4 +316,53 @@ class TestDatasetIO:
         path = tmp_path / "data.jsonl"
         path.write_text('{"source_id": "a", "te_ms": 1,\n')
         with pytest.raises(MalformedJson):
+            load_dataset(str(path))
+
+
+class TestSharedRecords:
+    """`load_dataset` gives consecutive slices that repeat their scan's record
+    fields one record object; every other slice gets what its line builds."""
+
+    @pytest.mark.parametrize("field, first, second", [
+        ("source_id", 1, 1.0), ("source_id", 1.0, True), ("source_id", True, 1),
+        ("num_slices", 10, 10.0), ("te_ms", 0.0, -0.0), ("te_ms", -0.0, 0.0),
+    ])
+    def test_typed_values_build_their_own_record(self, tmp_path, field, first, second):
+        slices = generate_dataset(default_protocols(), SynthConfig(n_scans=1, slices_per_scan=2))
+        objs = [json.loads(s.to_json_line()) for s in slices]
+        objs[0][field], objs[1][field] = first, second
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        try:
+            want = record_from_dict(json.loads(json.dumps(objs[1])), 2)
+        except DataError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                load_dataset(str(path))
+            return
+        got = load_dataset(str(path))[1].record
+        assert got.to_dict() == want.to_dict()
+        assert math.copysign(1.0, got.te_ms) == math.copysign(1.0, want.te_ms)
+
+    def test_a_scan_holds_one_record(self, tmp_path):
+        config = SynthConfig(n_scans=1000, slices_per_scan=10)
+        slices = generate_dataset(default_protocols(), config)
+        path = str(tmp_path / "data.jsonl")
+        write_dataset(slices, path)
+        del slices
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live < 6e6, live  # 9.9 MB with one record per slice
+        assert len({id(s.record) for s in loaded}) == 1000
+        assert all(s.record is loaded[10 * s.scan_id].record for s in loaded)
+
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+    def test_dataset_without_lines_raises_empty_dataset(self, tmp_path, text):
+        path = tmp_path / "data.jsonl"
+        path.write_text(text)
+        with pytest.raises(EmptyDataset):
             load_dataset(str(path))

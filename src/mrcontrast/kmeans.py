@@ -15,6 +15,8 @@ from .errors import NonFiniteInput, TooFewDistinctPoints
 
 CONVERGENCE_TOL = 1e-8
 MAX_ITER = 300
+# points per distance block: the (rows, k, d) difference array never holds more
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -26,13 +28,22 @@ class KMeansModel:
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Nearest-centroid index per point (ties -> lowest index)."""
         points = np.asarray(points, dtype=np.float64)
-        d2 = _sq_dists(points, self.centroids)
-        return np.argmin(d2, axis=1)
+        out = np.empty(points.shape[0], dtype=np.intp)
+        for start in range(0, len(out), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            out[block] = np.argmin(_sq_dists(points[block], self.centroids), axis=1)
+        return out
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+def _sq_dists(points: np.ndarray, centroids: np.ndarray, out=None, cols=slice(None)) -> np.ndarray:
+    """Squared point-centroid distances into out[:, cols] (a new (n, k) array if out
+    is None), BLOCK_ROWS points at a time; each entry's einsum sum over d keeps its bits."""
+    if out is None:
+        out = np.empty((points.shape[0], centroids.shape[0]))
+    for start in range(0, points.shape[0], BLOCK_ROWS):
+        diff = points[start : start + BLOCK_ROWS, None, :] - centroids[None, :, :]
+        out[start : start + BLOCK_ROWS, cols] = np.einsum("nkd,nkd->nk", diff, diff)
+    return out
 
 
 def _seed_centroids(
@@ -93,7 +104,7 @@ def fit_kmeans(points: np.ndarray, n_clusters: int, seed: int) -> KMeansModel:
         # recompute only the columns of centroids that moved: one column alone
         # has the same bits as the full einsum
         moved = (centroids != held).any(axis=1)
-        d2[:, moved] = _sq_dists(points, centroids[moved])
+        _sq_dists(points, centroids[moved], d2, moved)
         held = centroids.copy()  # the refill below edits centroids in place
         assign = np.argmin(d2, axis=1)
         point_cost = d2[np.arange(points.shape[0]), assign]

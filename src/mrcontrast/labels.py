@@ -175,18 +175,20 @@ def label_keys(
 ) -> list[tuple]:
     """Label key per record: its value for each of ``config.key_fields``.
 
-    A grid quantizes TE/TR once per record; k-means cluster ids come from the
-    grouper in one call for the whole batch. A run of one shared record (the
-    slices of a scan) reuses its first key.
+    A run of one shared record (the slices of a scan) gets one key, computed
+    for its first record: a grid quantizes its TE/TR, and k-means takes its
+    cluster id from one grouper call over the first records of all runs.
     """
     fields = config.key_fields
     kmeans = isinstance(config, KMeansLabelConfig)
-    clusters = grouper.cluster_ids(records).tolist() if kmeans else None
+    if kmeans:  # the list of first records lives for the grouper call only
+        clusters = iter(grouper.cluster_ids(
+            [r for i, r in enumerate(records) if i == 0 or r is not records[i - 1]]).tolist())
     keys, previous = [], None
-    for i, record in enumerate(records):
+    for record in records:
         if record is not previous:
             if kmeans:
-                derived = {"cluster": clusters[i]}
+                derived = {"cluster": next(clusters)}
             else:
                 te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
                 derived = {"te_bin": te_bin, "tr_bin": tr_bin}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Optional, Sequence, Union
 
@@ -41,11 +42,11 @@ class Plane(enum.Enum):
 
 
 def canonical_string(value: str, name: str = "value") -> str:
-    """Trim and uppercase. Idempotent: f(f(x)) == f(x). A value that is not a
-    string raises MalformedJson naming the field."""
+    """Trim, uppercase and intern, so equal values share one object. Idempotent:
+    f(f(x)) == f(x). A value that is not a string raises MalformedJson naming the field."""
     if not isinstance(value, str):
         raise MalformedJson(f"{name} is not a string: {value!r}")
-    return value.strip().upper()
+    return sys.intern(value.strip().upper())
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Lloyd iteration tests: inertia descent, exact toy solutions, determinism,
-and bit identity with the plain Lloyd loop."""
+bit identity with the plain Lloyd loop, and memory bounded by the row block."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mrcontrast import kmeans
 from mrcontrast.errors import NonFiniteInput, TooFewDistinctPoints
-from mrcontrast.kmeans import CONVERGENCE_TOL, MAX_ITER, _sq_dists, fit_kmeans
+from mrcontrast.kmeans import BLOCK_ROWS, CONVERGENCE_TOL, MAX_ITER, fit_kmeans
+
+# point counts around the row block's edges
+BLOCK_EDGE_NS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7)
 
 
 def brute_force_inertia(points, centroids):
@@ -14,16 +19,42 @@ def brute_force_inertia(points, centroids):
     return float(d.min(axis=1).sum())
 
 
+def full_sq_dists(points, centroids):
+    """Every squared distance from one (n, k, d) difference array: the formula
+    that the blocked distances must reproduce bit for bit."""
+    diff = points[:, None] - centroids[None]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_seeds(points, k, rng):
+    """k-means++ seeding written out on full_sq_dists."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = full_sq_dists(points, centroids[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = min(int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right")), n - 1)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, full_sq_dists(points, centroids[j : j + 1])[:, 0])
+    return centroids
+
+
 def reference_lloyd(points, n_clusters, seed):
     """The plain Lloyd loop: every distance and every mean recomputed each
     iteration. fit_kmeans must reproduce it bit for bit. Also returns how
-    many empty clusters were refilled."""
+    many empty clusters were refilled. The seeds come from
+    kmeans._seed_centroids, so a test can patch them;
+    TestBlockedDistances checks that function against reference_seeds."""
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = kmeans._seed_centroids(points, n_clusters, rng)
     history, n_iter, refills = [], 0, 0
     for iteration in range(MAX_ITER):
-        d2 = _sq_dists(points, centroids)
+        d2 = full_sq_dists(points, centroids)
         assign = np.argmin(d2, axis=1)
         point_cost = d2[np.arange(points.shape[0]), assign]
         counts = np.bincount(assign, minlength=n_clusters)
@@ -92,6 +123,65 @@ class TestMatchesPlainLloyd:
             for k in (2, 5, 12):
                 refills += assert_matches_reference(points, k, seed=trial)
         assert refills > 0
+
+
+class TestBlockedDistances:
+    """Distances are computed BLOCK_ROWS points at a time, with the same bits
+    as one full difference array and a peak that does not grow with k."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_distances_and_seeds_equal_the_full_array(self, d):
+        rng = np.random.default_rng(300 + d)
+        for n in BLOCK_EDGE_NS:
+            points = rng.normal(size=(n, d)) * rng.choice([1.0, 30.0])
+            centroids = rng.normal(size=(13, d))
+            want = full_sq_dists(points, centroids)
+            assert kmeans._sq_dists(points, centroids).tobytes() == want.tobytes()
+            cols = rng.random(13) < 0.5
+            out = np.full((n, 13), -1.0)
+            kmeans._sq_dists(points, centroids[cols], out, cols)
+            assert out[:, cols].tobytes() == want[:, cols].tobytes()
+            assert (out[:, ~cols] == -1.0).all()
+            got, ref = (seed(points, 9, np.random.default_rng(n))
+                        for seed in (kmeans._seed_centroids, reference_seeds))
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_fits_across_block_edges_equal_plain_lloyd(self, d):
+        rng = np.random.default_rng(400 + d)
+        for n in BLOCK_EDGE_NS:
+            centres = rng.random((12, d))
+            points = centres[rng.integers(0, 12, n)] + rng.normal(scale=0.02, size=(n, d))
+            for k in (3, 12):
+                assert_matches_reference(points, k, seed=n)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+    def test_assign_is_the_argmin_of_the_full_array(self, n):
+        # rounded points tie between centroids, and the duplicated centroids
+        # tie on every point: each tie goes to the lowest index
+        rng = np.random.default_rng(n)
+        points = np.round(rng.normal(size=(n, 3)), 0)
+        centroids = np.round(rng.normal(size=(6, 3)), 0)
+        model = kmeans.KMeansModel(centroids=centroids[[0, 1, 0, 2, 3, 1, 4, 5, 5]])
+        got = model.assign(points)
+        np.testing.assert_array_equal(got, np.argmin(full_sq_dists(points, model.centroids), axis=1))
+        assert not {2, 5, 8} & set(got.tolist())
+
+    def test_peak_memory_stays_below_half_the_difference_array(self):
+        rng = np.random.default_rng(12)
+        n, k, d = 20_000, 40, 4
+        points = rng.random((25, d))[rng.integers(0, 25, n)] + rng.normal(scale=0.01, size=(n, d))
+        bound = n * k * d * 8 / 2
+        tracemalloc.start()
+        try:
+            model = fit_kmeans(points, k, seed=0)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model.assign(points)
+            assign_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < bound and assign_peak < bound, (fit_peak, assign_peak, bound)
 
 
 class TestInertia:

@@ -20,6 +20,7 @@ from mrcontrast.labels import (
     FIELD_ORDER,
     TI_EDGES_MS,
     GridSpec,
+    KMeansGrouper,
     KMeansLabelConfig,
     LabelConfig,
     LabelSpace,
@@ -631,6 +632,18 @@ def test_shared_records_label_as_their_copies(config):
     assert label_keys(shared, config, space.grouper) == label_keys(copies, config, space.grouper)
     mixed = shared[5:] + copies[:5] + shared[:5]
     np.testing.assert_array_equal(space.assign(mixed), space.assign(copies[5:] + copies[:5] * 2))
+
+
+def test_kmeans_assigns_once_per_run_of_a_shared_record(monkeypatch):
+    shared = label_records()  # 60 scans of 3 slices, one record object per scan
+    space, ids = build_label_space(shared, KMeansLabelConfig(n_clusters=4))
+    sizes = []
+    cluster_ids = KMeansGrouper.cluster_ids
+    monkeypatch.setattr(KMeansGrouper, "cluster_ids",
+                        lambda self, records: sizes.append(len(records)) or cluster_ids(self, records))
+    np.testing.assert_array_equal(space.assign(shared), ids)
+    np.testing.assert_array_equal(space.assign(shared[1:] + shared[:1]), ids[1:].tolist() + [ids[0]])
+    assert sizes == [60, 61]
 
 
 def test_config_holds_only_its_groupings_settings():

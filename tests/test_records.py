@@ -299,6 +299,38 @@ class TestSharedRecords:
             record_from_dict([scan_line()], 2)
 
 
+class TestInternedStrings:
+    """Canonical strings are interned: records built apart share one object
+    per distinct value, and stay equal, serialized and validated as before."""
+
+    TEXT_FIELDS = ("manufacturer", "scanner_model", "series_description",
+                   "sequence_type", "sequence_variant")
+
+    def test_records_from_separate_lines_share_their_strings(self):
+        raw = dict(manufacturer=" ge ", scanner_model="Signa", series_description="t1 ax",
+                   sequence_type="se", sequence_variant="sk")
+        a = parse_manifest_line(scan_line(**raw))
+        b = parse_manifest_line(scan_line(**{k: v.upper().strip() for k, v in raw.items()}))
+        c = parse_manifest_line(scan_line(**raw, source_id="scan00002"), 2, a)
+        assert a is not b and a == b and c is not a
+        for name in self.TEXT_FIELDS:
+            assert getattr(a, name) is getattr(b, name) is getattr(c, name)
+        assert a.to_dict() == b.to_dict() == {**c.to_dict(), "source_id": "scan00001"}
+        assert a.to_dict()["series_description"] == "T1 AX"
+
+    def test_a_str_subclass_becomes_a_plain_interned_str(self):
+        class Tag(str):
+            pass
+
+        got = canonical_string(Tag(" avanto "))
+        assert type(got) is str and got is canonical_string("AVANTO")
+
+    @pytest.mark.parametrize("name", TEXT_FIELDS)
+    def test_a_value_that_is_not_a_string_still_raises(self, name):
+        with pytest.raises(MalformedJson, match=f"{name} is not a string"):
+            MetadataRecord("s", te_ms=1.0, tr_ms=2.0, **{name: 5})
+
+
 class TestPlaneInference:
     @pytest.mark.parametrize("spacing,plane", [
         ((6.0, 0.9, 0.9), Plane.SAGITTAL),

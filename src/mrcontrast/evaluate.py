@@ -150,8 +150,6 @@ def scan_to_text_recall(
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
 LBFGS_MEMORY = 10
-# The probe's softmax runs over this many rows at a time.
-PROBE_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -211,43 +209,34 @@ def linear_probe(
         return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
 
     xa = augment(np.asarray(train_x, dtype=np.float64))
+    xt = np.ascontiguousarray(xa.T)
     n, d = xa.shape
 
-    # The fit holds three (n, C) buffers: the accepted logits, the trial
-    # logits and the trial's softmax minus one-hot. Every softmax step is
-    # row-wise, so running it a row block at a time changes no bit.
-    logits, trial, residual = (np.zeros((n, classes.size)) for _ in range(3))
-    row_nll = np.empty(n)
-    block_rows = np.arange(PROBE_BLOCK_ROWS)
+    # The fit holds one (C, n) buffer: a trial's logits, then in place their
+    # softmax minus one-hot, column by column. After an accepted trial it
+    # holds the residual the gradient needs.
+    buf = np.empty((classes.size, n))
+    col_max, norm = np.empty(n), np.empty(n)
+    hit = (y, np.arange(n))
 
-    def trial_nll(t: float) -> float:
-        """trial <- logits + t * trial, residual <- its softmax minus one-hot;
-        returns the trial's mean NLL."""
-        for lo in range(0, n, PROBE_BLOCK_ROWS):
-            b = slice(lo, lo + PROBE_BLOCK_ROWS)
-            z, r = trial[b], residual[b]
-            z *= t
-            z += logits[b]
-            np.subtract(z, z.max(axis=1, keepdims=True), out=r)
-            hit = (block_rows[: r.shape[0]], y[b])
-            picked = r[hit]
-            np.exp(r, out=r)
-            norm = r.sum(axis=1)
-            np.subtract(np.log(norm), picked, out=row_nll[b])
-            r /= norm[:, None]
-            r[hit] -= 1.0
-        return float(row_nll.mean())
+    def objective(w_t: np.ndarray) -> float:
+        """buf <- softmax(w_t @ xa.T) minus one-hot; returns the regularised
+        mean NLL of w_t."""
+        np.matmul(w_t, xt, out=buf)
+        np.subtract(buf, np.max(buf, axis=0, out=col_max), out=buf)
+        picked = buf[hit]
+        np.exp(buf, out=buf)
+        np.sum(buf, axis=0, out=norm)
+        nll = float((np.log(norm) - picked).mean())
+        np.divide(buf, norm, out=buf)
+        buf[hit] -= 1.0
+        return nll + 0.5 * l2 * float((w_t * w_t).sum())
 
     def gradient(w: np.ndarray) -> np.ndarray:
-        return residual.T @ xa / n + l2 * w
+        return buf @ xa / n + l2 * w
 
-    # Along the ray w + t*dw the logits move linearly (logits + t*dlogits),
-    # so a trial step costs one matmul into `trial` and one softmax; an
-    # accepted trial swaps into `logits`, and its residual gives the next
-    # gradient. Its loss is the one the Armijo test accepted, so the losses
-    # never increase.
     w = np.zeros((classes.size, d), dtype=np.float64)
-    loss = trial_nll(1.0)  # logits and trial are both zero
+    loss = objective(w)
     grad = gradient(w)
     losses = [loss]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
@@ -260,9 +249,8 @@ def linear_probe(
             slope = -grad_norm * grad_norm
         t = 1.0
         while t > 1e-18:
-            np.matmul(xa, dw.T, out=trial)  # dlogits; the same bits each trial
             w_t = w + t * dw
-            loss_t = trial_nll(t) + 0.5 * l2 * float((w_t * w_t).sum())
+            loss_t = objective(w_t)
             if loss_t <= loss + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -274,13 +262,12 @@ def linear_probe(
         if sy > 0.0:
             pairs.append((s, yk, 1.0 / sy))
         w, loss, grad = w_t, loss_t, grad_t
-        logits, trial = trial, logits
         losses.append(loss)
         grad_norm = float(np.sqrt((grad * grad).sum()))
-    del logits, trial, residual  # before the eval logits
+    del buf  # before the eval logits
 
-    eval_logits = augment(np.asarray(eval_x, dtype=np.float64)) @ w.T
-    pred = classes[np.argmax(eval_logits, axis=1)]
+    eval_logits = w @ augment(np.asarray(eval_x, dtype=np.float64)).T
+    pred = classes[np.argmax(eval_logits, axis=0)]  # ties: the lowest class id
     accuracy = float((pred == np.asarray(eval_y)).mean())
     return ProbeResult(
         accuracy=accuracy,

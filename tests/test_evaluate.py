@@ -320,28 +320,29 @@ class TestScanToTextRecall:
 
 
 def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, grad_tol=1e-6):
-    """The L-BFGS probe with a fresh (n, C) array for every intermediate, as
-    it was before the row-block buffers; also counts rejected trial steps."""
+    """The L-BFGS probe with a fresh (C, n) array for every intermediate: the
+    logits w_t @ xa.T at every trial and the softmax over axis 0; also counts
+    rejected trial steps."""
     classes = np.unique(train_y)
     y = np.array([{int(c): i for i, c in enumerate(classes)}[int(v)] for v in train_y])
     xa = np.concatenate([train_x, np.ones((len(train_x), 1))], axis=1)
     n, d = xa.shape
-    rows = np.arange(n)
+    cols = np.arange(n)
 
-    def nll_residual(logit_rows):
-        z = logit_rows - logit_rows.max(axis=1, keepdims=True)
-        picked = z[rows, y]
-        np.exp(z, out=z)
-        norm = z.sum(axis=1)
+    def objective(w_t):
+        z = w_t @ xa.T
+        z = z - z.max(axis=0)
+        picked = z[y, cols]
+        p = np.exp(z)
+        norm = p.sum(axis=0)
         nll = float((np.log(norm) - picked).mean())
-        z /= norm[:, None]
-        z[rows, y] -= 1.0
-        return nll, z
+        residual = p / norm
+        residual[y, cols] -= 1.0
+        return nll + 0.5 * l2 * float((w_t * w_t).sum()), residual
 
     w = np.zeros((classes.size, d))
-    logits = np.zeros((n, classes.size))
-    loss, residual = nll_residual(logits)
-    grad = residual.T @ xa / n + l2 * w
+    loss, residual = objective(w)
+    grad = residual @ xa / n + l2 * w
     losses, rejected = [loss], 0
     pairs = deque(maxlen=evaluate.LBFGS_MEMORY)
     grad_norm = float(np.sqrt((grad * grad).sum()))
@@ -351,29 +352,26 @@ def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, gr
         if not (np.isfinite(slope) and slope < 0.0):
             dw = -grad
             slope = -grad_norm * grad_norm
-        dlogits = xa @ dw.T
         t = 1.0
         while t > 1e-18:
             w_t = w + t * dw
-            logits_t = logits + t * dlogits
-            nll_t, residual = nll_residual(logits_t)
-            loss_t = nll_t + 0.5 * l2 * float((w_t * w_t).sum())
+            loss_t, residual = objective(w_t)
             if loss_t <= loss + 1e-4 * t * slope:
                 break
             t *= 0.5
             rejected += 1
         else:
             break
-        grad_t = residual.T @ xa / n + l2 * w_t
+        grad_t = residual @ xa / n + l2 * w_t
         s, yk = w_t - w, grad_t - grad
         sy = float((s * yk).sum())
         if sy > 0.0:
             pairs.append((s, yk, 1.0 / sy))
-        w, logits, loss, grad = w_t, logits_t, loss_t, grad_t
+        w, loss, grad = w_t, loss_t, grad_t
         losses.append(loss)
         grad_norm = float(np.sqrt((grad * grad).sum()))
     eval_x = np.concatenate([eval_x, np.ones((len(eval_x), 1))], axis=1)
-    pred = classes[np.argmax(eval_x @ w.T, axis=1)]
+    pred = classes[np.argmax(w @ eval_x.T, axis=0)]
     return losses, pred, grad_norm, rejected
 
 
@@ -419,6 +417,16 @@ class TestLinearProbe:
         train_x, train_y = self.clusters(rng, 10, [(0, 0), (3, 3)], [0, 1])
         result = linear_probe(train_x, train_y, train_x, train_y, grad_tol=1e9)
         assert result.n_iterations == 1
+
+    def test_probe_stopped_at_zero_weights_predicts_lowest_class_id(self):
+        # every eval logit is 0, so every row is a C-way tie
+        rng = np.random.default_rng(10)
+        train_x, train_y = self.clusters(rng, 10, [(0, 0), (3, 3), (0, 3)], [8, 2, 5])
+        eval_x = rng.normal(scale=4.0, size=(30, 2))
+        result = linear_probe(train_x, train_y, eval_x, np.full(30, 8), grad_tol=1e9)
+        assert result.n_iterations == 1
+        assert result.predicted_ids.tolist() == [2] * 30
+        assert result.accuracy == 0.0
 
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
@@ -474,9 +482,9 @@ class TestLinearProbe:
     @pytest.mark.parametrize(
         "n, n_classes, scales, max_iter, min_rejected",
         [
-            (100, 2, (1.0, 1.0, 1.0), 500, 0),  # fewer rows than one block
-            (256, 2, (1.0, 1.0, 1.0), 500, 0),  # exactly one block
-            (257, 7, (1.0, 1.0, 1.0), 500, 0),  # one row in a second block
+            (100, 2, (1.0, 1.0, 1.0), 500, 0),
+            (256, 2, (1.0, 1.0, 1.0), 500, 0),
+            (257, 7, (1.0, 1.0, 1.0), 500, 0),
             (1000, 40, (1.0, 1.0, 1.0), 500, 0),
             (300, 5, (1.0, 100.0, 0.01), 500, 1),  # ill-conditioned: rejected trials
             (600, 9, (1.0, 10.0, 1.0), 6, 0),  # stopped by max_iter
@@ -501,9 +509,9 @@ class TestLinearProbe:
         assert result.n_iterations == len(losses)
         assert max_iter == 500 or result.n_iterations == max_iter
 
-    def test_peak_memory_is_below_four_logit_arrays(self):
-        # three (n, C) buffers and row-block temporaries; the full-array
-        # loop held about six (n, C) arrays at its peak
+    def test_peak_memory_is_below_three_logit_arrays(self):
+        # one (C, n) buffer; once it is freed, the eval logits and the copy
+        # argmax makes to reduce them over axis 0
         n, n_classes, d = 4000, 50, 8
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, d))
@@ -515,7 +523,7 @@ class TestLinearProbe:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * n * n_classes * 8
+        assert peak < 3 * n * n_classes * 8
 
 
 class TestPerTagError:

@@ -302,7 +302,6 @@ def build_parser() -> _Parser:
                    type=_flag_type(str, RUN_RULES["loss_kind"]))
     p.add_argument("--shards", type=_flag_type(int, RUN_RULES["shards"]))
     p.add_argument("--text-dropout", type=_flag_type(float, RUN_RULES["text_dropout"]))
-    p.add_argument("--numerical-only", action="store_true")
     p.add_argument("--include-series-description", action="store_true")
     p.add_argument("--val-fraction", type=_flag_type(float, RUN_RULES["val_fraction"]))
     p.add_argument("--resume", default=None)

@@ -156,13 +156,13 @@ def _field_value(record: MetadataRecord, name: str):
     if name == "plane":
         return plane_for_record(record).label
     if name == "field_strength":
-        return round(record.field_strength_tesla, 1)
+        return prompts.one_decimal(record.field_strength_tesla)
     if name == "sequence_type":
         return record.sequence_type
     if name == "sequence_variant":
         return record.sequence_variant
     if name == "flip_angle":
-        return round(record.flip_angle_deg, 1)
+        return prompts.one_decimal(record.flip_angle_deg)
     if name == "ti_bin":
         return bin_ti(record.ti_ms)
     raise KeyError(name)
@@ -473,12 +473,11 @@ def representative_record(
 
 
 def canonical_text(record: MetadataRecord, config: LabelConfig | KMeansLabelConfig) -> str:
-    """Dropout-free prompt for a label's representative record, restricted to
-    the label's fields."""
-    clauses = frozenset(c for name in config.key_fields for c in _CLAUSES_FOR_FIELD[name])
-    pconf = prompts.PromptConfig(dropout=0.0, include_series_description=False,
-                                 restrict_clauses=clauses)
-    return prompts.render_prompt(record, pconf).text
+    """The training prompt of a label's representative record, kept to the
+    clauses of the label's fields."""
+    clauses = {c for name in config.key_fields for c in _CLAUSES_FOR_FIELD[name]}
+    pieces = prompts.prompt_pieces(record, prompts.PromptConfig())
+    return prompts.assemble([p for p in pieces if p.clause in clauses])
 
 
 def build_label_space(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ CLAUSE_ORDER = (
     "ti",
     "series_description",
 )
-NUMERICAL_CLAUSES = frozenset({"flip_angle", "te", "tr", "ti"})
 NEVER_DROPPED = frozenset({"te", "tr", "flip_angle"})
 _HEAD_CLAUSES = frozenset({"scanner", "field"})
 
@@ -41,8 +40,6 @@ _HEAD_CLAUSES = frozenset({"scanner", "field"})
 class PromptConfig:
     dropout: float = 0.0
     include_series_description: bool = False
-    numerical_only: bool = False
-    restrict_clauses: Optional[frozenset[str]] = None
 
 
 @dataclass(frozen=True)
@@ -64,26 +61,25 @@ class Piece:
     text: str
 
 
-def prompt_pieces(record: MetadataRecord, config: PromptConfig) -> list[Piece]:
-    """Clause fragments for a record, before dropout."""
-    wanted = set(CLAUSE_ORDER)
-    if config.numerical_only:
-        wanted &= NUMERICAL_CLAUSES
-    if config.restrict_clauses is not None:
-        wanted &= set(config.restrict_clauses)
-    if not config.include_series_description or record.series_description is None:
-        wanted.discard("series_description")
+def one_decimal(value: float) -> float:
+    """Field strength or flip angle as a label key holds it and a prompt quotes it."""
+    return round(value, 1)
 
+
+def prompt_pieces(record: MetadataRecord, config: PromptConfig) -> list[Piece]:
+    """Clause fragments for a record, before dropout: every clause, the series
+    description only when the config asks for it and the record has one."""
     pieces: list[Piece] = []
     for clause in CLAUSE_ORDER:
-        if clause not in wanted:
+        if clause == "series_description" and (
+                not config.include_series_description or record.series_description is None):
             continue
         if clause == "scanner":
             text = (
                 f"acquired on a {record.manufacturer} {record.scanner_model}"
             )
         elif clause == "field":
-            text = f"at {format_number(record.field_strength_tesla)} tesla"
+            text = f"at {format_number(one_decimal(record.field_strength_tesla))} tesla"
         elif clause == "plane":
             text = f"{plane_for_record(record).word} plane"
         elif clause == "sequence":
@@ -92,7 +88,7 @@ def prompt_pieces(record: MetadataRecord, config: PromptConfig) -> list[Piece]:
                 f"variant {record.sequence_variant}"
             )
         elif clause == "flip_angle":
-            text = f"flip angle {format_number(record.flip_angle_deg)} degrees"
+            text = f"flip angle {format_number(one_decimal(record.flip_angle_deg))} degrees"
         elif clause == "te":
             text = f"echo time {format_number(record.te_ms)} ms"
         elif clause == "tr":

@@ -29,13 +29,13 @@ from .rules import (
 from .synth import SyntheticSlice
 
 CHECKPOINT_MAGIC = b"MRCC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 RUN_RULES = dict(
     batch_size=positive_int, epochs=non_negative_int, seed=non_negative_int,
     lr=non_negative_float, warmup_steps=float_range_int, weight_decay=non_negative_float,
     loss_kind=one_of(LOSS_KINDS), shards=positive_int, text_dropout=fraction,
-    numerical_only=boolean, include_series_description=boolean, val_fraction=fraction,
+    include_series_description=boolean, val_fraction=fraction,
 )
 
 
@@ -53,7 +53,6 @@ class RunConfig:
     loss_kind: str = "supcon"
     shards: int = 1
     text_dropout: float = 0.2
-    numerical_only: bool = False
     include_series_description: bool = False
     val_fraction: float = 0.2
 
@@ -131,14 +130,8 @@ def train_model(
     if train_rows.size == 0:
         raise DataError("training split is empty")
 
-    bank = PromptBank(
-        records,
-        PromptConfig(
-            dropout=run.text_dropout,
-            numerical_only=run.numerical_only,
-            include_series_description=run.include_series_description,
-        ),
-    )
+    bank = PromptBank(records, PromptConfig(
+        dropout=run.text_dropout, include_series_description=run.include_series_description))
     space_hash = space.hash_hex
     cfg_hash = config_hash(run, space_hash)
 

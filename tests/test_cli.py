@@ -87,7 +87,6 @@ RUN_FLAG_CASES = {
     "loss_kind": (["--loss", "triplet"], "triplet"),
     "shards": (["--shards", "0"], []),
     "text_dropout": (["--text-dropout", "1.5"], 1.5),
-    "numerical_only": (["--numerical-only=yes"], 1),
     "include_series_description": (["--include-series-description=1"], "true"),
     "val_fraction": (["--val-fraction", "nan"], float("nan")),
 }
@@ -459,7 +458,7 @@ class TestExitCodes:
         not_run = {"help", "dataset", "labels", "checkpoint", "log", "resume"}
         dests = [a.dest for a in subparsers.choices["train"]._actions if a.dest not in not_run]
         fields = list(RunConfig.__dataclass_fields__)
-        assert len(fields) == 12 and sorted(dests) == sorted(fields) == sorted(RUN_FLAG_CASES)
+        assert len(fields) == 11 and sorted(dests) == sorted(fields) == sorted(RUN_FLAG_CASES)
         args = parser.parse_args(["train", "--dataset", "d", "--labels", "l", "--checkpoint", "c"])
         assert not set(vars(args)) & set(fields)
 

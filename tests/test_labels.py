@@ -1,6 +1,7 @@
 """Label construction tests: quantization, grouping, coarsening, round-trips."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -26,12 +27,14 @@ from mrcontrast.labels import (
     LabelSpace,
     bin_ti,
     build_label_space,
+    canonical_text,
     coarsen_te_tr,
     coarsened_space,
     label_keys,
     median_rep,
     quantize_te_tr,
 )
+from mrcontrast.prompts import PromptBank, PromptConfig, tokenize
 from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 from test_sweep import DELETE, SEED, VALUES, json_paths, mutate
@@ -336,6 +339,11 @@ class TestLabelSpace:
         )[0]]
         assert "inversion time 2500 ms" in ir.canonical_text
 
+    def test_canonical_text_keeps_only_the_key_clauses(self):
+        record = rec(20.0, 3000.0, ti=150.0, sequence_type="IR", series_description="T1 FLAIR")
+        text = canonical_text(record, LabelConfig(fields=("te_bin", "tr_bin")))
+        assert text == "MRI scan, echo time 20 ms, repetition time 3000 ms."
+
     def test_series_description_never_in_canonical_text(self):
         records = [rec(25.0, 1145.0, series_description="SECRET_NOTE")]
         space, _ = build_label_space(records, LabelConfig())
@@ -614,6 +622,28 @@ def label_files() -> dict:
     records = label_records()
     return {name: json.loads(build_label_space(records, config)[0].to_json())
             for name, config in configs.items()}
+
+
+@pytest.mark.parametrize("config", [
+    LabelConfig(grid=GridSpec(n_te=3, n_tr=3)),
+    LabelConfig(grid=GridSpec(n_te=3, n_tr=3), fields=("flip_angle", "te_bin", "tr_bin", "ti_bin")),
+    KMeansLabelConfig(n_clusters=4),
+], ids=["grid", "numerical", "kmeans"])
+@pytest.mark.parametrize("siemens_3t", [False, True], ids=["synth", "siemens-3t"])
+def test_gallery_quotes_only_training_tokens(config, siemens_3t):
+    """Every token of every label's prompt is a token of the training
+    prompts, also for values with more than one decimal (2.89362 T, the
+    field Siemens 3 T scanners write, and a 12.35 degree flip)."""
+    records = label_records()
+    if siemens_3t:
+        odd = [dataclasses.replace(r, field_strength_tesla=2.89362, flip_angle_deg=12.35)
+               for r in records[:9]]
+        records = records + odd
+    bank = PromptBank(records, PromptConfig())
+    trained = set(bank.tokens(np.arange(len(records))).flat.tolist())
+    space, _ = build_label_space(records, config)
+    for lab in space.labels:
+        assert set(tokenize(lab.canonical_text)) <= trained, lab.canonical_text
 
 
 @pytest.mark.parametrize("config", [

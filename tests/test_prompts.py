@@ -71,16 +71,6 @@ class TestRenderPrompt:
             full_record(), PromptConfig(dropout=0.0)
         ).text
 
-    def test_numerical_only_keeps_timing_clauses(self):
-        config = PromptConfig(dropout=0.0, numerical_only=True)
-        text = render_prompt(full_record(), config).text
-        assert "echo time 20 ms" in text
-        assert "repetition time 3000 ms" in text
-        assert "flip angle 90 degrees" in text
-        assert "GE" not in text
-        assert "tesla" not in text
-        assert "plane" not in text
-
     def test_plane_words(self):
         sag = full_record(voxel_spacing_mm=(6.0, 1.0, 1.0))
         assert "sagittal plane" in render_prompt(sag, PromptConfig(dropout=0.0)).text
@@ -95,13 +85,6 @@ class TestRenderPrompt:
         for dropout in (0.5, 0.9, 1.0):
             config = PromptConfig(dropout=dropout)
             assert render_prompt(full_record(), config).text == full
-
-    def test_restrict_clauses(self):
-        config = PromptConfig(
-            dropout=0.0, restrict_clauses=frozenset({"te", "tr"})
-        )
-        text = render_prompt(full_record(), config).text
-        assert text == "MRI scan, echo time 20 ms, repetition time 3000 ms."
 
 
 class TestAssemble:
@@ -162,7 +145,8 @@ class TestPromptBank:
         shared = [a] * 3 + [b] + [c] * 2 + [a] * 2 + [b]
         copies = [copy.copy(r) for r in shared]
         rng = np.random.default_rng(3)
-        for config in (PromptConfig(dropout=0.5), PromptConfig(dropout=0.5, numerical_only=True)):
+        configs = PromptConfig(dropout=0.5), PromptConfig(dropout=0.5, include_series_description=True)
+        for config in configs:
             banks = PromptBank(shared, config), PromptBank(copies, config)
             for name in ("_tokens", "_clauses", "_droppable"):
                 want = getattr(banks[1], name)
@@ -179,7 +163,6 @@ class TestPromptBank:
         bank = PromptBank(self.records(), config)
         rendered = PromptConfig(
             dropout=0.0,
-            numerical_only=config.numerical_only,
             include_series_description=config.include_series_description,
         )
         for i, record in enumerate(self.records()):
@@ -261,7 +244,6 @@ class TestPromptBank:
         records = self.records() + [full_record(series_description=None, ti_ms=None)]
         rows = np.array([3, 0, 2, 0, 1, 3])
         configs = [PromptConfig(dropout=d) for d in (0.0, 0.5, 1.0)] + [
-            PromptConfig(dropout=0.5, numerical_only=True),
             PromptConfig(dropout=0.5, include_series_description=True),
         ]
         rng = np.random.default_rng(5)

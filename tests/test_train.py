@@ -265,13 +265,16 @@ class TestCheckpoint:
         a.bit_generator.state = state.rng.bit_generator.state
         np.testing.assert_array_equal(a.random(5), restored.rng.random(5))
 
-    def test_resume_matches_uninterrupted_run(self, tiny_run, tmp_path):
+    @pytest.mark.parametrize("split_epochs", [1, 2, 3])
+    def test_resume_matches_uninterrupted_run(self, tiny_run, tmp_path, split_epochs):
+        """Resuming after 1, 2 or 3 of 4 epochs (steps 5, 10 and 15, around
+        the 10-step warmup) gives the uninterrupted run's bytes."""
         slices, space, ids, run, full_state = tiny_run
         cfg = config_hash(run, space.hash_hex)
-        half_run = replace(run, epochs=2)
+        half_run = replace(run, epochs=split_epochs)
         path = str(tmp_path / "half.ckpt")
         half = train_model(slices, space, ids, half_run, checkpoint_path=path)
-        assert half.epochs_done == 2
+        assert half.epochs_done == split_epochs and half.optimizer.t == 5 * split_epochs
         resumed = train_model(
             slices, space, ids, run, resume_from=load_checkpoint(path)
         )
@@ -397,16 +400,22 @@ class TestCheckpoint:
 
     def test_version_2_checkpoint_rejected(self, small_blob):
         """Version 2 headers also held the model widths, tau_init and Adam's
-        betas in their run block."""
+        betas in their run block; version 3 ones held `numerical_only`."""
         old_run = dict(d_hidden=2, d_emb=2, d_tok=1, tau_init=0.07, beta1=0.9, beta2=0.98)
 
         def as_version_2(header):
             header["version"] = 2
             header["run"].update(old_run)
 
-        assert CHECKPOINT_VERSION == 3
+        def as_version_3(header):
+            header["version"] = 3
+            header["run"]["numerical_only"] = False
+
+        assert CHECKPOINT_VERSION == 4
         with pytest.raises(BadCheckpoint, match="version 2"):
             checkpoint_from_bytes(rewrite_header(small_blob, as_version_2, version=2))
+        with pytest.raises(BadCheckpoint, match="version 3"):
+            checkpoint_from_bytes(rewrite_header(small_blob, as_version_3, version=3))
 
     @pytest.mark.parametrize("fail", ["checkpoint_bytes", "replace"])
     def test_failed_save_keeps_previous_checkpoint(

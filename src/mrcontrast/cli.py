@@ -212,9 +212,9 @@ def cmd_train(args) -> int:
 
 
 def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
-    """run_evaluation's positional arguments and the transfer grid. The
-    slices, the checkpoint and the restored optimizer go out of scope on
-    return, so none of them is alive while eval ranks and probes. The
+    """run_evaluation's positional arguments and the transfer grid. Only the
+    model is built from the checkpoint; the slices and the checkpoint go out
+    of scope on return, so neither is alive while eval ranks and probes. The
     transfer file is read and checked first, before any of that work."""
     transfer = _load_space(args.transfer).config if args.transfer else None
     if isinstance(transfer, KMeansLabelConfig):
@@ -226,7 +226,7 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
         raise DataError(
             "checkpoint was trained on a different label space than --labels"
         )
-    model = ckpt.restore().model
+    model = ckpt.model()
     ids = space.assign([s.record for s in slices])
     features, scan_ids, _ = dataset_arrays(slices)
     train_mask, eval_mask = split_by_scan(

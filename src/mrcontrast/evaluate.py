@@ -150,6 +150,8 @@ def scan_to_text_recall(
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
 LBFGS_MEMORY = 10
+# The probe's training and eval columns per block; its one buffer is (C, PROBE_BLOCK).
+PROBE_BLOCK = 1024
 
 
 @dataclass
@@ -209,35 +211,34 @@ def linear_probe(
         return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
 
     xa = augment(np.asarray(train_x, dtype=np.float64))
-    xt = np.ascontiguousarray(xa.T)
     n, d = xa.shape
+    buf = np.empty(classes.size * PROBE_BLOCK)
+    row_nll = np.empty(n)
 
-    # The fit holds one (C, n) buffer: a trial's logits, then in place their
-    # softmax minus one-hot, column by column. After an accepted trial it
-    # holds the residual the gradient needs.
-    buf = np.empty((classes.size, n))
-    col_max, norm = np.empty(n), np.empty(n)
-    hit = (y, np.arange(n))
+    def block_logits(w_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The (C, len(x)) logits w_t @ x.T, written into the buffer."""
+        return np.matmul(w_t, x.T, out=buf[: w_t.shape[0] * len(x)].reshape(-1, len(x)))
 
-    def objective(w_t: np.ndarray) -> float:
-        """buf <- softmax(w_t @ xa.T) minus one-hot; returns the regularised
-        mean NLL of w_t."""
-        np.matmul(w_t, xt, out=buf)
-        np.subtract(buf, np.max(buf, axis=0, out=col_max), out=buf)
-        picked = buf[hit]
-        np.exp(buf, out=buf)
-        np.sum(buf, axis=0, out=norm)
-        nll = float((np.log(norm) - picked).mean())
-        np.divide(buf, norm, out=buf)
-        buf[hit] -= 1.0
-        return nll + 0.5 * l2 * float((w_t * w_t).sum())
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        return buf @ xa / n + l2 * w
+    def objective(w_t: np.ndarray) -> tuple[float, np.ndarray]:
+        """The regularised mean NLL of w_t and its gradient. A block's logits become
+        their softmax minus one-hot in place; the gradient adds the blocks in order."""
+        for start in range(0, n, PROBE_BLOCK):
+            rows = slice(start, start + PROBE_BLOCK)
+            z = block_logits(w_t, xa[rows])
+            np.subtract(z, z.max(axis=0), out=z)
+            hit = (y[rows], np.arange(z.shape[1]))
+            picked = z[hit]
+            np.exp(z, out=z)
+            norm = z.sum(axis=0)
+            np.subtract(np.log(norm), picked, out=row_nll[rows])
+            np.divide(z, norm, out=z)
+            z[hit] -= 1.0
+            part = z @ xa[rows]
+            grad = part if start == 0 else grad + part
+        return float(row_nll.mean()) + 0.5 * l2 * float((w_t * w_t).sum()), grad / n + l2 * w_t
 
     w = np.zeros((classes.size, d), dtype=np.float64)
-    loss = objective(w)
-    grad = gradient(w)
+    loss, grad = objective(w)
     losses = [loss]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     grad_norm = float(np.sqrt((grad * grad).sum()))
@@ -250,13 +251,12 @@ def linear_probe(
         t = 1.0
         while t > 1e-18:
             w_t = w + t * dw
-            loss_t = objective(w_t)
+            loss_t, grad_t = objective(w_t)
             if loss_t <= loss + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        grad_t = gradient(w_t)
         s, yk = w_t - w, grad_t - grad
         sy = float((s * yk).sum())
         if sy > 0.0:
@@ -264,10 +264,12 @@ def linear_probe(
         w, loss, grad = w_t, loss_t, grad_t
         losses.append(loss)
         grad_norm = float(np.sqrt((grad * grad).sum()))
-    del buf  # before the eval logits
 
-    eval_logits = w @ augment(np.asarray(eval_x, dtype=np.float64)).T
-    pred = classes[np.argmax(eval_logits, axis=0)]  # ties: the lowest class id
+    best = np.empty(len(eval_x), dtype=np.intp)  # argmax ties: the lowest class id
+    for start in range(0, len(eval_x), PROBE_BLOCK):
+        rows = slice(start, start + PROBE_BLOCK)
+        best[rows] = np.argmax(block_logits(w, augment(eval_x[rows])), axis=0)
+    pred = classes[best]
     accuracy = float((pred == np.asarray(eval_y)).mean())
     return ProbeResult(
         accuracy=accuracy,

@@ -162,7 +162,7 @@ def _field_value(record: MetadataRecord, name: str):
     if name == "sequence_variant":
         return record.sequence_variant
     if name == "flip_angle":
-        return prompts.one_decimal(record.flip_angle_deg)
+        return prompts.flip_angle_decimal(record.flip_angle_deg)
     if name == "ti_bin":
         return bin_ti(record.ti_ms)
     raise KeyError(name)

@@ -105,14 +105,17 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class DualEncoder:
-    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]. Init:
-    Glorot weights, zero biases, an N(0, 0.1) token table, log(tau_init)."""
+    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]. Init: Glorot
+    weights, zero biases, an N(0, 0.1) token table, log(tau_init); or `params`, as is."""
 
-    def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
+    def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
         self.config = config
         rng = np.random.Generator(np.random.PCG64(seed))
         for name, shape, _ in parameter_layout(config):
-            if name == "log_tau":
+            if params is not None:
+                value = params[name]
+            elif name == "log_tau":
                 value = np.float64(math.log(config.tau_init))
             elif name == "tok_table":
                 value = rng.normal(0.0, 0.1, size=shape)

@@ -66,6 +66,11 @@ def one_decimal(value: float) -> float:
     return round(value, 1)
 
 
+def flip_angle_decimal(deg: float) -> float:
+    """`one_decimal` of a flip angle, but 359.9 from 359.95 up: 360 breaks the rule [0, 360)."""
+    return min(one_decimal(deg), 359.9)
+
+
 def prompt_pieces(record: MetadataRecord, config: PromptConfig) -> list[Piece]:
     """Clause fragments for a record, before dropout: every clause, the series
     description only when the config asks for it and the record has one."""
@@ -88,7 +93,7 @@ def prompt_pieces(record: MetadataRecord, config: PromptConfig) -> list[Piece]:
                 f"variant {record.sequence_variant}"
             )
         elif clause == "flip_angle":
-            text = f"flip angle {format_number(one_decimal(record.flip_angle_deg))} degrees"
+            text = f"flip angle {format_number(flip_angle_decimal(record.flip_angle_deg))} degrees"
         elif clause == "te":
             text = f"echo time {format_number(record.te_ms)} ms"
         elif clause == "tr":

@@ -7,12 +7,13 @@ run reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -100,10 +101,9 @@ class TrainState:
 
 
 def _build_state(
-    run: RunConfig, model_config: ModelConfig, rng: np.random.Generator, epochs_done: int
+    run: RunConfig, model: DualEncoder, rng: np.random.Generator, epochs_done: int
 ) -> TrainState:
-    """The seeded model and its optimizer, as the run config sets them up."""
-    model = DualEncoder(model_config, seed=run.seed)
+    """The model and a fresh optimizer for it, as the run config sets it up."""
     adam = Adam(
         model.parameters(),
         AdamConfig(lr=run.lr, weight_decay=run.weight_decay, warmup_steps=run.warmup_steps),
@@ -141,7 +141,8 @@ def train_model(
         state = resume_from.restore()
     else:
         rng = np.random.Generator(np.random.PCG64(run.seed))
-        state = _build_state(run, ModelConfig(d_in=features.shape[1]), rng, epochs_done=0)
+        model = DualEncoder(ModelConfig(d_in=features.shape[1]), seed=run.seed)
+        state = _build_state(run, model, rng, epochs_done=0)
 
     n_train = train_rows.size
     step = state.optimizer.t
@@ -198,27 +199,32 @@ class Checkpoint:
     rng_state: dict
     label_space_hash: str
     config_hash: str
-    params: dict[str, np.ndarray]
     adam_t: int
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    # the tensors, which the loader fills
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def model(self) -> DualEncoder:
+        """The model on the loaded arrays, shared: a step replaces them, never writes them."""
+        return DualEncoder(self.model_config, params=self.params)
 
     def restore(self) -> TrainState:
-        """Rebuild the state; the loader matched the tensors to the model config."""
+        """`model()`, an optimizer holding the loaded moments, and the generator."""
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng_state
-        state = _build_state(self.run, self.model_config, rng, self.epochs_done)
-        for name, p, _ in state.model.parameters():
-            p.data = self.params[name].copy()
+        state = _build_state(self.run, self.model(), rng, self.epochs_done)
         state.optimizer.load_state_dict(
             {"t": self.adam_t, "m": self.adam_m, "v": self.adam_v}
         )
         return state
 
 
-def checkpoint_bytes(
+def _checkpoint_pieces(
     state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
-) -> bytes:
+) -> list[bytes | memoryview]:
+    """The file in order: magic, prefix, header, then every parameter, Adam
+    first moment and second moment, each a view of its float64 array."""
     params = state.model.parameters()
     manifest = [[name, list(p.data.shape)] for name, p, _ in params]
     header = {
@@ -226,58 +232,48 @@ def checkpoint_bytes(
         "run": asdict(run),
         "model": asdict(state.model.config),
         "epochs_done": state.epochs_done,
-        "rng_state": _rng_state_to_json(state.rng.bit_generator.state),
+        "rng_state": _rng_state(state.rng.bit_generator.state, str),
         "label_space_hash": label_space_hash,
         "config_hash": cfg_hash,
         "adam_t": state.optimizer.t,
         "params": manifest,
     }
     head = json.dumps(header, sort_keys=True).encode()
-    blobs = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(head)), head]
-    for name, p, _ in params:
-        blobs.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    for name, _, _ in params:
-        blobs.append(np.ascontiguousarray(state.optimizer.m[name], dtype="<f8").tobytes())
-    for name, _, _ in params:
-        blobs.append(np.ascontiguousarray(state.optimizer.v[name], dtype="<f8").tobytes())
-    return b"".join(blobs)
+    pieces = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(head)), head]
+    for arrays in ({name: p.data for name, p, _ in params}, state.optimizer.m, state.optimizer.v):
+        for name, _, _ in params:
+            pieces.append(memoryview(np.ascontiguousarray(arrays[name], dtype="<f8")))
+    return pieces
+
+
+def checkpoint_bytes(
+    state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
+) -> bytes:
+    return b"".join(_checkpoint_pieces(state, run, label_space_hash, cfg_hash))
 
 
 def save_checkpoint(
     path: str, state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
 ) -> None:
-    """Write through a temporary file in the same directory and os.replace,
-    so a failed or interrupted write leaves any previous checkpoint intact."""
-    blob = checkpoint_bytes(state, run, label_space_hash, cfg_hash)
+    """Stream the pieces of `checkpoint_bytes` through a temporary file in the
+    same directory and os.replace, so a failed or interrupted write leaves any
+    previous checkpoint intact."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(_checkpoint_pieces(state, run, label_space_hash, cfg_hash))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _rng_state_to_json(state: dict) -> dict:
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {
-            "state": str(state["state"]["state"]),
-            "inc": str(state["state"]["inc"]),
-        },
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _rng_state_from_json(obj: dict) -> dict:
+def _rng_state(obj: dict, word: type) -> dict:
+    """A PCG64 state with its two 128-bit words as `word`: str in the
+    checkpoint header (JSON numbers lose them), int for numpy."""
     return {
         "bit_generator": obj["bit_generator"],
-        "state": {
-            "state": int(obj["state"]["state"]),
-            "inc": int(obj["state"]["inc"]),
-        },
+        "state": {"state": word(obj["state"]["state"]), "inc": word(obj["state"]["inc"])},
         "has_uint32": int(obj["has_uint32"]),
         "uinteger": int(obj["uinteger"]),
     }
@@ -285,28 +281,36 @@ def _rng_state_from_json(obj: dict) -> dict:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        if not fh.seekable():  # a pipe: its size is known only once it is read
+            return checkpoint_from_bytes(fh.read())
+        return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Inverse of `checkpoint_bytes`. BadCheckpoint for any malformed input: a
-    header value that breaks its rule, a config_hash other than `config_hash`
-    of the header's run and label space hash, a tensor manifest other than the
-    model config's layout (before any tensor is built), a non-finite value."""
-    if data[:4] != CHECKPOINT_MAGIC:
+    return _read_checkpoint(io.BytesIO(data), len(data))
+
+
+def _read_checkpoint(fh: BinaryIO, size: int) -> Checkpoint:
+    """Inverse of `checkpoint_bytes`, from the start of a file of `size` bytes.
+    BadCheckpoint for any malformed input: a header value that breaks its rule,
+    a config_hash other than `config_hash` of the header's run and label space
+    hash, a tensor manifest other than the model config's layout (before any
+    tensor is read), a non-finite value."""
+    prefix = fh.read(12)
+    if prefix[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
-    if len(data) < 12:
+    if len(prefix) < 12:
         raise BadCheckpoint("checkpoint ends inside its 12-byte prefix")
-    version, head_len = struct.unpack("<II", data[4:12])
+    version, head_len = struct.unpack("<II", prefix[4:])
     if version != CHECKPOINT_VERSION:
         raise BadCheckpoint(f"unknown checkpoint version {version}")
     try:
-        header = json.loads(data[12 : 12 + head_len])
+        header = json.loads(fh.read(min(head_len, size)))
         for key, cls in (("run", RunConfig), ("model", ModelConfig)):
             names = set(cls.__dataclass_fields__)
             if set(header[key]) != names:
                 raise BadCheckpoint(f"{key} keys differ from {sorted(names)}")
-        rng_state = _rng_state_from_json(header["rng_state"])
+        rng_state = _rng_state(header["rng_state"], int)
         np.random.PCG64(0).state = rng_state  # rejects a malformed state here
         checkpoint = Checkpoint(
             run=RunConfig(**header["run"]),
@@ -315,10 +319,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             rng_state=rng_state,
             label_space_hash=string(header["label_space_hash"], "label_space_hash"),
             config_hash=string(header["config_hash"], "config_hash"),
-            params={},
             adam_t=float_range_int(header["adam_t"], "adam_t"),
-            adam_m={},
-            adam_v={},
         )
         if checkpoint.config_hash != config_hash(checkpoint.run, checkpoint.label_space_hash):
             raise BadCheckpoint("config_hash does not match the run config and label space hash")
@@ -327,15 +328,14 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             raise BadCheckpoint("tensor manifest does not match the model config")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCheckpoint(f"corrupt header: {exc!r}") from exc
-    sizes = [8 * math.prod(shape) for _, shape in manifest]
-    offset = 12 + head_len
-    if len(data) != offset + 3 * sum(sizes):
-        raise BadCheckpoint(f"checkpoint size {len(data)} disagrees with its manifest")
+    tensor_bytes = sum(8 * math.prod(shape) for _, shape in manifest)
+    if size != 12 + head_len + 3 * tensor_bytes:
+        raise BadCheckpoint(f"checkpoint size {size} disagrees with its manifest")
     for arrays in (checkpoint.params, checkpoint.adam_m, checkpoint.adam_v):
-        for (name, shape), size in zip(manifest, sizes):
-            raw = data[offset : offset + size]
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        for name, shape in manifest:
+            arrays[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(arrays[name]) != arrays[name].nbytes:
+                raise BadCheckpoint("checkpoint file changed while it was read")
             if not np.isfinite(arrays[name]).all():
                 raise BadCheckpoint(f"tensor {name!r} holds non-finite values")
-            offset += size
     return checkpoint

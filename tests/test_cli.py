@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dicom_fixtures
-from mrcontrast import cli, evaluate, synth, train
+from mrcontrast import cli, evaluate, optim, synth, train
 from mrcontrast.cli import main
 from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
 from mrcontrast.records import MetadataRecord, parse_manifest_line
@@ -257,9 +257,11 @@ class TestPipeline:
     def test_eval_frees_dataset_and_checkpoint_before_the_probe(
         self, pipeline, tmp_path, monkeypatch
     ):
-        refs, alive_at_probe = {}, []
+        """eval builds the model alone from the checkpoint, with no optimizer,
+        and frees the slices and the checkpoint before the probe."""
+        refs, alive_at_probe, adams = {}, [], []
         load_dataset, load_checkpoint = synth.load_dataset, cli.load_checkpoint
-        restore, linear_probe = train.Checkpoint.restore, evaluate.linear_probe
+        adam_init, linear_probe = optim.Adam.__init__, evaluate.linear_probe
 
         def tracked_load_dataset(path):
             slices = load_dataset(path)
@@ -271,10 +273,9 @@ class TestPipeline:
             refs["checkpoint"] = weakref.ref(ckpt)
             return ckpt
 
-        def tracked_restore(ckpt):
-            state = restore(ckpt)
-            refs["optimizer"] = weakref.ref(state.optimizer)
-            return state
+        def tracked_adam_init(adam, *args, **kwargs):
+            adams.append(adam)
+            adam_init(adam, *args, **kwargs)
 
         def checked_probe(*args, **kwargs):
             alive_at_probe.append(sorted(name for name, ref in refs.items() if ref() is not None))
@@ -282,7 +283,7 @@ class TestPipeline:
 
         monkeypatch.setattr(synth, "load_dataset", tracked_load_dataset)
         monkeypatch.setattr(cli, "load_checkpoint", tracked_load_checkpoint)
-        monkeypatch.setattr(train.Checkpoint, "restore", tracked_restore)
+        monkeypatch.setattr(optim.Adam, "__init__", tracked_adam_init)
         monkeypatch.setattr(evaluate, "linear_probe", checked_probe)
         out = str(tmp_path / "report.json")
         gc.disable()  # freed by reference counts, not by a collection
@@ -294,7 +295,8 @@ class TestPipeline:
             ]) == 0
         finally:
             gc.enable()
-        assert sorted(refs) == ["checkpoint", "optimizer", "slice"]
+        assert sorted(refs) == ["checkpoint", "slice"]
+        assert adams == []
         assert alive_at_probe == [[]]
         assert open(out).read() == open(pipeline["report"]).read()
 

@@ -1,7 +1,9 @@
 """Retrieval metric tests against plain-Python sorting oracles."""
 
+import functools
 import json
 import math
+import operator
 import tracemalloc
 from collections import Counter, deque
 
@@ -321,13 +323,20 @@ class TestScanToTextRecall:
 
 def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, grad_tol=1e-6):
     """The L-BFGS probe with a fresh (C, n) array for every intermediate: the
-    logits w_t @ xa.T at every trial and the softmax over axis 0; also counts
-    rejected trial steps."""
+    logits w_t @ xa.T at every trial and the softmax over axis 0; the gradient
+    sums residual @ xa over blocks of PROBE_BLOCK training rows, in order.
+    Also counts rejected trial steps."""
     classes = np.unique(train_y)
     y = np.array([{int(c): i for i, c in enumerate(classes)}[int(v)] for v in train_y])
     xa = np.concatenate([train_x, np.ones((len(train_x), 1))], axis=1)
     n, d = xa.shape
     cols = np.arange(n)
+    block = evaluate.PROBE_BLOCK
+    blocks = [slice(start, start + block) for start in range(0, n, block)]
+
+    def gradient(residual, w_t):
+        parts = [residual[:, rows] @ xa[rows] for rows in blocks]
+        return functools.reduce(operator.add, parts) / n + l2 * w_t
 
     def objective(w_t):
         z = w_t @ xa.T
@@ -342,7 +351,7 @@ def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, gr
 
     w = np.zeros((classes.size, d))
     loss, residual = objective(w)
-    grad = residual @ xa / n + l2 * w
+    grad = gradient(residual, w)
     losses, rejected = [loss], 0
     pairs = deque(maxlen=evaluate.LBFGS_MEMORY)
     grad_norm = float(np.sqrt((grad * grad).sum()))
@@ -362,7 +371,7 @@ def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, gr
             rejected += 1
         else:
             break
-        grad_t = residual @ xa / n + l2 * w_t
+        grad_t = gradient(residual, w_t)
         s, yk = w_t - w, grad_t - grad
         sy = float((s * yk).sum())
         if sy > 0.0:
@@ -488,6 +497,8 @@ class TestLinearProbe:
             (1000, 40, (1.0, 1.0, 1.0), 500, 0),
             (300, 5, (1.0, 100.0, 0.01), 500, 1),  # ill-conditioned: rejected trials
             (600, 9, (1.0, 10.0, 1.0), 6, 0),  # stopped by max_iter
+            (1025, 6, (1.0, 1.0, 1.0), 500, 0),  # a one-row second block
+            (2055, 11, (1.0, 10.0, 1.0), 500, 0),  # three blocks, the last one partial
         ],
     )
     def test_matches_full_array_probe_bit_for_bit(
@@ -509,21 +520,23 @@ class TestLinearProbe:
         assert result.n_iterations == len(losses)
         assert max_iter == 500 or result.n_iterations == max_iter
 
-    def test_peak_memory_is_below_three_logit_arrays(self):
-        # one (C, n) buffer; once it is freed, the eval logits and the copy
-        # argmax makes to reduce them over axis 0
-        n, n_classes, d = 4000, 50, 8
+    def test_peak_memory_does_not_grow_with_the_logits(self):
+        # the fit and the prediction run through one (C, PROBE_BLOCK) buffer;
+        # only (n, d)-sized arrays and vectors grow with n
+        n_classes, d = 50, 8
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(n, d))
-        y = rng.permutation(np.arange(n) % n_classes)
+        x = rng.normal(size=(16_000, d))
+        y = rng.permutation(np.arange(16_000) % n_classes)
         linear_probe(x[:10], y[:10], x[:10], y[:10])  # np.unique imports numpy.ma once
-        tracemalloc.start()
-        try:
-            linear_probe(x, y, x, y, max_iter=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n * n_classes * 8
+        peaks = {}
+        for n in (4_000, 16_000):
+            tracemalloc.start()
+            try:
+                linear_probe(x[:n], y[:n], x[:n], y[:n], max_iter=20)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16_000] - peaks[4_000] < 4_000 * n_classes * 8
 
 
 class TestPerTagError:

@@ -34,7 +34,7 @@ from mrcontrast.labels import (
     median_rep,
     quantize_te_tr,
 )
-from mrcontrast.prompts import PromptBank, PromptConfig, tokenize
+from mrcontrast.prompts import PromptBank, PromptConfig, render_prompt, tokenize
 from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 from test_sweep import DELETE, SEED, VALUES, json_paths, mutate
@@ -624,11 +624,14 @@ def label_files() -> dict:
             for name, config in configs.items()}
 
 
-@pytest.mark.parametrize("config", [
+CONTRACT_CONFIGS = pytest.mark.parametrize("config", [
     LabelConfig(grid=GridSpec(n_te=3, n_tr=3)),
     LabelConfig(grid=GridSpec(n_te=3, n_tr=3), fields=("flip_angle", "te_bin", "tr_bin", "ti_bin")),
     KMeansLabelConfig(n_clusters=4),
 ], ids=["grid", "numerical", "kmeans"])
+
+
+@CONTRACT_CONFIGS
 @pytest.mark.parametrize("siemens_3t", [False, True], ids=["synth", "siemens-3t"])
 def test_gallery_quotes_only_training_tokens(config, siemens_3t):
     """Every token of every label's prompt is a token of the training
@@ -644,6 +647,25 @@ def test_gallery_quotes_only_training_tokens(config, siemens_3t):
     space, _ = build_label_space(records, config)
     for lab in space.labels:
         assert set(tokenize(lab.canonical_text)) <= trained, lab.canonical_text
+
+
+@CONTRACT_CONFIGS
+def test_flip_angle_that_rounds_to_360_builds_a_label(config):
+    """A flip angle of 359.96 degrees passes the record rule [0, 360). It keys
+    and is quoted as 359.9, so the label's representative record passes the
+    rule too, and the gallery still quotes only training tokens."""
+    records = label_records()
+    records = records + [dataclasses.replace(r, flip_angle_deg=359.96) for r in records[:9]]
+    bank = PromptBank(records, PromptConfig())
+    trained = set(bank.tokens(np.arange(len(records))).flat.tolist())
+    assert "flip angle 359.9 degrees" in render_prompt(records[-1], PromptConfig()).text
+    space, ids = build_label_space(records, config)
+    assert ids[-1] not in ids[:-9]
+    texts = [lab.canonical_text for lab in space.labels]
+    quoted = any("flip angle 359.9 degrees" in text for text in texts)
+    assert quoted == ("flip_angle" in config.key_fields)
+    for text in texts:
+        assert set(tokenize(text)) <= trained, text
 
 
 @pytest.mark.parametrize("config", [

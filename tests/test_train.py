@@ -1,9 +1,12 @@
 """Split, training-loop and checkpoint round-trip tests."""
 
 import hashlib
+import io
 import json
 import os
 import struct
+import threading
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 
@@ -41,7 +44,8 @@ def small_blob(tiny_dataset):
     narrow = ModelConfig(d_in=slices[0].features.size, d_hidden=2, d_emb=2, d_tok=1)
     rng = np.random.Generator(np.random.PCG64(run.seed))
     cfg = config_hash(run, space.hash_hex)
-    untrained = checkpoint_bytes(train._build_state(run, narrow, rng, 0), run, space.hash_hex, cfg)
+    untrained_state = train._build_state(run, DualEncoder(narrow, seed=run.seed), rng, 0)
+    untrained = checkpoint_bytes(untrained_state, run, space.hash_hex, cfg)
     state = train_model(slices, space, ids, run, resume_from=checkpoint_from_bytes(untrained))
     return checkpoint_bytes(state, run, space.hash_hex, cfg)
 
@@ -53,6 +57,17 @@ def rewrite_header(blob: bytes, edit, version: int = CHECKPOINT_VERSION) -> byte
     edit(header)
     head = json.dumps(header, sort_keys=True).encode()
     return blob[:4] + struct.pack("<II", version, len(head)) + head + blob[12 + head_len :]
+
+
+def assert_rejected(blob: bytes, path, match=None) -> None:
+    """Both readers reject the blob, with one message: checkpoint_from_bytes,
+    and load_checkpoint on the blob written to ``path``."""
+    with pytest.raises(BadCheckpoint, match=match) as from_bytes:
+        checkpoint_from_bytes(blob)
+    path.write_bytes(blob)
+    with pytest.raises(BadCheckpoint, match=match) as from_file:
+        load_checkpoint(str(path))
+    assert str(from_file.value) == str(from_bytes.value)
 
 
 class TestSplitByScan:
@@ -248,6 +263,61 @@ class TestCheckpoint:
             assert ckpt.adam_m[name].tobytes() == state.optimizer.m[name].tobytes()
             assert ckpt.adam_v[name].tobytes() == state.optimizer.v[name].tobytes()
 
+    def test_save_writes_checkpoint_bytes(self, tiny_run, tmp_path):
+        _, space, _, run, state = tiny_run
+        cfg = config_hash(run, space.hash_hex)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        assert path.read_bytes() == checkpoint_bytes(state, run, space.hash_hex, cfg)
+
+    def test_save_and_load_peaks_are_bounded(self, tiny_run, tmp_path):
+        """A save streams its pieces: its traced peak stays below a quarter of
+        the file. Loading and building the model hold the tensors once: the
+        model shares the loaded parameters."""
+        _, space, _, run, state = tiny_run
+        cfg = config_hash(run, space.hash_hex)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        tensor_bytes = 3 * sum(p.data.nbytes for _, p, _ in state.model.parameters())
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model = load_checkpoint(str(path)).model()
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < path.stat().st_size / 4
+        assert load_peak < 1.1 * tensor_bytes
+        for (_, a, _), (_, b, _) in zip(state.model.parameters(), model.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_load_from_a_pipe(self, small_blob, tmp_path):
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(small_blob,))
+        writer.start()
+        try:
+            ckpt = load_checkpoint(str(fifo))
+        finally:
+            writer.join()
+        want = checkpoint_from_bytes(small_blob)
+        assert ckpt.run == want.run and ckpt.adam_t == want.adam_t
+        for tensors in ("params", "adam_m", "adam_v"):
+            got, wanted = getattr(ckpt, tensors), getattr(want, tensors)
+            assert all(got[name].tobytes() == wanted[name].tobytes() for name in wanted)
+
+    def test_model_takes_the_loaded_parameters(self, tiny_run, tmp_path):
+        _, space, _, run, state = tiny_run
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, state, run, space.hash_hex, config_hash(run, space.hash_hex))
+        ckpt = load_checkpoint(path)
+        model, resumed = ckpt.model(), ckpt.restore().model
+        for m in (model, resumed):
+            for name, p, _ in m.parameters():
+                assert p.data is ckpt.params[name]
+
     def test_restore_rebuilds_identical_state(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
         cfg = config_hash(run, space.hash_hex)
@@ -320,12 +390,12 @@ class TestCheckpoint:
         with pytest.raises(BadCheckpoint):
             load_checkpoint(str(path))
 
-    def test_every_truncation_is_rejected(self, small_blob):
+    def test_every_truncation_is_rejected(self, small_blob, tmp_path):
         """Modelled on acceptance criterion 10. Every cut through the prefix,
-        the header and the first 4 KiB of tensor data is tried; past that the
-        loader sees only the total length, so the rest of the tensor region is
-        cut at a stride of 997 bytes and at one byte either side of every
-        tensor boundary."""
+        the header and the first 4 KiB of tensor data is tried, from bytes and
+        from a file; past that the loader sees only the total length, so the
+        rest of the tensor region is cut at a stride of 997 bytes and at one
+        byte either side of every tensor boundary."""
         head_end = 12 + struct.unpack("<I", small_blob[8:12])[0]
         cuts = set(range(head_end + 4096))
         cuts.update(range(head_end + 4096, len(small_blob), 997))
@@ -338,14 +408,12 @@ class TestCheckpoint:
         cuts = sorted(c for c in cuts if c < len(small_blob))
         assert cuts[-1] == len(small_blob) - 1
         for cut in cuts:
-            with pytest.raises(BadCheckpoint):
-                checkpoint_from_bytes(small_blob[:cut])
+            assert_rejected(small_blob[:cut], tmp_path / "cut.ckpt")
         checkpoint_from_bytes(small_blob)
 
     @pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"MRCC"])
-    def test_trailing_bytes_rejected(self, small_blob, extra):
-        with pytest.raises(BadCheckpoint):
-            checkpoint_from_bytes(small_blob + extra)
+    def test_trailing_bytes_rejected(self, small_blob, tmp_path, extra):
+        assert_rejected(small_blob + extra, tmp_path / "long.ckpt", match="size")
 
     @pytest.mark.parametrize(
         "edit",
@@ -369,25 +437,37 @@ class TestCheckpoint:
             "label-hash-edited-under-config-hash",
         ],
     )
-    def test_bad_header_keys_rejected(self, small_blob, edit):
-        with pytest.raises(BadCheckpoint):
-            checkpoint_from_bytes(rewrite_header(small_blob, edit))
+    def test_bad_header_keys_rejected(self, small_blob, tmp_path, edit):
+        assert_rejected(rewrite_header(small_blob, edit), tmp_path / "bad.ckpt")
 
     @pytest.mark.parametrize(
         "params",
         ["img_w1", [["img_w1"]], [["img_w1", 12]], [["img_w1", ["a", 2]]], [["img_w1", [-1, -2]]]],
     )
-    def test_malformed_manifest_rejected(self, small_blob, params):
-        with pytest.raises(BadCheckpoint):
-            checkpoint_from_bytes(rewrite_header(small_blob, lambda h: h.update(params=params)))
+    def test_malformed_manifest_rejected(self, small_blob, tmp_path, params):
+        bad = rewrite_header(small_blob, lambda h: h.update(params=params))
+        assert_rejected(bad, tmp_path / "bad.ckpt")
 
-    def test_manifest_disagreeing_with_model_rejected(self, small_blob):
+    def test_manifest_disagreeing_with_model_rejected(self, small_blob, tmp_path):
         def transpose_first(header):
             name, shape = header["params"][0]
             header["params"][0] = [name, shape[::-1]]
 
-        with pytest.raises(BadCheckpoint, match="manifest"):
-            checkpoint_from_bytes(rewrite_header(small_blob, transpose_first))
+        bad = rewrite_header(small_blob, transpose_first)
+        assert_rejected(bad, tmp_path / "bad.ckpt", match="manifest")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "tensor", [0, 9, 10, 29], ids=["first-param", "log_tau", "first-m", "last-v"]
+    )
+    def test_non_finite_tensor_rejected(self, small_blob, tmp_path, tensor, value):
+        head_end = 12 + struct.unpack("<I", small_blob[8:12])[0]
+        manifest = json.loads(small_blob[12:head_end])["params"]
+        sizes = [8 * int(np.prod(shape)) for _, shape in manifest]
+        offset = head_end + sum((sizes * 3)[:tensor])
+        bad = small_blob[:offset] + struct.pack("<d", value) + small_blob[offset + 8 :]
+        name = manifest[tensor % len(manifest)][0]
+        assert_rejected(bad, tmp_path / "bad.ckpt", match=f"tensor '{name}' holds non-finite")
 
     def test_version_1_checkpoint_rejected(self, small_blob):
         def as_version_1(header):
@@ -417,24 +497,38 @@ class TestCheckpoint:
         with pytest.raises(BadCheckpoint, match="version 3"):
             checkpoint_from_bytes(rewrite_header(small_blob, as_version_3, version=3))
 
-    @pytest.mark.parametrize("fail", ["checkpoint_bytes", "replace"])
+    @pytest.mark.parametrize("fail", ["tensor_write", "replace"])
     def test_failed_save_keeps_previous_checkpoint(
         self, tiny_run, tmp_path, monkeypatch, fail
     ):
+        """A save that fails once the header is in the temporary file, or at
+        the rename, leaves the previous checkpoint and no temporary file."""
         slices, space, ids, run, state = tiny_run
         cfg = config_hash(run, space.hash_hex)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), state, run, space.hash_hex, cfg)
         before = path.read_bytes()
+        head_end = 12 + struct.unpack("<I", before[8:12])[0]
+        written = []
+
+        class InterruptedFile(io.FileIO):
+            def write(self, piece):
+                if sum(written) >= head_end:
+                    raise OSError("interrupted")
+                written.append(super().write(piece))
+                return written[-1]
 
         def boom(*args, **kwargs):
             raise OSError("interrupted")
 
-        target = train if fail == "checkpoint_bytes" else train.os
-        monkeypatch.setattr(target, fail, boom)
+        if fail == "tensor_write":
+            monkeypatch.setattr(train, "open", lambda p, _: InterruptedFile(p, "w"), raising=False)
+        else:
+            monkeypatch.setattr(train.os, "replace", boom)
         with pytest.raises(OSError):
             save_checkpoint(str(path), state, run, space.hash_hex, cfg)
         monkeypatch.undo()
+        assert fail == "replace" or sum(written) == head_end
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
         resumed = train_model(

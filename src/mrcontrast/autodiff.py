@@ -22,11 +22,11 @@ from .errors import NonFiniteGradient
 
 
 class Tensor:
-    """A float64 array on the tape. Accumulating only (gradient, rows) pairs
-    sets `grad_rows` to the union of their rows, outside which `grad` is +0.0;
-    a plain gradient or an assignment to `.grad` resets it to None."""
+    """A float64 array on the tape. Accumulating only (values, rows) pairs keeps
+    their rows' union in `grad_rows` and its gradient in `grad_values`; `grad`
+    is dense, +0.0 off those rows. A plain gradient or `.grad = x` resets them."""
 
-    __slots__ = ("data", "_grad", "grad_rows", "requires_grad", "_vjp", "_prev")
+    __slots__ = ("data", "grad_values", "grad_rows", "requires_grad", "_vjp", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -39,21 +39,33 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _set_grad(self, value: Optional[np.ndarray]) -> None:
-        self._grad, self.grad_rows = value, None
+    def _dense(self, values, rows):
+        if rows is None:
+            return values
+        dense = np.zeros_like(self.data)
+        dense[rows] = values
+        return dense
 
-    grad = property(lambda self: self._grad, _set_grad)
+    def _set_grad(self, value: Optional[np.ndarray]) -> None:
+        self.grad_values, self.grad_rows = value, None
+
+    grad = property(lambda self: self._dense(self.grad_values, self.grad_rows), _set_grad)
 
     def _accum(self, grad) -> None:
         grad, rows = grad if isinstance(grad, tuple) else (grad, None)
         grad = np.asarray(grad, dtype=np.float64)
-        if self._grad is None:
-            self.grad = grad.copy() if grad.base is not None else grad
+        if self.grad_values is None:
+            values = grad.copy() if grad.base is not None else grad
+        elif rows is not None and self.grad_rows is not None:
+            # the dense sum's bits: a row one side lacks adds that side's +0.0
+            union = np.union1d(self.grad_rows, rows)
+            both = np.zeros((2, union.size) + grad.shape[1:])
+            both[0, np.searchsorted(union, self.grad_rows)] = self.grad_values
+            both[1, np.searchsorted(union, rows)] = grad
+            values, rows = both[0] + both[1], union
         else:
-            known = rows is not None and self.grad_rows is not None
-            rows = np.union1d(self.grad_rows, rows) if known else None
-            self.grad = self._grad + grad
-        self.grad_rows = rows
+            values, rows = self.grad + self._dense(grad, rows), None
+        self.grad_values, self.grad_rows = values, rows
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -87,9 +99,8 @@ class Tensor:
                     if parent.requires_grad:
                         parent._accum(grad)
         for t in topo:
-            if t.requires_grad and not t._prev and t.grad is not None:
-                g = t.grad if t.grad_rows is None else t.grad[t.grad_rows]
-                if not np.isfinite(g).all():
+            if t.requires_grad and not t._prev and t.grad_values is not None:
+                if not np.isfinite(t.grad_values).all():
                     raise NonFiniteGradient("non-finite gradient in backward")
 
 
@@ -98,7 +109,7 @@ def node(
 ) -> Tensor:
     """A tape node holding `value`, computed from `inputs`; `vjp(grad)`
     returns one gradient per input, each shaped like that input, or a
-    (gradient, rows) pair whose gradient is +0.0 outside those rows."""
+    (values, rows) pair: the gradient on those distinct rows, +0.0 elsewhere."""
     out = Tensor(value, any(t.requires_grad for t in inputs))
     out._prev = tuple(inputs)
     out._vjp = vjp

@@ -11,9 +11,9 @@ closed-form gradients for both embedding sets and the temperature, and every
 public name calls it (`loss_graph` wraps the result as a single autodiff
 node). Shard plans split the anchor rows while keeping the full candidate
 set, so per-shard terms sum to the unsharded loss exactly (up to float
-reassociation), and a shard's N-wide blocks are dropped before the next one
-is formed: peak memory is about N^2 / shards. All reductions are float64;
-softmax rows are max-shifted before exponentiation.
+reassociation), and every shard reuses one workspace of four N-wide blocks:
+peak memory is about 4 N^2 / shards. All reductions are float64; softmax
+rows are max-shifted before exponentiation.
 """
 from __future__ import annotations
 
@@ -120,10 +120,9 @@ def validate_batch(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray, np.
     return img, txt, labels
 
 
-def _positive_weights(anchor_labels: np.ndarray, candidate_labels: np.ndarray) -> np.ndarray:
-    """Row-normalized positive mask: weights[i, p] = 1/|P(i)| on positives."""
-    mask = (anchor_labels[:, None] == candidate_labels[None, :]).astype(np.float64)
-    return mask / mask.sum(axis=1, keepdims=True)
+def loss_workspace(n: int, plan: ShardPlan) -> np.ndarray:
+    """Four (widest shard x n) float64 blocks: `contrastive_loss` scratch for up to n pairs."""
+    return np.empty((4, max((end - start for start, end in plan.ranges), default=0) * n))
 
 
 def contrastive_loss(
@@ -133,6 +132,7 @@ def contrastive_loss(
     tau: float,
     kind: str = "supcon",
     plan: Optional[ShardPlan] = None,
+    workspace: Optional[np.ndarray] = None,
 ) -> LossResult:
     """The bidirectional loss and its closed-form gradients, shard by shard.
 
@@ -141,8 +141,8 @@ def contrastive_loss(
     coef = softmax - positive weights, the anchor gradient is
     coef @ candidates / tau, the candidate gradient coef.T @ anchors / tau
     and the temperature gradient -sum(coef * shifted) / tau (the shift
-    cancels because both row sets sum to one). Only one shard's blocks are
-    alive at a time, so peak memory is O(shard x N) rather than O(N^2).
+    cancels because both row sets sum to one). The blocks are prefixes of a
+    `loss_workspace`, the caller's or its own: O(shard x N) memory, not O(N^2).
     """
     n = img.shape[0]
     if plan is None:
@@ -156,23 +156,28 @@ def contrastive_loss(
     d_img = np.zeros_like(img)
     d_txt = np.zeros_like(txt)
     d_tau = 0.0
+    workspace = loss_workspace(n, plan) if workspace is None else workspace
     for start, end in plan.ranges:
         if start == end:
             continue
         rows = slice(start, end)
-        # Same labels on both sides, so one weight block serves both directions.
-        weights = _positive_weights(labels[rows], labels)
+        shifted, log_prob, product, weights = workspace[:, : (end - start) * n].reshape(4, -1, n)
+        # weights[i, p] = 1/|P(i)| on positives; one block serves both directions
+        np.equal(labels[rows, None], labels[None, :], out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
         part = 0.0
         for anchors, candidates, d_anchors, d_candidates in (
             (img, txt, d_img, d_txt),
             (txt, img, d_txt, d_img),
         ):
-            shifted = anchors[rows] @ candidates.T / tau
+            np.matmul(anchors[rows], candidates.T, out=shifted)
+            shifted /= tau
             shifted -= shifted.max(axis=1, keepdims=True)
-            log_prob = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            part -= (log_prob * weights).sum()
-            coef = np.exp(log_prob) - weights  # d term / d logits
-            d_tau -= (coef * shifted).sum() / tau
+            lse = np.log(np.exp(shifted, out=product).sum(axis=1, keepdims=True))
+            np.subtract(shifted, lse, out=log_prob)
+            part -= np.multiply(log_prob, weights, out=product).sum()
+            coef = np.subtract(np.exp(log_prob, out=log_prob), weights, out=log_prob)
+            d_tau -= np.multiply(coef, shifted, out=product).sum() / tau
             d_anchors[rows] += coef @ candidates / tau
             d_candidates += coef.T @ anchors[rows] / tau
         total += part
@@ -192,10 +197,12 @@ def loss_graph(
     tau: Tensor,
     kind: str = "supcon",
     plan: Optional[ShardPlan] = None,
+    workspace: Optional[np.ndarray] = None,
 ) -> Tensor:
     """`contrastive_loss` as one autodiff node (used by training and tests);
     the gradients are computed in the forward pass and scaled in backward."""
-    result = contrastive_loss(images.data, texts.data, labels, float(tau.data), kind, plan)
+    result = contrastive_loss(images.data, texts.data, labels, float(tau.data), kind, plan,
+                              workspace)
     return node(
         result.loss,
         (images, texts, tau),

@@ -76,7 +76,9 @@ def _mlp(x, w1, b1, w2, b2):
         gt = (g * o).sum(axis=1, keepdims=True) * -0.5 * t**-1.5
         go = ((g * r) + gt * o) + gt * o
         gh = go @ w2.T
-        ga = gh * s + ((gh * a) * s) * (1.0 - s)
+        ga = (gh * a) * s  # then * (1 - s) + gh * s, in place
+        ga *= 1.0 - s
+        ga += np.multiply(gh, s, out=gh)
         return ga, x.T @ ga, ga.sum(axis=0), h.T @ go, go.sum(axis=0)
 
     return o * r, vjp
@@ -154,7 +156,7 @@ class DualEncoder:
     def encode_texts(self, tokens: TokenBatch | Sequence[Sequence[int]]) -> Tensor:
         """A TokenBatch or token id lists -> (N, d_emb) unit embeddings (mean
         pooling; an empty prompt maps to the learned null token). The table
-        gradient sums over the distinct ids, laid into zeros, paired with them."""
+        gradient is one row per distinct id, paired with the ids."""
         if isinstance(tokens, TokenBatch):
             flat_idx, lengths = tokens
         else:
@@ -175,11 +177,12 @@ class DualEncoder:
         def text_vjp(g):
             ga, *weight_grads = vjp(g)
             g_pooled_t = ((ga @ w1.T) / counts[:, None]).T.copy()
+            del ga  # freed before the sort in np.unique
             seg_idx = np.repeat(np.arange(counts.size), counts)
             ids, slot = np.unique(flat_idx, return_inverse=True)
-            g_table = np.zeros_like(table)
+            g_rows = np.empty((ids.size, table.shape[1]))
             for c, column in enumerate(g_pooled_t):
-                g_table[ids, c] = np.bincount(slot, column[seg_idx], ids.size)
-            return ((g_table, ids), *weight_grads)
+                g_rows[:, c] = np.bincount(slot, column[seg_idx], ids.size)
+            return ((g_rows, ids), *weight_grads)
 
         return node(out, params, text_vjp)

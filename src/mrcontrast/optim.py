@@ -35,11 +35,11 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 
 class Adam:
     """Decay is decoupled: p <- p * (1 - lr_eff * wd) before the moment
-    update. Bias-corrected moments, elementwise, on each touched row: the union
-    of every gradient's `grad_rows` (or rows with a nonzero bit) and of loaded
-    m's and v's rows with one. On other rows g = m = v = +0.0, so the update
-    (p - lr_eff * 0 / (0 + eps) = p) and its finiteness check are skipped
-    without changing a bit. Decay stays dense."""
+    update, both in p's own array. Bias-corrected moments, elementwise, on each
+    touched row: the union of every gradient's `grad_rows` (all rows, for a
+    dense gradient) and of loaded m's and v's rows with a nonzero bit. On other
+    rows g = m = v = +0.0, so the update (p - lr_eff * 0 / (0 + eps) = p) and
+    its finiteness check are skipped without changing a bit. Decay stays dense."""
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], config: AdamConfig):
         self.params = params
@@ -57,21 +57,21 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
         for name, p, decay in self.params:
-            if p.grad is None:
+            if p.grad_values is None:
                 continue
-            bits = _as_rows(p.grad).view(np.int64)
-            self.touched[name][bits.any(axis=1) if p.grad_rows is None else p.grad_rows] = True
+            rows = np.arange(self.touched[name].size) if p.grad_rows is None else p.grad_rows
+            self.touched[name][rows] = True
             live = np.flatnonzero(self.touched[name])
-            g = _as_rows(p.grad)[live]
+            g = np.zeros((live.size, _as_rows(p.data).shape[1]))  # +0.0 off the gradient's rows
+            g[np.searchsorted(live, rows)] = _as_rows(p.grad_values)
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"non-finite gradient for {name}")
             scale = 1.0 - lr_eff * c.weight_decay if decay and c.weight_decay != 0.0 else 1.0
-            data = np.multiply(p.data, scale, out=np.empty_like(p.data))
-            m, v, rows = (_as_rows(a) for a in (self.m[name], self.v[name], data))
+            p.data = np.multiply(p.data, scale, out=np.asarray(p.data))  # 0-d data may be a scalar
+            m, v, data = (_as_rows(a) for a in (self.m[name], self.v[name], p.data))
             m[live] = c.beta1 * m[live] + (1.0 - c.beta1) * g
             v[live] = c.beta2 * v[live] + (1.0 - c.beta2) * (g * g)
-            rows[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + c.eps)
-            p.data = data
+            data[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + c.eps)
         return lr_eff
 
     def load_state_dict(self, state: dict) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadCheckpoint, DataError
 from .labels import LabelSpace
-from .loss import LOSS_KINDS, ShardPlan, loss_graph
+from .loss import LOSS_KINDS, ShardPlan, loss_graph, loss_workspace
 from .model import DualEncoder, ModelConfig, parameter_layout
 from .optim import Adam, AdamConfig, clamp_log_tau
 from .prompts import PromptBank, PromptConfig
@@ -145,6 +145,8 @@ def train_model(
         state = _build_state(run, model, rng, epochs_done=0)
 
     n_train = train_rows.size
+    largest = min(run.batch_size, n_train)  # every batch's loss blocks fit in its workspace
+    workspace = loss_workspace(largest, ShardPlan.even(largest, run.shards))
     step = state.optimizer.t
     for epoch in range(state.epochs_done, run.epochs):
         perm = state.rng.permutation(n_train)
@@ -160,7 +162,7 @@ def train_model(
             txt = model.encode_texts(bank.tokens(rows, uniforms))
             plan = ShardPlan.even(len(rows), run.shards)
             out = loss_graph(
-                img, txt, batch_labels, model.tau(), run.loss_kind, plan
+                img, txt, batch_labels, model.tau(), run.loss_kind, plan, workspace
             )
             out.backward()
             lr_eff = state.optimizer.step()
@@ -206,17 +208,19 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def model(self) -> DualEncoder:
-        """The model on the loaded arrays, shared: a step replaces them, never writes them."""
+        """The model on the loaded arrays, shared, for a caller that never steps it."""
         return DualEncoder(self.model_config, params=self.params)
 
     def restore(self) -> TrainState:
-        """`model()`, an optimizer holding the loaded moments, and the generator."""
+        """`model()`, an optimizer holding the loaded moments, and the generator. Steps write
+        `params` in place; the loaded moments are freed, `adam_m` and `adam_v` name its copies."""
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng_state
         state = _build_state(self.run, self.model(), rng, self.epochs_done)
         state.optimizer.load_state_dict(
             {"t": self.adam_t, "m": self.adam_m, "v": self.adam_v}
         )
+        self.adam_m, self.adam_v = state.optimizer.m, state.optimizer.v
         return state
 
 

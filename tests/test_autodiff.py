@@ -330,32 +330,53 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
 
     def test_row_grads_of_a_tensor_used_twice_are_unioned(self):
-        """Two (gradient, rows) pairs for one tensor leave the union of their
-        rows; a plain gradient for the same tensor leaves the rows unknown."""
+        """Two (values, rows) pairs for one tensor leave the union of their
+        rows and the bits of the dense sum: a -0.0 on a row only one side
+        names adds the other side's +0.0, and a row both name adds both
+        values. A plain gradient for the same tensor leaves the rows unknown."""
+        rng = np.random.default_rng(5)
 
-        def ones_on(rows):
-            dense = np.zeros((5, 2))
-            dense[rows] = 1.0
-            return dense, np.array(rows)
+        def on(rows):
+            values = rng.normal(size=(len(rows), 2))
+            return values, np.array(rows)
 
+        def dense(pair):
+            values, rows = pair
+            out = np.zeros((5, 2))
+            out[rows] = values
+            return out
+
+        a, b = on([3, 1]), on([1, 0])
+        a[0][0, 0] = -0.0  # row 3, named by a alone: -0.0 + +0.0 is +0.0
+        a[0][1, 1] = b[0][0, 1] = -0.0  # row 1, named by both: -0.0 + -0.0 is -0.0
         t = Tensor(np.ones((5, 2)), requires_grad=True)
-        node(np.float64(0.0), (t, t), lambda g: (ones_on([3]), ones_on([1]))).backward()
-        assert t.grad_rows.tolist() == [1, 3]
-        np.testing.assert_array_equal(t.grad[:, 0], [0.0, 1.0, 0.0, 1.0, 0.0])
-        node(np.float64(0.0), (t, t), lambda g: (ones_on([0]), np.zeros((5, 2)))).backward()
+        node(np.float64(0.0), (t, t), lambda g: (a, b)).backward()
+        assert t.grad_rows.tolist() == [0, 1, 3]
+        assert t.grad.tobytes() == (dense(a) + dense(b)).tobytes()
+        assert not np.signbit(t.grad[3, 0]) and np.signbit(t.grad[1, 1])
+        node(np.float64(0.0), (t, t), lambda g: (on([0]), np.zeros((5, 2)))).backward()
         assert t.grad_rows is None
         t.grad = None
-        node(np.float64(0.0), (t,), lambda g: (ones_on([4]),)).backward()
+        node(np.float64(0.0), (t,), lambda g: (on([4]),)).backward()
         assert t.grad_rows.tolist() == [4]
         t.grad = t.grad.copy()
         assert t.grad_rows is None
 
     def test_non_finite_row_grad_raises(self):
         t = Tensor(np.ones((3, 2)), requires_grad=True)
-        dense = np.zeros((3, 2))
-        dense[1, 0] = np.nan
+        values = np.array([[np.nan, 0.0]])
         with pytest.raises(NonFiniteGradient):
-            node(np.float64(0.0), (t,), lambda g: ((dense, np.array([1])),)).backward()
+            node(np.float64(0.0), (t,), lambda g: ((values, np.array([1])),)).backward()
+
+    def test_non_finite_value_in_the_unioned_block_raises(self):
+        """An inf that arrives with the second of two (values, rows) pairs
+        is caught in the unioned block, without a dense gradient."""
+        t = Tensor(np.ones((6, 2)), requires_grad=True)
+        first = (np.array([[0.5, 1.0], [2.0, 3.0]]), np.array([1, 4]))
+        second = (np.array([[np.inf, 0.0]]), np.array([4]))
+        with pytest.raises(NonFiniteGradient):
+            node(np.float64(0.0), (t, t), lambda g: (first, second)).backward()
+        assert t.grad_values.shape == (2, 2) and t.grad_rows.tolist() == [1, 4]
 
     def test_detach_cuts_the_graph(self):
         model = small_model()

@@ -5,6 +5,7 @@ import gc
 import json
 import struct
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -15,6 +16,8 @@ import dicom_fixtures
 from mrcontrast import cli, evaluate, optim, synth, train
 from mrcontrast.cli import main
 from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
+from mrcontrast.model import ModelConfig
+from mrcontrast.prompts import VOCAB_SIZE
 from mrcontrast.records import MetadataRecord, parse_manifest_line
 from mrcontrast.train import RunConfig
 from test_train import rewrite_header
@@ -157,6 +160,38 @@ class TestPipeline:
             "--resume", short, "--epochs", "2",
         ]) == 0
         assert open(resumed, "rb").read() == open(pipeline["ckpt"], "rb").read()
+
+    def test_resumed_run_frees_the_loaded_moments(self, pipeline, tmp_path, monkeypatch):
+        """Traced memory at a resumed run's first optimizer step exceeds a
+        fresh run's by less than one token-table array: once the optimizer
+        has copied the checkpoint's Adam moments, the loaded ones are freed."""
+        step = optim.Adam.step
+
+        def at_first_step(argv):
+            seen = []
+
+            def traced(self):
+                if not seen:
+                    seen.append(tracemalloc.get_traced_memory()[0])
+                return step(self)
+
+            monkeypatch.setattr(optim.Adam, "step", traced)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+            finally:
+                tracemalloc.stop()
+            return seen[0]
+
+        short = str(tmp_path / "short.ckpt")
+        one_epoch = [f if f != "2" else "1" for f in TRAIN_FLAGS]
+        common = ["train", "--dataset", pipeline["data"], "--labels", pipeline["labels"]]
+        assert main(common + ["--checkpoint", short] + one_epoch) == 0
+        fresh = at_first_step(common + ["--checkpoint", str(tmp_path / "fresh.ckpt")] + TRAIN_FLAGS)
+        resumed = at_first_step(common + ["--checkpoint", str(tmp_path / "resumed.ckpt"),
+                                          "--resume", short, "--epochs", "2"])
+        table_bytes = (VOCAB_SIZE + 1) * ModelConfig().d_tok * 8
+        assert resumed - fresh < table_bytes
 
     def test_checkpoint_is_written_once_per_epoch(self, pipeline, tmp_path, monkeypatch):
         paths = []

@@ -22,10 +22,13 @@ from mrcontrast.errors import (
     ShapeMismatch,
 )
 from mrcontrast.loss import (
+    LOSS_KINDS,
     ContrastiveBatch,
     ShardPlan,
+    contrastive_loss,
     infonce_bidirectional,
     loss_graph,
+    loss_workspace,
     sharded_loss,
     supcon_bidirectional,
 )
@@ -200,6 +203,34 @@ class TestShardEquivalence:
             sharded_loss(batch, ShardPlan(((0, 10),))).loss,
             rtol=0, atol=0,
         )
+
+
+class TestWorkspace:
+    """A workspace reused across calls changes no bit of the loss or its
+    gradients, whatever it held before, also when a smaller last batch
+    uses a prefix of it."""
+
+    @staticmethod
+    def result_bytes(result):
+        return (np.float64(result.loss).tobytes(), result.d_images.tobytes(),
+                result.d_texts.tobytes(), np.float64(result.d_temperature).tobytes())
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    def test_reused_workspace_matches_a_call_without_one(self, kind, shards):
+        rng = np.random.default_rng(shards)
+        batch = random_batch(rng, n=96, d=16, tau=0.07)
+        workspace = loss_workspace(96, ShardPlan.even(96, shards))
+        for n in (96, 41, 96):  # a full batch, a partial last one, a full one again
+            args = (batch.image_embeddings[:n], batch.text_embeddings[:n],
+                    batch.labels[:n], batch.temperature, kind, ShardPlan.even(n, shards))
+            workspace.fill(np.nan)
+            got = contrastive_loss(*args, workspace=workspace)
+            assert self.result_bytes(got) == self.result_bytes(contrastive_loss(*args)), n
+
+    def test_workspace_holds_four_widest_shard_blocks(self):
+        assert loss_workspace(10, ShardPlan.even(10, 3)).shape == (4, 4 * 10)
+        assert loss_workspace(256, ShardPlan.even(256, 1)).shape == (4, 256 * 256)
 
 
 class TestShardPlan:

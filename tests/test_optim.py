@@ -245,18 +245,26 @@ class TestRowRestrictedStep:
         assert opt.v["w"].tobytes() == v.tobytes()
         assert not np.signbit(opt.m["w"]).any()
 
-    def test_step_does_not_write_into_the_old_arrays(self):
+    def test_a_step_writes_into_the_parameters_own_array(self):
+        """Decay and update happen in place, also for a 0-d parameter whose
+        value was assigned as a numpy scalar (as clamp_log_tau does)."""
         t = Tensor(np.ones((3, 2)), requires_grad=True)
+        s = Tensor(1.0, requires_grad=True)
+        s.data = np.float64(1.0)
         before = t.data
+        want, _, _ = reference_step(before.copy(), 0.5, 0.0, 0.0, 1, self.config(), True)
         t.grad = np.full((3, 2), 0.5)
-        Adam([("w", t, False)], self.config()).step()
-        np.testing.assert_array_equal(before, 1.0)
-        assert not np.array_equal(t.data, before)
+        s.grad = np.float64(0.5)
+        Adam([("w", t, True), ("s", s, False)], self.config()).step()
+        assert t.data is before
+        assert before.tobytes() == want.tobytes()
+        assert float(s.data) == reference_step(1.0, 0.5, 0.0, 0.0, 1, self.config(), False)[0]
 
     def backward_rows(self, t, g, rows):
-        """Give t the gradient g through backward(), paired with rows."""
+        """Give t the gradient g through backward(), as the compact pair of
+        its rows' values and the rows."""
         t.grad = None
-        node(np.float64(0.0), (t,), lambda _: ((g.copy(), np.array(rows)),)).backward()
+        node(np.float64(0.0), (t,), lambda _: ((g[rows], np.array(rows)),)).backward()
         assert t.grad_rows.tolist() == rows
 
     def test_row_tracked_steps_match_dense_reference_with_resume(self):

@@ -228,6 +228,40 @@ class TestTrainModel:
         train_model(slices, space, ids, replace(TINY_RUN, epochs=2))
         assert len(alive) > 2 and not any(alive)
 
+    def test_a_step_after_the_first_allocates_less_than_the_token_table(
+        self, tiny_dataset, monkeypatch
+    ):
+        """At the default widths and batch 256 (a full batch, then a partial
+        one, each epoch), every step after the first peaks less than one
+        token-table array over its start: the loss reuses one workspace, the
+        table gradient holds only the used rows and Adam steps in place."""
+        slices, space, ids = tiny_dataset
+        starts, peaks = [], []
+        encode, step = DualEncoder.encode_images, train.Adam.step
+
+        def start_step(self, features):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return encode(self, features)
+
+        def end_step(self):
+            lr = step(self)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return lr
+
+        monkeypatch.setattr(DualEncoder, "encode_images", start_step)
+        monkeypatch.setattr(train.Adam, "step", end_step)
+        run = replace(TINY_RUN, batch_size=256, epochs=3)
+        tracemalloc.start()
+        try:
+            state = train_model(slices, space, ids, run)
+        finally:
+            tracemalloc.stop()
+        table_bytes = state.model.tok_table.data.nbytes
+        assert state.model.config == ModelConfig(d_in=slices[0].features.size)
+        assert len(peaks) == 6 and table_bytes > 2 * 2**20
+        assert max(p - s for s, p in zip(starts[1:], peaks[1:])) < table_bytes
+
     def test_single_scan_with_holdout_has_no_training_rows(self, tiny_dataset):
         slices, space, ids = tiny_dataset
         one_scan = [s for s in slices if s.scan_id == 0]

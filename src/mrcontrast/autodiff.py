@@ -22,9 +22,9 @@ from .errors import NonFiniteGradient
 
 
 class Tensor:
-    """A float64 array on the tape. Accumulating only (values, rows) pairs keeps
-    their rows' union in `grad_rows` and its gradient in `grad_values`; `grad`
-    is dense, +0.0 off those rows. A plain gradient or `.grad = x` resets them."""
+    """A float64 array on the tape. A first gradient given as a (values, rows)
+    pair stays compact: `grad_values` on `grad_rows`, and `grad` is dense, +0.0
+    off those rows. A second gradient or `.grad = x` leaves it dense."""
 
     __slots__ = ("data", "grad_values", "grad_rows", "requires_grad", "_vjp", "_prev")
 
@@ -56,13 +56,6 @@ class Tensor:
         grad = np.asarray(grad, dtype=np.float64)
         if self.grad_values is None:
             values = grad.copy() if grad.base is not None else grad
-        elif rows is not None and self.grad_rows is not None:
-            # the dense sum's bits: a row one side lacks adds that side's +0.0
-            union = np.union1d(self.grad_rows, rows)
-            both = np.zeros((2, union.size) + grad.shape[1:])
-            both[0, np.searchsorted(union, self.grad_rows)] = self.grad_values
-            both[1, np.searchsorted(union, rows)] = grad
-            values, rows = both[0] + both[1], union
         else:
             values, rows = self.grad + self._dense(grad, rows), None
         self.grad_values, self.grad_rows = values, rows
@@ -109,7 +102,8 @@ def node(
 ) -> Tensor:
     """A tape node holding `value`, computed from `inputs`; `vjp(grad)`
     returns one gradient per input, each shaped like that input, or a
-    (values, rows) pair: the gradient on those distinct rows, +0.0 elsewhere."""
+    (values, rows) pair: the gradient on those distinct rows, +0.0 elsewhere,
+    kept compact while it is its input's only gradient."""
     out = Tensor(value, any(t.requires_grad for t in inputs))
     out._prev = tuple(inputs)
     out._vjp = vjp

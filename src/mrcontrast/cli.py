@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
     if args.resume:
         ckpt = load_checkpoint(args.resume)
         epochs_before = ckpt.epochs_done
-        run = replace(ckpt.run, **{k: v for k, v in flags.items() if k == "epochs"})
+        run = replace(ckpt.run, **flags)
         state = train_model(
             slices, space, ids, run, resume_from=ckpt, checkpoint_path=args.checkpoint
         )
@@ -214,13 +214,15 @@ def cmd_train(args) -> int:
 def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     """run_evaluation's positional arguments and the transfer grid. Only the
     model is built from the checkpoint; the slices and the checkpoint go out
-    of scope on return, so neither is alive while eval ranks and probes. The
-    transfer file is read and checked first, before any of that work."""
+    of scope on return, so neither is alive while eval ranks and probes. Both
+    label files are read and checked first, before any of that work."""
     transfer = _load_space(args.transfer).config if args.transfer else None
     if isinstance(transfer, KMeansLabelConfig):
         raise DataError(f"--transfer needs a grid label file, not the k-means file {args.transfer}")
-    slices = synth.load_dataset(args.dataset)
     space = _load_space(args.labels)
+    if transfer and isinstance(space.config, KMeansLabelConfig):
+        raise DataError(f"--transfer coarsens grid --labels, not the k-means file {args.labels}")
+    slices = synth.load_dataset(args.dataset)
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.label_space_hash != space.hash_hex:
         raise DataError(
@@ -304,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--text-dropout", type=_flag_type(float, RUN_RULES["text_dropout"]))
     p.add_argument("--include-series-description", action="store_true")
     p.add_argument("--val-fraction", type=_flag_type(float, RUN_RULES["val_fraction"]))
-    p.add_argument("--resume", default=None)
+    p.add_argument("--resume", default=None, help="continue a checkpoint's run to --epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -325,6 +327,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "kmeans_seed", None) is not None and args.kmeans is None:
         parser.error("argument --kmeans-seed: needs --kmeans")
+    if getattr(args, "resume", None):
+        fixed = sorted(set(vars(args)) & set(RunConfig.__dataclass_fields__) - {"epochs"})
+        if fixed:
+            parser.error(f"argument --resume: the checkpoint fixes {', '.join(fixed)}; "
+                         "only --epochs may change")
     try:
         return args.func(args)
     except NumericalError as exc:

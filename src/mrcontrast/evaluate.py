@@ -327,16 +327,17 @@ def per_tag_error(
 @dataclass
 class EvalReport:
     recalls: dict[str, dict[str, float]]
-    probe_accuracy: Optional[float]
-    per_tag_error: dict[str, float]
-    te_bin_mae: float
-    tr_bin_mae: float
-    te_mae_ms: float
-    tr_mae_ms: float
     config_hash: str
-    # n_iterations, grad_norm, converged and the final loss; None without a probe
+    counts: dict[str, int]
+    # the probe's fields, left at these values when no probe runs
+    probe_accuracy: Optional[float] = None
+    per_tag_error: dict[str, float] = field(default_factory=dict)
+    te_bin_mae: float = 0.0
+    tr_bin_mae: float = 0.0
+    te_mae_ms: float = 0.0
+    tr_mae_ms: float = 0.0
+    # n_iterations, grad_norm, converged and the final loss
     probe: Optional[dict] = None
-    counts: dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -384,37 +385,13 @@ def run_evaluation(
     s2t = scan_to_text_recall(eval_emb, eval_ids, eval_scan_ids, gallery, ks)
     t2i = text_to_image_recall(gallery, eval_emb, eval_ids, ks)
 
-    probe_accuracy = probe_block = None
-    tag_rates: dict[str, float] = {}
-    te_bin_mae = tr_bin_mae = te_mae_ms = tr_mae_ms = 0.0
-    if run_probe:
-        probe = linear_probe(train_emb, train_ids, eval_emb, eval_ids, l2=probe_l2)
-        probe_accuracy = probe.accuracy
-        probe_block = {
-            "n_iterations": probe.n_iterations,
-            "grad_norm": probe.grad_norm,
-            "converged": probe.converged,
-            "loss": probe.losses[-1],
-        }
-        tags = per_tag_error(probe.predicted_ids, eval_ids, space)
-        tag_rates = tags.rates
-        te_bin_mae, tr_bin_mae = tags.te_bin_mae, tags.tr_bin_mae
-        te_mae_ms, tr_mae_ms = tags.te_mae_ms, tags.tr_mae_ms
-
-    return EvalReport(
+    report = EvalReport(
         recalls={
             "image_to_text": _recall_dict(i2t),
             "scan_to_text": _recall_dict(s2t),
             "text_to_image": _recall_dict(t2i),
         },
-        probe_accuracy=probe_accuracy,
-        per_tag_error=tag_rates,
-        te_bin_mae=te_bin_mae,
-        tr_bin_mae=tr_bin_mae,
-        te_mae_ms=te_mae_ms,
-        tr_mae_ms=tr_mae_ms,
         config_hash=config_hash,
-        probe=probe_block,
         counts={
             "n_eval_slices": int(eval_features.shape[0]),
             "n_eval_scans": int(np.unique(eval_scan_ids).size),
@@ -422,6 +399,20 @@ def run_evaluation(
             "n_gallery": int(gallery.label_ids.size),
         },
     )
+    if run_probe:
+        probe = linear_probe(train_emb, train_ids, eval_emb, eval_ids, l2=probe_l2)
+        report.probe_accuracy = probe.accuracy
+        report.probe = {
+            "n_iterations": probe.n_iterations,
+            "grad_norm": probe.grad_norm,
+            "converged": probe.converged,
+            "loss": probe.losses[-1],
+        }
+        tags = per_tag_error(probe.predicted_ids, eval_ids, space)
+        report.per_tag_error = tags.rates
+        report.te_bin_mae, report.tr_bin_mae = tags.te_bin_mae, tags.tr_bin_mae
+        report.te_mae_ms, report.tr_mae_ms = tags.te_mae_ms, tags.tr_mae_ms
+    return report
 
 
 def render_table(report: EvalReport) -> str:

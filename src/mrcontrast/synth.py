@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyDataset, EmptyProtocolList, MalformedFeatures, NonFiniteInput
-from .labels import TE_RANGE_MS, TR_RANGE_MS
+from .labels import TE_RANGE_MS, TR_RANGE_MS, GridSpec
 from .records import (
     MetadataRecord,
     decode_manifest_line,
@@ -215,13 +215,12 @@ def default_protocols(
     protocols whose timings differ by a few milliseconds, the situation where
     fine quantization splits physically similar scans into separate labels.
     """
-    te_width = (TE_RANGE_MS[1] - TE_RANGE_MS[0]) / n_te_cells
-    tr_width = (TR_RANGE_MS[1] - TR_RANGE_MS[0]) / n_tr_cells
+    grid = GridSpec(n_te_cells, n_tr_cells)
     protocols = []
     for i in range(n_te_cells):
-        te = TE_RANGE_MS[0] + (i + 0.5) * te_width
+        te = TE_RANGE_MS[0] + (i + 0.5) * grid.te_width
         for j in range(n_tr_cells):
-            tr = TR_RANGE_MS[0] + (j + 0.5) * tr_width
+            tr = TR_RANGE_MS[0] + (j + 0.5) * grid.tr_width
             for dte, dtr in offsets:
                 for mfr, model in scanners:
                     for fs in field_strengths:

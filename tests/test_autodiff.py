@@ -329,11 +329,12 @@ class TestGraphMechanics:
         probe(t, 1.0).backward()
         np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
 
-    def test_row_grads_of_a_tensor_used_twice_are_unioned(self):
-        """Two (values, rows) pairs for one tensor leave the union of their
-        rows and the bits of the dense sum: a -0.0 on a row only one side
-        names adds the other side's +0.0, and a row both name adds both
-        values. A plain gradient for the same tensor leaves the rows unknown."""
+    def test_row_grads_of_a_tensor_used_twice_sum_densely(self):
+        """Two (values, rows) pairs for one tensor leave a dense gradient with
+        the bits of the dense sum: a -0.0 on a row only one side names adds
+        the other side's +0.0, and a row both name adds both values. A plain
+        gradient for the same tensor leaves it dense too; only a sole pair
+        stays compact."""
         rng = np.random.default_rng(5)
 
         def on(rows):
@@ -351,7 +352,7 @@ class TestGraphMechanics:
         a[0][1, 1] = b[0][0, 1] = -0.0  # row 1, named by both: -0.0 + -0.0 is -0.0
         t = Tensor(np.ones((5, 2)), requires_grad=True)
         node(np.float64(0.0), (t, t), lambda g: (a, b)).backward()
-        assert t.grad_rows.tolist() == [0, 1, 3]
+        assert t.grad_rows is None
         assert t.grad.tobytes() == (dense(a) + dense(b)).tobytes()
         assert not np.signbit(t.grad[3, 0]) and np.signbit(t.grad[1, 1])
         node(np.float64(0.0), (t, t), lambda g: (on([0]), np.zeros((5, 2)))).backward()
@@ -368,15 +369,14 @@ class TestGraphMechanics:
         with pytest.raises(NonFiniteGradient):
             node(np.float64(0.0), (t,), lambda g: ((values, np.array([1])),)).backward()
 
-    def test_non_finite_value_in_the_unioned_block_raises(self):
+    def test_non_finite_value_in_a_second_row_grad_raises(self):
         """An inf that arrives with the second of two (values, rows) pairs
-        is caught in the unioned block, without a dense gradient."""
+        is caught in the dense sum."""
         t = Tensor(np.ones((6, 2)), requires_grad=True)
         first = (np.array([[0.5, 1.0], [2.0, 3.0]]), np.array([1, 4]))
         second = (np.array([[np.inf, 0.0]]), np.array([4]))
         with pytest.raises(NonFiniteGradient):
             node(np.float64(0.0), (t, t), lambda g: (first, second)).backward()
-        assert t.grad_values.shape == (2, 2) and t.grad_rows.tolist() == [1, 4]
 
     def test_detach_cuts_the_graph(self):
         model = small_model()

@@ -218,6 +218,25 @@ class TestPipeline:
         assert paths == [ckpt, ckpt, resumed]
         assert open(resumed, "rb").read() == open(ckpt, "rb").read()
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "0.5"],
+        ["--batch-size", "7", "--shards", "4"],
+        ["--include-series-description"],
+    ])
+    def test_resume_takes_no_run_flag_but_epochs(self, pipeline, tmp_path, capsys, flags):
+        """The checkpoint fixes every run setting but the epoch count: any
+        other run flag with --resume is a usage error and writes nothing."""
+        resumed = tmp_path / "resumed.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+                "--checkpoint", str(resumed), "--resume", pipeline["ckpt"], "--epochs", "3",
+            ] + flags)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--resume: the checkpoint fixes" in err and "Traceback" not in err
+        assert not resumed.exists()
+
     def test_eval_table_report(self, pipeline, tmp_path):
         out = str(tmp_path / "report.txt")
         assert main([
@@ -288,6 +307,26 @@ class TestPipeline:
         ]) == 2
         err = capsys.readouterr().err
         assert "--transfer needs a grid label file" in err and "Traceback" not in err
+
+    def test_kmeans_labels_with_transfer_fail_before_any_load(self, pipeline, tmp_path,
+                                                              monkeypatch, capsys):
+        """Coarsening needs grid --labels: a k-means --labels file with
+        --transfer exits 2 before eval loads the dataset or the checkpoint."""
+        kmeans_labels = str(tmp_path / "kmeans.json")
+        assert main([
+            "build-labels", "--dataset", pipeline["data"], "--out", kmeans_labels, "--kmeans", "4",
+        ]) == 0
+        loads = []
+        monkeypatch.setattr(synth, "load_dataset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path))
+        out = tmp_path / "transfer.json"
+        assert main([
+            "eval", "--dataset", pipeline["data"], "--labels", kmeans_labels,
+            "--checkpoint", pipeline["ckpt"], "--transfer", pipeline["labels"], "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--transfer coarsens grid --labels" in err and "Traceback" not in err
+        assert loads == [] and not out.exists()
 
     def test_eval_frees_dataset_and_checkpoint_before_the_probe(
         self, pipeline, tmp_path, monkeypatch

@@ -11,15 +11,17 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import dicom, synth
-from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
+from .errors import (
+    DataError, IncompatibleRanges, LabelDecodeFailure, MrContrastError, NumericalError,
+)
 from .labels import (
     CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, LabelSpace, build_label_space,
 )
 from .loss import LOSS_KINDS
-from .records import manifest_lines, parse_manifest_line
+from .records import MetadataRecord, manifest_lines, parse_manifest_line
 from .rules import non_negative_float, non_negative_int, positive_int
 from .train import (
     RUN_RULES,
@@ -30,6 +32,7 @@ from .train import (
     save_checkpoint,
     split_by_scan,
     train_model,
+    write_replacing,
 )
 
 
@@ -99,6 +102,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    """Each accepted record is written as it is parsed, through a temporary
+    file that replaces --out at the end, so only the rejection counts are
+    kept; a strict-mode failure leaves --out as it was."""
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -106,58 +112,62 @@ def cmd_ingest(args) -> int:
             paths.extend(sorted(q for q in p.rglob("*") if q.is_file()))
         else:
             paths.append(p)
-    accepted = []
+    accepted = 0
     rejected: dict[str, int] = {}
 
-    def reject(exc: Exception) -> None:
-        name = type(exc).__name__
-        rejected[name] = rejected.get(name, 0) + 1
-        if not args.skip_bad:
-            raise exc
+    def parse(read, *read_args, **read_kwargs):
+        """read(...), or None for input it rejects when --skip-bad is given."""
+        try:
+            return read(*read_args, **read_kwargs)
+        except MrContrastError as exc:
+            name = type(exc).__name__
+            rejected[name] = rejected.get(name, 0) + 1
+            if not args.skip_bad:
+                raise
+            return None
 
-    for p in paths:
-        if p.suffix.lower() in (".jsonl", ".json"):
-            for number, line in manifest_lines(p):
-                try:
-                    accepted.append(parse_manifest_line(line, number))
-                except MrContrastError as exc:
-                    reject(exc)
-        else:
-            try:
-                record = dicom.parse_dicom_tags(p.read_bytes(), source_id=p.name)
-                accepted.append(record)
-            except MrContrastError as exc:
-                reject(exc)
+    def lines():
+        nonlocal accepted
+        for p in paths:
+            if p.suffix.lower() in (".jsonl", ".json"):
+                records = (parse(parse_manifest_line, line, number)
+                           for number, line in manifest_lines(p))
+            else:
+                records = [parse(dicom.parse_dicom_tags, p.read_bytes(), source_id=p.name)]
+            for record in records:
+                if record is not None:
+                    accepted += 1
+                    yield (json.dumps(record.to_dict(), sort_keys=True) + "\n").encode()
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in accepted:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+    write_replacing(args.out, lines())
     summary = {
-        "accepted": len(accepted),
+        "accepted": accepted,
         "rejected": dict(sorted(rejected.items())),
     }
     _write_text(args.summary, json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _load_records(path: str):
-    records = []
+def _read_records(path: str) -> Iterator[MetadataRecord]:
+    """The records of a dataset or records file, one line at a time; a line
+    that builds the previous line's record again yields that record, so the
+    slices of a scan share one."""
+    record = None
     for number, line in manifest_lines(path):
-        records.append(parse_manifest_line(line, number, records[-1] if records else None))
-    return records
+        record = parse_manifest_line(line, number, record)
+        yield record
 
 
 def cmd_build_labels(args) -> int:
-    records = _load_records(args.dataset)
     cats = ("flip_angle",) if args.numerical_labels else CATEGORICAL_FIELDS
     if args.kmeans is None:
         grid = _parse_grid(args.grid) if args.grid else GridSpec()
         config = LabelConfig(grid, cats + ("te_bin", "tr_bin", "ti_bin"))
     else:
         config = KMeansLabelConfig(args.kmeans, args.kmeans_seed or 0, cats)
-    space, ids = build_label_space(records, config)
+    space, ids = build_label_space(_read_records(args.dataset), config)
     Path(args.out).write_text(space.to_json() + "\n", encoding="utf-8")
-    print(f"built {len(space)} labels over {len(records)} records -> {args.out}")
+    print(f"built {len(space)} labels over {len(ids)} records -> {args.out}")
     return 0
 
 
@@ -183,7 +193,7 @@ def cmd_train(args) -> int:
     ids = space.assign(records)
 
     epochs_before = 0
-    if args.resume:
+    if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
         epochs_before = ckpt.epochs_done
         run = replace(ckpt.run, **flags)
@@ -222,6 +232,12 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     space = _load_space(args.labels)
     if transfer and isinstance(space.config, KMeansLabelConfig):
         raise DataError(f"--transfer coarsens grid --labels, not the k-means file {args.labels}")
+    if transfer and (space.config.grid.n_te % transfer.grid.n_te
+                     or space.config.grid.n_tr % transfer.grid.n_tr):
+        fine, coarse = space.config.grid, transfer.grid
+        raise IncompatibleRanges(
+            f"--transfer grid {coarse.n_te}x{coarse.n_tr} does not nest in the --labels grid "
+            f"{fine.n_te}x{fine.n_tr}: each of its counts must divide the --labels count")
     slices = synth.load_dataset(args.dataset)
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.label_space_hash != space.hash_hex:
@@ -327,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "kmeans_seed", None) is not None and args.kmeans is None:
         parser.error("argument --kmeans-seed: needs --kmeans")
-    if getattr(args, "resume", None):
+    if getattr(args, "resume", None) is not None:
         fixed = sorted(set(vars(args)) & set(RunConfig.__dataclass_fields__) - {"epochs"})
         if fixed:
             parser.error(f"argument --resume: the checkpoint fixes {', '.join(fixed)}; "

@@ -13,7 +13,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import ClassVar, Optional, Sequence
+from operator import itemgetter
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -168,6 +169,20 @@ def _field_value(record: MetadataRecord, name: str):
     raise KeyError(name)
 
 
+def _run_key(
+    record: MetadataRecord, config: LabelConfig | KMeansLabelConfig, cluster: Optional[int] = None
+) -> tuple:
+    """The label key of a run's record: its value for each of
+    ``config.key_fields``. A grid quantizes its TE/TR; a k-means key ends in
+    ``cluster``, and stops before it while that is None (before the fit)."""
+    if isinstance(config, KMeansLabelConfig):
+        key = tuple(_field_value(record, f) for f in config.fields)
+        return key if cluster is None else key + (cluster,)
+    te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
+    derived = {"te_bin": te_bin, "tr_bin": tr_bin}
+    return tuple(derived[f] if f in derived else _field_value(record, f) for f in config.fields)
+
+
 def label_keys(
     records: Sequence[MetadataRecord],
     config: LabelConfig | KMeansLabelConfig,
@@ -176,23 +191,17 @@ def label_keys(
     """Label key per record: its value for each of ``config.key_fields``.
 
     A run of one shared record (the slices of a scan) gets one key, computed
-    for its first record: a grid quantizes its TE/TR, and k-means takes its
-    cluster id from one grouper call over the first records of all runs.
+    for its first record; k-means takes its cluster id from one grouper call
+    over the first records of all runs.
     """
-    fields = config.key_fields
-    kmeans = isinstance(config, KMeansLabelConfig)
-    if kmeans:  # the list of first records lives for the grouper call only
+    clusters = None
+    if isinstance(config, KMeansLabelConfig):  # the first records live for this call only
         clusters = iter(grouper.cluster_ids(
             [r for i, r in enumerate(records) if i == 0 or r is not records[i - 1]]).tolist())
     keys, previous = [], None
     for record in records:
         if record is not previous:
-            if kmeans:
-                derived = {"cluster": next(clusters)}
-            else:
-                te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
-                derived = {"te_bin": te_bin, "tr_bin": tr_bin}
-            key = tuple(derived[f] if f in derived else _field_value(record, f) for f in fields)
+            key = _run_key(record, config, None if clusters is None else next(clusters))
             previous = record
         keys.append(key)
     return keys
@@ -201,15 +210,15 @@ def label_keys(
 KMEANS_DIM = 4
 
 
-def kmeans_features(records: Sequence[MetadataRecord]) -> np.ndarray:
-    """(te, tr, ti_present, ti or 0) per record, for numeric-tag clustering."""
-    out = np.zeros((len(records), KMEANS_DIM), dtype=np.float64)
-    for i, r in enumerate(records):
-        out[i, 0] = r.te_ms
-        out[i, 1] = r.tr_ms
-        out[i, 2] = 1.0 if r.ti_ms is not None else 0.0
-        out[i, 3] = r.ti_ms if r.ti_ms is not None else 0.0
-    return out
+def _timings(record: MetadataRecord) -> tuple:
+    return (record.te_ms, record.tr_ms, record.ti_ms)
+
+
+def kmeans_features(timings: Iterable[tuple]) -> np.ndarray:
+    """(te, tr, ti_present, ti or 0) per (te, tr, ti or None) triple, for
+    numeric-tag clustering."""
+    rows = [(te, tr, ti is not None, 0.0 if ti is None else ti) for te, tr, ti in timings]
+    return np.array(rows, dtype=np.float64).reshape(-1, KMEANS_DIM)
 
 
 @dataclass
@@ -234,11 +243,11 @@ class KMeansGrouper:
         return (feats - self.mins) / self.ranges
 
     def cluster_ids(self, records: Sequence[MetadataRecord]) -> np.ndarray:
-        return self.model.assign(self.normalize(kmeans_features(records)))
+        return self.model.assign(self.normalize(kmeans_features(map(_timings, records))))
 
     @staticmethod
-    def fit(records: Sequence[MetadataRecord], n_clusters: int, seed: int) -> "KMeansGrouper":
-        feats = kmeans_features(records)
+    def fit(feats: np.ndarray, n_clusters: int, seed: int) -> "KMeansGrouper":
+        """Normalize (n, KMEANS_DIM) `kmeans_features` and fit k-means on them."""
         mins = feats.min(axis=0)
         spread = feats.max(axis=0) - mins
         ranges = np.where(spread > 0, spread, 1.0)
@@ -258,22 +267,30 @@ class ContrastLabel:
     rep: tuple
 
 
-def median_rep(values: Sequence[tuple]) -> tuple:
-    """Per-axis median element of (te, tr, ti) triples.
+def median_rep(values: Sequence[tuple], counts: Optional[Sequence[int]] = None) -> tuple:
+    """Per-axis median element of (te, tr, ti) triples, the i-th of them
+    counted ``counts[i]`` times (once each by default).
 
     The median is an element of the input (lower middle for even counts), so
-    every quoted value occurs verbatim in the data. TI is reported only when
-    a strict majority of members carry an inversion pulse.
+    every quoted value occurs verbatim in the data; equal values (0.0 and
+    -0.0) keep their input order. TI is reported only when a strict majority
+    of members carry an inversion pulse.
     """
-    tes = sorted(v[0] for v in values)
-    trs = sorted(v[1] for v in values)
-    tis = sorted(v[2] for v in values if v[2] is not None)
-    te = tes[(len(tes) - 1) // 2]
-    tr = trs[(len(trs) - 1) // 2]
-    ti = None
-    if 2 * len(tis) > len(values):
-        ti = tis[(len(tis) - 1) // 2]
-    return (te, tr, ti)
+    weighted = list(zip(values, counts or [1] * len(values)))
+
+    def median(axis: int):
+        members = sorted(((v[axis], c) for v, c in weighted if v[axis] is not None),
+                         key=itemgetter(0))
+        middle = (sum(c for _, c in members) - 1) // 2
+        for value, c in members:
+            if middle < c:
+                return value
+            middle -= c
+        return None
+
+    n_ti = sum(c for v, c in weighted if v[2] is not None)
+    ti = median(2) if 2 * n_ti > sum(c for _, c in weighted) else None
+    return (median(0), median(1), ti)
 
 
 _CLAUSES_FOR_FIELD = {
@@ -481,25 +498,46 @@ def canonical_text(record: MetadataRecord, config: LabelConfig | KMeansLabelConf
 
 
 def build_label_space(
-    records: Sequence[MetadataRecord], config: LabelConfig | KMeansLabelConfig
+    records: Iterable[MetadataRecord], config: LabelConfig | KMeansLabelConfig
 ) -> tuple[LabelSpace, np.ndarray]:
-    """Group records into labels; returns the space and per-record ids."""
-    if not records:
+    """Group records into labels; returns the space and per-record ids.
+
+    One pass over ``records`` keeps state per run of one shared record (the
+    slices of a scan), not per record: the run's key (k-means: without the
+    cluster id, which needs the fit), its length and its (te, tr, ti). Equal
+    keys share one tuple. k-means fits on the runs' features repeated by
+    length, the same matrix as one row per record.
+    """
+    keys, lengths, timings, previous = [], [], [], None
+    shared: dict[tuple, tuple] = {}
+    for record in records:
+        if record is previous:
+            lengths[-1] += 1
+            continue
+        key = _run_key(record, config)
+        keys.append(shared.setdefault(key, key))
+        lengths.append(1)
+        timings.append(_timings(record))
+        previous = record
+    if not keys:
         raise EmptyDataset("no records")
     grouper = None
     if isinstance(config, KMeansLabelConfig):
-        grouper = KMeansGrouper.fit(records, config.n_clusters, config.kmeans_seed)
-    keys = label_keys(records, config, grouper)
-    counts = Counter(keys)
-    member_values: dict[tuple, list] = {}
-    for record, key in zip(records, keys):
-        member_values.setdefault(key, []).append(
-            (record.te_ms, record.tr_ms, record.ti_ms)
-        )
-    reps = {key: median_rep(vals) for key, vals in member_values.items()}
-    space = LabelSpace(config, dict(counts), grouper, reps)
+        feats = kmeans_features(timings)
+        grouper = KMeansGrouper.fit(
+            np.repeat(feats, lengths, axis=0), config.n_clusters, config.kmeans_seed)
+        clusters = grouper.model.assign(grouper.normalize(feats)).tolist()
+        shared.clear()
+        keys = [shared.setdefault(key, key) for key in (k + (c,) for k, c in zip(keys, clusters))]
+    members: dict[tuple, tuple[list, list]] = {}
+    for key, timing, length in zip(keys, timings, lengths):
+        values, counts = members.setdefault(key, ([], []))
+        values.append(timing)
+        counts.append(length)
+    space = LabelSpace(config, {k: sum(c) for k, (_, c) in members.items()}, grouper,
+                       {k: median_rep(v, c) for k, (v, c) in members.items()})
     ids = np.array([space._key_to_id[k] for k in keys], dtype=np.int64)
-    return space, ids
+    return space, np.repeat(ids, lengths)
 
 
 def coarsened_space(

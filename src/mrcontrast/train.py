@@ -13,7 +13,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -256,20 +256,27 @@ def checkpoint_bytes(
     return b"".join(_checkpoint_pieces(state, run, label_space_hash, cfg_hash))
 
 
-def save_checkpoint(
-    path: str, state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
-) -> None:
-    """Stream the pieces of `checkpoint_bytes` through a temporary file in the
-    same directory and os.replace, so a failed or interrupted write leaves any
-    previous checkpoint intact."""
+def write_replacing(path, pieces: Iterable[bytes]) -> None:
+    """Stream ``pieces`` into a temporary file in the same directory, then
+    os.replace it onto ``path``: a write that fails or is interrupted leaves
+    any previous file intact and no temporary file behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines(_checkpoint_pieces(state, run, label_space_hash, cfg_hash))
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_checkpoint(
+    path: str, state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
+) -> None:
+    """Stream the pieces of `checkpoint_bytes` to ``path`` through
+    `write_replacing`, so a failed or interrupted write leaves any previous
+    checkpoint intact."""
+    write_replacing(path, _checkpoint_pieces(state, run, label_space_hash, cfg_hash))
 
 
 def _rng_state(obj: dict, word: type) -> dict:

@@ -18,7 +18,7 @@ from mrcontrast.cli import main
 from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
 from mrcontrast.model import ModelConfig
 from mrcontrast.prompts import VOCAB_SIZE
-from mrcontrast.records import MetadataRecord, parse_manifest_line
+from mrcontrast.records import MetadataRecord, manifest_lines, parse_manifest_line
 from mrcontrast.train import RunConfig
 from test_train import rewrite_header
 
@@ -237,6 +237,17 @@ class TestPipeline:
         assert "--resume: the checkpoint fixes" in err and "Traceback" not in err
         assert not resumed.exists()
 
+    def test_empty_resume_path_is_data_error(self, pipeline, tmp_path, capsys):
+        """--resume "" names no checkpoint: exit 2, not a fresh run."""
+        ckpt = tmp_path / "fresh.ckpt"
+        assert main([
+            "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", str(ckpt), "--resume", "", "--epochs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not ckpt.exists() and not (tmp_path / "fresh.ckpt.tmp").exists()
+
     def test_eval_table_report(self, pipeline, tmp_path):
         out = str(tmp_path / "report.txt")
         assert main([
@@ -328,6 +339,27 @@ class TestPipeline:
         assert "--transfer coarsens grid --labels" in err and "Traceback" not in err
         assert loads == [] and not out.exists()
 
+    def test_transfer_grid_that_does_not_nest_fails_before_any_load(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        """A 3x3 bin does not sit inside one 5x5 bin: transferring the 3x3
+        labels onto a 5x5 grid exits 2 before eval loads anything."""
+        coarse = str(tmp_path / "5x5.json")
+        assert main([
+            "build-labels", "--dataset", pipeline["data"], "--out", coarse, "--grid", "5x5",
+        ]) == 0
+        loads = []
+        monkeypatch.setattr(synth, "load_dataset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path))
+        out = tmp_path / "transfer.json"
+        assert main([
+            "eval", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", pipeline["ckpt"], "--transfer", coarse, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "does not nest" in err and "Traceback" not in err
+        assert loads == [] and not out.exists()
+
     def test_eval_frees_dataset_and_checkpoint_before_the_probe(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -404,6 +436,16 @@ class TestIngest:
         out = str(tmp_path / "records.jsonl")
         assert main(["ingest", str(src), "--out", out]) == 2
 
+    def test_failed_strict_ingest_keeps_the_previous_output(self, tmp_path):
+        """The good DICOM file is written before the garbage one fails: the
+        temporary file goes, and an existing --out keeps its bytes."""
+        src = self.corpus(tmp_path)
+        out = tmp_path / "records.jsonl"
+        out.write_bytes(b"previous run\n")
+        assert main(["ingest", str(src), "--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["incoming", "records.jsonl"]
+
     def test_skip_bad_collects_good_records_and_counts_failures(self, tmp_path):
         src = self.corpus(tmp_path)
         out = str(tmp_path / "records.jsonl")
@@ -435,6 +477,41 @@ class TestIngest:
         assert main(["build-labels", "--dataset", out, "--out", labels]) == 0
         space = json.loads(open(labels).read())
         assert len(space["labels"]) == 2
+
+
+def test_build_labels_holds_less_than_the_record_list(tmp_path, capsys):
+    """build-labels streams its records: over 3,000 distinct manifest lines
+    (one label), its traced peak stays below what a list of the parsed
+    records alone holds."""
+    base = MetadataRecord(
+        "x", manufacturer="GE", scanner_model="SIGNA", sequence_type="SE",
+        sequence_variant="SK", field_strength_tesla=3.0, te_ms=10.0, tr_ms=500.0,
+        flip_angle_deg=90.0, voxel_spacing_mm=(1.0, 1.0, 5.0), num_slices=20,
+    ).to_dict()
+    data = tmp_path / "records.jsonl"
+    with open(data, "w", encoding="utf-8") as fh:
+        for i in range(3000):
+            fh.write(json.dumps({**base, "source_id": f"scan{i:05d}", "te_ms": 10.0 + i * 1e-3,
+                                 "tr_ms": 500.0 + i * 1e-2}) + "\n")
+    argv = ["build-labels", "--dataset", str(data), "--out", str(tmp_path / "l.json"),
+            "--grid", "20x20"]
+    assert main(argv) == 0  # warm-up: first-call caches are not the build's memory
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = [parse_manifest_line(line, n) for n, line in manifest_lines(data)]
+        list_bytes = tracemalloc.get_traced_memory()[0] - start
+        del records
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert "built 1 labels over 3000 records" in capsys.readouterr().out
+    assert peak < list_bytes, (peak, list_bytes)
 
 
 class TestExitCodes:

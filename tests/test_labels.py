@@ -262,6 +262,18 @@ class TestMedianRep:
         assert tr in [v[1] for v in values]
         assert ti in [v[2] for v in values]
 
+    def test_counts_weigh_like_repeated_values(self):
+        """Counted triples give the element the repeated list gives, signed
+        zeros included, since equal values keep their input order."""
+        rng = random.Random(5)
+        pool = [0.0, -0.0, 10.0, 20.0, None]
+        for _ in range(200):
+            values = [(rng.choice(pool[:4]), rng.choice(pool[:4]), rng.choice(pool))
+                      for _ in range(rng.randint(1, 6))]
+            counts = [rng.randint(1, 4) for _ in values]
+            repeated = [v for v, c in zip(values, counts) for _ in range(c)]
+            assert repr(median_rep(values, counts)) == repr(median_rep(repeated))
+
 
 
 def as_kmeans(obj):
@@ -696,6 +708,41 @@ def test_kmeans_assigns_once_per_run_of_a_shared_record(monkeypatch):
     np.testing.assert_array_equal(space.assign(shared), ids)
     np.testing.assert_array_equal(space.assign(shared[1:] + shared[:1]), ids[1:].tolist() + [ids[0]])
     assert sizes == [60, 61]
+
+
+@pytest.mark.parametrize("config", [
+    LabelConfig(grid=GridSpec(n_te=3, n_tr=3)), KMeansLabelConfig(n_clusters=4),
+], ids=["grid", "kmeans"])
+def test_one_shot_iterator_builds_what_a_list_builds(config):
+    """build_label_space reads its records in one pass: a generator gives the
+    list's label file and id bytes, over runs of shared records (three
+    slices a scan) and distinct copies alike."""
+    shared = label_records()
+    records = shared[:90] + [copy.copy(r) for r in shared[90:]]
+    space, ids = build_label_space(records, config)
+    streamed, streamed_ids = build_label_space((r for r in records), config)
+    assert streamed.to_json() == space.to_json()
+    assert streamed_ids.dtype == ids.dtype and streamed_ids.tobytes() == ids.tobytes()
+    assert len(ids) == len(records)
+
+
+@pytest.mark.parametrize("tes, lengths, want", [
+    ((0.0, -0.0), (1, 1), "0.0"),
+    ((-0.0, 0.0), (1, 1), "-0.0"),
+    ((0.0, -0.0), (1, 3), "-0.0"),
+    ((-0.0, 0.0), (3, 1), "-0.0"),
+    ((0.0, -0.0, 0.0), (2, 1, 2), "-0.0"),
+])
+def test_signed_zero_median_keeps_its_element(tes, lengths, want):
+    """A label whose members quote TE 0.0 and -0.0 (runs of one shared record
+    of the given lengths) takes the median element a per-record list takes:
+    the lower middle in input order."""
+    runs = [rec(te, 1000.0) for te in tes]
+    records = [r for r, n in zip(runs, lengths) for _ in range(n)]
+    space, _ = build_label_space(iter(records), LabelConfig(grid=GridSpec(n_te=3, n_tr=3)))
+    assert len(space) == 1
+    assert repr(space.labels[0].rep[0]) == want
+    assert repr(space.labels[0].rep) == repr(median_rep([(r.te_ms, r.tr_ms, r.ti_ms) for r in records]))
 
 
 def test_config_holds_only_its_groupings_settings():

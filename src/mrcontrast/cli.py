@@ -356,9 +356,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 2
-    except MrContrastError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OSError as exc:  # a missing or unreadable path, or a directory given as a file
         sys.stderr.write(f"data error: {exc}\n")
         return 2

@@ -281,46 +281,29 @@ def linear_probe(
     )
 
 
-@dataclass
-class PerTagError:
-    rates: dict[str, float]
-    te_bin_mae: float
-    tr_bin_mae: float
-    te_mae_ms: float
-    tr_mae_ms: float
-
-
 def per_tag_error(
     predicted_ids: np.ndarray, true_ids: np.ndarray, space: LabelSpace
-) -> PerTagError:
-    """Per-field mismatch rates plus TE/TR bin distances.
-
-    Bin MAE is reported in bins and converted to milliseconds exactly as
-    bins * bin width; a k-means space has no bins, and all four stay 0.0.
-    """
-    if len(predicted_ids) != len(true_ids):
+) -> dict:
+    """The report's per-tag fields: per-field mismatch rates (`per_tag_error`)
+    and the TE/TR bin MAE, in bins and exactly as bins * bin width in ms; a
+    k-means space has no bins, and those four stay 0.0. Both id arrays index
+    one (labels x key fields) object array of the label keys."""
+    pred, true = np.asarray(predicted_ids, np.int64), np.asarray(true_ids, np.int64)
+    if len(pred) != len(true):
         raise LabelDecodeFailure("prediction/truth length mismatch")
+    for ids in (pred, true):
+        if ids.size and not 0 <= ids.min() <= ids.max() < len(space):
+            raise LabelDecodeFailure(f"label ids {ids.min()}..{ids.max()} out of range")
+    keys = np.array([lab.key for lab in space.labels], dtype=object)
     fields = space.key_fields
-    mismatches = {f: 0 for f in fields}
-    te_dist: list[float] = []
-    tr_dist: list[float] = []
-    for p, t in zip(predicted_ids, true_ids):
-        pk = space.decode(int(p))
-        tk = space.decode(int(t))
-        for f in fields:
-            if pk[f] != tk[f]:
-                mismatches[f] += 1
-        if "te_bin" in pk:
-            te_dist.append(abs(pk["te_bin"] - tk["te_bin"]))
-            tr_dist.append(abs(pk["tr_bin"] - tk["tr_bin"]))
-    n = len(true_ids)
-    rates = {f: mismatches[f] / n for f in fields}
-    tags = PerTagError(rates, 0.0, 0.0, 0.0, 0.0)
-    if te_dist:
-        grid = space.config.grid
-        tags.te_bin_mae, tags.tr_bin_mae = float(np.mean(te_dist)), float(np.mean(tr_dist))
-        tags.te_mae_ms = tags.te_bin_mae * grid.te_width
-        tags.tr_mae_ms = tags.tr_bin_mae * grid.tr_width
+    mismatches = (keys[pred] != keys[true]).sum(axis=0)
+    tags = dict(per_tag_error={f: int(m) / len(true) for f, m in zip(fields, mismatches)},
+                te_bin_mae=0.0, tr_bin_mae=0.0, te_mae_ms=0.0, tr_mae_ms=0.0)
+    if "te_bin" in fields:
+        for axis, width in (("te", space.config.grid.te_width), ("tr", space.config.grid.tr_width)):
+            col = fields.index(axis + "_bin")
+            tags[axis + "_bin_mae"] = float(np.mean(np.abs(keys[pred, col] - keys[true, col])))
+            tags[axis + "_mae_ms"] = tags[axis + "_bin_mae"] * width
     return tags
 
 
@@ -408,10 +391,8 @@ def run_evaluation(
             "converged": probe.converged,
             "loss": probe.losses[-1],
         }
-        tags = per_tag_error(probe.predicted_ids, eval_ids, space)
-        report.per_tag_error = tags.rates
-        report.te_bin_mae, report.tr_bin_mae = tags.te_bin_mae, tags.tr_bin_mae
-        report.te_mae_ms, report.tr_mae_ms = tags.te_mae_ms, tags.tr_mae_ms
+        for name, value in per_tag_error(probe.predicted_ids, eval_ids, space).items():
+            setattr(report, name, value)
     return report
 
 

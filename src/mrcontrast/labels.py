@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteInput,
 )
 from .kmeans import KMeansModel, fit_kmeans
-from .records import MetadataRecord, Plane, plane_for_record
+from .records import MetadataRecord, Plane, plane_for_record, runs
 from .rules import (
     check_fields, float_range_count, instance_of, non_negative_int, one_of, ordered_subset,
     positive_int,
@@ -169,49 +169,39 @@ def _field_value(record: MetadataRecord, name: str):
     raise KeyError(name)
 
 
-def _run_key(
-    record: MetadataRecord, config: LabelConfig | KMeansLabelConfig, cluster: Optional[int] = None
-) -> tuple:
+def _run_key(record: MetadataRecord, config: LabelConfig | KMeansLabelConfig) -> tuple:
     """The label key of a run's record: its value for each of
-    ``config.key_fields``. A grid quantizes its TE/TR; a k-means key ends in
-    ``cluster``, and stops before it while that is None (before the fit)."""
+    ``config.key_fields``. A grid quantizes its TE/TR; a k-means key stops
+    before its cluster id, which `_with_clusters` appends."""
     if isinstance(config, KMeansLabelConfig):
-        key = tuple(_field_value(record, f) for f in config.fields)
-        return key if cluster is None else key + (cluster,)
+        return tuple(_field_value(record, f) for f in config.fields)
     te_bin, tr_bin = quantize_te_tr(record.te_ms, record.tr_ms, config.grid)
     derived = {"te_bin": te_bin, "tr_bin": tr_bin}
     return tuple(derived[f] if f in derived else _field_value(record, f) for f in config.fields)
 
 
-def label_keys(
-    records: Sequence[MetadataRecord],
-    config: LabelConfig | KMeansLabelConfig,
-    grouper: Optional[KMeansGrouper] = None,
-) -> list[tuple]:
-    """Label key per record: its value for each of ``config.key_fields``.
+def _run_keys(records: Iterable[MetadataRecord], config: LabelConfig | KMeansLabelConfig) -> tuple:
+    """One pass over the runs of one shared record (the slices of a scan):
+    lists of each run's `_run_key`, its length and its (te, tr, ti). Equal
+    keys share one tuple."""
+    keys, lengths, timings, shared = [], [], [], {}
+    for record, length in runs(records):
+        key = _run_key(record, config)
+        keys.append(shared.setdefault(key, key))
+        lengths.append(length)
+        timings.append((record.te_ms, record.tr_ms, record.ti_ms))
+    return keys, lengths, timings
 
-    A run of one shared record (the slices of a scan) gets one key, computed
-    for its first record; k-means takes its cluster id from one grouper call
-    over the first records of all runs.
-    """
-    clusters = None
-    if isinstance(config, KMeansLabelConfig):  # the first records live for this call only
-        clusters = iter(grouper.cluster_ids(
-            [r for i, r in enumerate(records) if i == 0 or r is not records[i - 1]]).tolist())
-    keys, previous = [], None
-    for record in records:
-        if record is not previous:
-            key = _run_key(record, config, None if clusters is None else next(clusters))
-            previous = record
-        keys.append(key)
-    return keys
+
+def _with_clusters(keys: list[tuple], feats: np.ndarray, grouper: KMeansGrouper) -> list[tuple]:
+    """Each run's key with the cluster id of its `kmeans_features` row
+    appended; equal keys share one tuple."""
+    clusters = grouper.model.assign(grouper.normalize(feats)).tolist()
+    shared: dict[tuple, tuple] = {}
+    return [shared.setdefault(key, key) for key in (k + (c,) for k, c in zip(keys, clusters))]
 
 
 KMEANS_DIM = 4
-
-
-def _timings(record: MetadataRecord) -> tuple:
-    return (record.te_ms, record.tr_ms, record.ti_ms)
 
 
 def kmeans_features(timings: Iterable[tuple]) -> np.ndarray:
@@ -241,9 +231,6 @@ class KMeansGrouper:
 
     def normalize(self, feats: np.ndarray) -> np.ndarray:
         return (feats - self.mins) / self.ranges
-
-    def cluster_ids(self, records: Sequence[MetadataRecord]) -> np.ndarray:
-        return self.model.assign(self.normalize(kmeans_features(map(_timings, records))))
 
     @staticmethod
     def fit(feats: np.ndarray, n_clusters: int, seed: int) -> "KMeansGrouper":
@@ -336,21 +323,17 @@ class LabelSpace:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def assign(self, records: Sequence[MetadataRecord]) -> np.ndarray:
-        """Label ids for records; unseen keys raise LabelDecodeFailure."""
-        ids = np.empty(len(records), dtype=np.int64)
-        for i, key in enumerate(label_keys(records, self.config, self.grouper)):
-            if key not in self._key_to_id:
-                raise LabelDecodeFailure(f"key not in label space: {key!r}")
-            ids[i] = self._key_to_id[key]
-        return ids
-
-    def decode(self, label_id: int) -> dict:
-        """Field name -> value mapping for one label."""
-        if not (0 <= label_id < len(self.labels)):
-            raise LabelDecodeFailure(f"label id {label_id} out of range")
-        key = self.labels[label_id].key
-        return dict(zip(self.key_fields, key))
+    def assign(self, records: Iterable[MetadataRecord]) -> np.ndarray:
+        """Label ids for records, looked up once per run of one shared record;
+        unseen keys raise LabelDecodeFailure."""
+        keys, lengths, timings = _run_keys(records, self.config)
+        if self.grouper is not None:
+            keys = _with_clusters(keys, kmeans_features(timings), self.grouper)
+        try:
+            ids = np.array([self._key_to_id[key] for key in keys], dtype=np.int64)
+        except KeyError as exc:
+            raise LabelDecodeFailure(f"key not in label space: {exc.args[0]!r}") from None
+        return np.repeat(ids, lengths)
 
     # --- serialization ------------------------------------------------------
 
@@ -409,9 +392,9 @@ class LabelSpace:
             if grouping == "grid":
                 grid = GridSpec(n_te=cfg["grid"]["n_te"], n_tr=cfg["grid"]["n_tr"])
                 config = LabelConfig(grid, fields)
-                keys = label_keys(  # a grid key is a function of its rep
-                    [representative_record(k, config, r) for k, r in zip(keys, reps)], config
-                )
+                # a grid key is a function of its rep
+                records = (representative_record(k, config, r) for k, r in zip(keys, reps))
+                keys = [_run_key(record, config) for record in records]
             else:
                 config = KMeansLabelConfig(cfg["n_clusters"], cfg["kmeans_seed"], fields)
                 mins, ranges, centroids = (
@@ -502,23 +485,12 @@ def build_label_space(
 ) -> tuple[LabelSpace, np.ndarray]:
     """Group records into labels; returns the space and per-record ids.
 
-    One pass over ``records`` keeps state per run of one shared record (the
-    slices of a scan), not per record: the run's key (k-means: without the
-    cluster id, which needs the fit), its length and its (te, tr, ti). Equal
-    keys share one tuple. k-means fits on the runs' features repeated by
-    length, the same matrix as one row per record.
+    One pass over ``records`` (`_run_keys`) keeps state per run of one shared
+    record, not per record. k-means fits on the runs' features repeated by
+    length, the same matrix as one row per record, then appends each run's
+    cluster id (`_with_clusters`), as `LabelSpace.assign` does.
     """
-    keys, lengths, timings, previous = [], [], [], None
-    shared: dict[tuple, tuple] = {}
-    for record in records:
-        if record is previous:
-            lengths[-1] += 1
-            continue
-        key = _run_key(record, config)
-        keys.append(shared.setdefault(key, key))
-        lengths.append(1)
-        timings.append(_timings(record))
-        previous = record
+    keys, lengths, timings = _run_keys(records, config)
     if not keys:
         raise EmptyDataset("no records")
     grouper = None
@@ -526,9 +498,7 @@ def build_label_space(
         feats = kmeans_features(timings)
         grouper = KMeansGrouper.fit(
             np.repeat(feats, lengths, axis=0), config.n_clusters, config.kmeans_seed)
-        clusters = grouper.model.assign(grouper.normalize(feats)).tolist()
-        shared.clear()
-        keys = [shared.setdefault(key, key) for key in (k + (c,) for k, c in zip(keys, clusters))]
+        keys = _with_clusters(keys, feats, grouper)
     members: dict[tuple, tuple[list, list]] = {}
     for key, timing, length in zip(keys, timings, lengths):
         values, counts = members.setdefault(key, ([], []))

@@ -45,8 +45,9 @@ class Adam:
         self.params = params
         self.config = config
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p, _ in params}
-        self.v = {name: np.zeros_like(p.data) for name, p, _ in params}
+        # np.zeros, not zeros_like: the pages of rows no step touches stay unwritten
+        self.m = {name: np.zeros(p.data.shape) for name, p, _ in params}
+        self.v = {name: np.zeros(p.data.shape) for name, p, _ in params}
         self.touched = {name: np.zeros(len(_as_rows(p.data)), bool) for name, p, _ in params}
 
     def step(self) -> float:

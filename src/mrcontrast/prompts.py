@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .records import MetadataRecord, plane_for_record
+from .records import MetadataRecord, plane_for_record, runs
 
 VOCAB_SIZE = 8192
 
@@ -165,13 +165,9 @@ class PromptBank:
     def __init__(self, records: Sequence[MetadataRecord], config: PromptConfig):
         self.config = config
         column = {clause: j for j, clause in enumerate(CLAUSE_ORDER, start=1)}
-        clause_id, rows, lengths, previous = {"MRI scan": 1}, [], [], None
-        for record in records:
-            if record is previous:  # a run of one shared record (a scan's slices): one row
-                lengths[-1] += 1
-                continue
-            previous = record
-            lengths.append(1)
+        clause_id, rows, lengths = {"MRI scan": 1}, [], []
+        for record, length in runs(records):  # one row per run of a shared record
+            lengths.append(length)
             rows.append([1] + [0] * len(CLAUSE_ORDER))
             for p in prompt_pieces(record, config):
                 rows[-1][column[p.clause]] = clause_id.setdefault(p.text, len(clause_id) + 1)

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DataError,
@@ -203,6 +203,21 @@ def _builds_again(values: dict, record: MetadataRecord) -> bool:
     return (values == canon
             and list(map(type, values.values())) == list(map(type, canon.values()))
             and (0.0 not in canon.values() or repr(values) == repr(canon)))
+
+
+def runs(records: Iterable[MetadataRecord]) -> Iterator[tuple[MetadataRecord, int]]:
+    """(record, length) for each run of one shared record object (the slices
+    of a scan), in order, holding one record at a time. Equal records that are
+    distinct objects are separate runs: sharing is by identity, not equality."""
+    run, length = None, 0
+    for record in records:
+        if record is not run:
+            if length:
+                yield run, length
+            run, length = record, 0
+        length += 1
+    if length:
+        yield run, length
 
 
 def infer_plane(spacing: Sequence[float]) -> Plane:

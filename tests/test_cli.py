@@ -2,18 +2,20 @@
 
 import argparse
 import gc
+import importlib.util
 import json
 import struct
 import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dicom_fixtures
-from mrcontrast import cli, evaluate, optim, synth, train
+from mrcontrast import cli, errors, evaluate, optim, synth, train
 from mrcontrast.cli import main
 from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
 from mrcontrast.model import ModelConfig
@@ -958,3 +960,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    """main() maps DataError to exit 2 and NumericalError to exit 3; a class
+    under only the base would escape as a traceback."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    assert len(classes) > 20 and errors.MrContrastError in classes
+    for cls in classes:
+        if cls is not errors.MrContrastError:
+            assert issubclass(cls, (errors.DataError, errors.NumericalError)), cls.__name__
+
+
+def test_bench_trace_hooks_find_and_restore_their_targets():
+    """bench/spans.py wraps entry points by name; install() fails if one is
+    gone, and uninstall() puts every original back."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patched = []
+
+    class Recording(spans.Tracer):
+        def patch(self, owner, attr, *args, **kwargs):
+            patched.append((owner, attr, owner.__dict__[attr]))
+            super().patch(owner, attr, *args, **kwargs)
+
+        def patch_counter(self, owner, attr, counter):
+            patched.append((owner, attr, owner.__dict__[attr]))
+            super().patch_counter(owner, attr, counter)
+
+    callbacks = list(gc.callbacks)
+    tracer = Recording()
+    try:
+        spans.install(tracer)
+        assert all(owner.__dict__[attr] is not original for owner, attr, original in patched)
+        names = {(getattr(owner, "__name__", owner), attr) for owner, attr, _ in patched}
+        assert {("LabelSpace", "assign"), ("mrcontrast.labels", "fit_kmeans"),
+                ("mrcontrast.evaluate", "per_tag_error"), ("PromptBank", "__init__"),
+                ("mrcontrast.cli", "build_label_space")} <= names
+    finally:
+        tracer.uninstall()
+    assert [(owner, attr) for owner, attr, original in patched
+            if owner.__dict__[attr] is not original] == []
+    assert gc.callbacks == callbacks

@@ -31,8 +31,11 @@ from mrcontrast.evaluate import (
     scan_to_text_recall,
     text_to_image_recall,
 )
-from mrcontrast.labels import GridSpec, KMeansLabelConfig, LabelConfig, build_label_space
+from mrcontrast.labels import (
+    CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, build_label_space,
+)
 from mrcontrast.records import MetadataRecord
+from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 from mrcontrast.train import dataset_arrays
 
 
@@ -560,22 +563,22 @@ class TestPerTagError:
         space, ids = self.space()
         id_a, id_b, _ = (int(i) for i in ids)
         report = per_tag_error(np.array([id_a]), np.array([id_b]), space)
-        assert report.rates["te_bin"] == 1.0
-        assert report.rates["tr_bin"] == 1.0
-        assert report.rates["manufacturer"] == 0.0
-        assert report.te_bin_mae == 3.0
-        assert report.tr_bin_mae == 3.0
-        assert report.te_mae_ms == 30.0
-        assert report.tr_mae_ms == 1500.0
+        assert report["per_tag_error"]["te_bin"] == 1.0
+        assert report["per_tag_error"]["tr_bin"] == 1.0
+        assert report["per_tag_error"]["manufacturer"] == 0.0
+        assert report["te_bin_mae"] == 3.0
+        assert report["tr_bin_mae"] == 3.0
+        assert report["te_mae_ms"] == 30.0
+        assert report["tr_mae_ms"] == 1500.0
 
     def test_categorical_mismatch_leaves_timings_clean(self):
         space, ids = self.space()
         id_a, _, id_c = (int(i) for i in ids)
         report = per_tag_error(np.array([id_c]), np.array([id_a]), space)
-        assert report.rates["manufacturer"] == 1.0
-        assert report.rates["scanner_model"] == 1.0
-        assert report.rates["te_bin"] == 0.0
-        assert report.te_mae_ms == 0.0
+        assert report["per_tag_error"]["manufacturer"] == 1.0
+        assert report["per_tag_error"]["scanner_model"] == 1.0
+        assert report["per_tag_error"]["te_bin"] == 0.0
+        assert report["te_mae_ms"] == 0.0
 
     def test_millisecond_error_is_exactly_bins_times_width(self):
         space, ids = self.space()
@@ -584,16 +587,16 @@ class TestPerTagError:
         true = np.array([id_b, id_a, id_b])
         report = per_tag_error(pred, true, space)
         grid = space.config.grid
-        assert report.te_mae_ms == report.te_bin_mae * grid.te_width
-        assert report.tr_mae_ms == report.tr_bin_mae * grid.tr_width
-        assert report.te_bin_mae == pytest.approx(1.0)
-        assert report.rates["manufacturer"] == pytest.approx(1.0 / 3.0)
+        assert report["te_mae_ms"] == report["te_bin_mae"] * grid.te_width
+        assert report["tr_mae_ms"] == report["tr_bin_mae"] * grid.tr_width
+        assert report["te_bin_mae"] == pytest.approx(1.0)
+        assert report["per_tag_error"]["manufacturer"] == pytest.approx(1.0 / 3.0)
 
     def test_perfect_predictions_are_clean(self):
         space, ids = self.space()
         report = per_tag_error(ids, ids, space)
-        assert all(rate == 0.0 for rate in report.rates.values())
-        assert report.te_mae_ms == 0.0 and report.tr_mae_ms == 0.0
+        assert all(rate == 0.0 for rate in report["per_tag_error"].values())
+        assert report["te_mae_ms"] == 0.0 and report["tr_mae_ms"] == 0.0
 
     def test_length_mismatch_rejected(self):
         space, ids = self.space()
@@ -607,9 +610,70 @@ class TestPerTagError:
                    MetadataRecord("r", te_ms=90.0, tr_ms=4000.0)]
         space, ids = build_label_space(records, KMeansLabelConfig(n_clusters=2))
         report = per_tag_error(ids[::-1], ids, space)
-        assert report.rates["cluster"] == 1.0
-        bins = (report.te_bin_mae, report.tr_bin_mae, report.te_mae_ms, report.tr_mae_ms)
+        assert report["per_tag_error"]["cluster"] == 1.0
+        bins = tuple(report[k] for k in ("te_bin_mae", "tr_bin_mae", "te_mae_ms", "tr_mae_ms"))
         assert bins == (0.0,) * 4
+
+
+def per_tag_oracle(predicted_ids, true_ids, space) -> dict:
+    """Per-tag errors row by row: decode both label keys of each row into a
+    field -> value dict and compare them field by field."""
+    def decode(label_id):
+        return dict(zip(space.key_fields, space.labels[int(label_id)].key))
+
+    mismatches = {f: 0 for f in space.key_fields}
+    te_dist, tr_dist = [], []
+    for p, t in zip(predicted_ids, true_ids):
+        pk, tk = decode(p), decode(t)
+        for f in space.key_fields:
+            if pk[f] != tk[f]:
+                mismatches[f] += 1
+        if "te_bin" in pk:
+            te_dist.append(abs(pk["te_bin"] - tk["te_bin"]))
+            tr_dist.append(abs(pk["tr_bin"] - tk["tr_bin"]))
+    n = len(true_ids)
+    tags = dict(per_tag_error={f: mismatches[f] / n for f in space.key_fields},
+                te_bin_mae=0.0, tr_bin_mae=0.0, te_mae_ms=0.0, tr_mae_ms=0.0)
+    if te_dist:
+        grid = space.config.grid
+        tags["te_bin_mae"], tags["tr_bin_mae"] = float(np.mean(te_dist)), float(np.mean(tr_dist))
+        tags["te_mae_ms"] = tags["te_bin_mae"] * grid.te_width
+        tags["tr_mae_ms"] = tags["tr_bin_mae"] * grid.tr_width
+    return tags
+
+
+def hexed(tags: dict) -> list:
+    """Every name and float of a per-tag dict, in order, floats as .hex()."""
+    return [(name, [(f, r.hex()) for f, r in value.items()] if isinstance(value, dict)
+             else value.hex()) for name, value in tags.items()]
+
+
+@pytest.mark.parametrize("config", [
+    LabelConfig(GridSpec(n_te=5, n_tr=5)),
+    LabelConfig(GridSpec(n_te=4, n_tr=3), CATEGORICAL_FIELDS + ("te_bin", "tr_bin")),
+    LabelConfig(GridSpec(n_te=5, n_tr=5), ("flip_angle", "te_bin", "tr_bin", "ti_bin")),
+    KMeansLabelConfig(n_clusters=6),
+], ids=["grid-ti", "grid-no-ti", "numerical", "kmeans"])
+def test_per_tag_error_equals_the_row_by_row_oracle(config):
+    """The key-array per-tag errors equal a per-row decode loop bit for bit,
+    for random, perfect and half-right predictions."""
+    protocols = default_protocols(n_te_cells=3, n_tr_cells=3)
+    slices = generate_dataset(protocols, SynthConfig(n_scans=80, slices_per_scan=2, seed=5))
+    space, ids = build_label_space([s.record for s in slices], config)
+    assert len(space) > 4
+    rng = np.random.default_rng(len(space))
+    shuffled = rng.permutation(ids)
+    for pred in (rng.integers(0, len(space), ids.size), ids,
+                 np.where(rng.random(ids.size) < 0.5, ids, shuffled)):
+        assert hexed(per_tag_error(pred, ids, space)) == hexed(per_tag_oracle(pred, ids, space))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_per_tag_error_rejects_ids_outside_the_space(bad):
+    space, ids = TestPerTagError().space()
+    for pred, true in ((np.array([bad]), ids[:1]), (ids[:1], np.array([bad]))):
+        with pytest.raises(LabelDecodeFailure, match="out of range"):
+            per_tag_error(pred, true, space)
 
 
 class TestGalleryAndEndToEnd:

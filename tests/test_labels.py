@@ -21,7 +21,6 @@ from mrcontrast.labels import (
     FIELD_ORDER,
     TI_EDGES_MS,
     GridSpec,
-    KMeansGrouper,
     KMeansLabelConfig,
     LabelConfig,
     LabelSpace,
@@ -30,10 +29,10 @@ from mrcontrast.labels import (
     canonical_text,
     coarsen_te_tr,
     coarsened_space,
-    label_keys,
     median_rep,
     quantize_te_tr,
 )
+from mrcontrast.kmeans import KMeansModel
 from mrcontrast.prompts import PromptBank, PromptConfig, render_prompt, tokenize
 from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
@@ -321,12 +320,6 @@ class TestLabelSpace:
         space, _ = build_label_space(self.records(), LabelConfig())
         with pytest.raises(LabelDecodeFailure):
             space.assign([rec(190.0, 9900.0, field_strength_tesla=7.0)])
-
-    def test_decode_inverts_keys(self):
-        space, _ = build_label_space(self.records(), LabelConfig())
-        for lab in space.labels:
-            decoded = space.decode(lab.label_id)
-            assert tuple(decoded[f] for f in space.key_fields) == lab.key
 
     def test_rep_values_come_from_members(self):
         space, _ = build_label_space(self.records(), LabelConfig())
@@ -693,7 +686,7 @@ def test_shared_records_label_as_their_copies(config):
     space_shared, ids_shared = build_label_space(shared, config)
     assert space_shared.to_json() == space.to_json()
     np.testing.assert_array_equal(ids_shared, ids)
-    assert label_keys(shared, config, space.grouper) == label_keys(copies, config, space.grouper)
+    assert space.assign(shared).tobytes() == space.assign(copies).tobytes() == ids.tobytes()
     mixed = shared[5:] + copies[:5] + shared[:5]
     np.testing.assert_array_equal(space.assign(mixed), space.assign(copies[5:] + copies[:5] * 2))
 
@@ -702,9 +695,9 @@ def test_kmeans_assigns_once_per_run_of_a_shared_record(monkeypatch):
     shared = label_records()  # 60 scans of 3 slices, one record object per scan
     space, ids = build_label_space(shared, KMeansLabelConfig(n_clusters=4))
     sizes = []
-    cluster_ids = KMeansGrouper.cluster_ids
-    monkeypatch.setattr(KMeansGrouper, "cluster_ids",
-                        lambda self, records: sizes.append(len(records)) or cluster_ids(self, records))
+    assign = KMeansModel.assign
+    monkeypatch.setattr(KMeansModel, "assign",
+                        lambda self, points: sizes.append(len(points)) or assign(self, points))
     np.testing.assert_array_equal(space.assign(shared), ids)
     np.testing.assert_array_equal(space.assign(shared[1:] + shared[:1]), ids[1:].tolist() + [ids[0]])
     assert sizes == [60, 61]

@@ -21,6 +21,7 @@ from mrcontrast.records import (
     parse_manifest_line,
     plane_for_record,
     record_from_dict,
+    runs,
 )
 
 
@@ -297,6 +298,35 @@ class TestSharedRecords:
             load_lines([scan_line(), scan_line(), scan_line(te_ms=-1.0)])
         with pytest.raises(MalformedJson, match="line 2"):
             record_from_dict([scan_line()], 2)
+
+
+class TestRuns:
+    """`runs` yields (record, length) per run of one shared record object."""
+
+    def test_empty_input_has_no_runs(self):
+        assert list(runs([])) == []
+
+    def test_one_record_is_one_run(self):
+        a = MetadataRecord("a", te_ms=1.0, tr_ms=2.0)
+        assert list(runs([a])) == [(a, 1)]
+
+    def test_a_run_then_another(self):
+        a, b = MetadataRecord("a", te_ms=1.0, tr_ms=2.0), MetadataRecord("b", te_ms=3.0, tr_ms=4.0)
+        got = list(runs(iter([a, a, b])))  # a one-shot iterator
+        assert [(r is a, r is b, n) for r, n in got] == [(True, False, 2), (False, True, 1)]
+
+    def test_a_record_that_comes_back_starts_a_new_run(self):
+        a, b = MetadataRecord("a", te_ms=1.0, tr_ms=2.0), MetadataRecord("b", te_ms=3.0, tr_ms=4.0)
+        got = list(runs([a, b, a]))
+        assert [(r is a, r is b, n) for r, n in got] == [(True, False, 1), (False, True, 1),
+                                                          (True, False, 1)]
+
+    def test_equal_distinct_copies_are_separate_runs(self):
+        a = MetadataRecord("a", te_ms=1.0, tr_ms=2.0)
+        b = replace(a)
+        assert a == b and a is not b
+        got = list(runs([a, b]))
+        assert [(r is a, n) for r, n in got] == [(True, 1), (False, 1)]
 
 
 class TestInternedStrings:

@@ -14,11 +14,10 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import dicom, synth
-from .errors import (
-    DataError, IncompatibleRanges, LabelDecodeFailure, MrContrastError, NumericalError,
-)
+from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
 from .labels import (
     CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, LabelSpace, build_label_space,
+    nesting,
 )
 from .loss import LOSS_KINDS
 from .records import MetadataRecord, manifest_lines, parse_manifest_line
@@ -76,17 +75,9 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def cmd_synth(args) -> int:
     grid = _parse_grid(args.protocol_grid)
-    scanners = (
-        (("SIEMENS", "AVANTO"),) if args.single_site
-        else (("SIEMENS", "AVANTO"), ("GE", "SIGNA"))
-    )
-    fields = (1.5,) if args.single_site else (1.5, 3.0)
-    protocols = synth.default_protocols(
-        n_te_cells=grid.n_te,
-        n_tr_cells=grid.n_tr,
-        scanners=scanners,
-        field_strengths=fields,
-    )
+    one_site = dict(scanners=(("SIEMENS", "AVANTO"),), field_strengths=(1.5,))
+    protocols = synth.default_protocols(n_te_cells=grid.n_te, n_tr_cells=grid.n_tr,
+                                        **(one_site if args.single_site else {}))
     slices = synth.generate_dataset(
         protocols,
         synth.SynthConfig(
@@ -232,12 +223,8 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
     space = _load_space(args.labels)
     if transfer and isinstance(space.config, KMeansLabelConfig):
         raise DataError(f"--transfer coarsens grid --labels, not the k-means file {args.labels}")
-    if transfer and (space.config.grid.n_te % transfer.grid.n_te
-                     or space.config.grid.n_tr % transfer.grid.n_tr):
-        fine, coarse = space.config.grid, transfer.grid
-        raise IncompatibleRanges(
-            f"--transfer grid {coarse.n_te}x{coarse.n_tr} does not nest in the --labels grid "
-            f"{fine.n_te}x{fine.n_tr}: each of its counts must divide the --labels count")
+    if transfer:
+        nesting(space.config.grid, transfer.grid)
     slices = synth.load_dataset(args.dataset)
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.label_space_hash != space.hash_hex:

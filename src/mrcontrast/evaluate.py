@@ -339,7 +339,6 @@ def run_evaluation(
     eval_ids: np.ndarray,
     eval_scan_ids: np.ndarray,
     config_hash: str,
-    ks: Sequence[int] = DEFAULT_KS,
     probe_l2: float = 1e-5,
     transfer_grid: Optional[GridSpec] = None,
 ) -> EvalReport:
@@ -349,8 +348,7 @@ def run_evaluation(
     embedding is not finite; numpy's overflow warnings are silenced for it.
     """
     if transfer_grid is not None:
-        coarse, coarse_ids, _ = coarsened_space(space, eval_ids, transfer_grid)
-        space, eval_ids = coarse, coarse_ids
+        space, eval_ids = coarsened_space(space, eval_ids, transfer_grid)
         train_features = train_ids = None  # probe is not part of transfer eval
 
     run_probe = train_features is not None and train_ids is not None
@@ -364,9 +362,9 @@ def run_evaluation(
         if emb is not None and not np.isfinite(emb).all():
             raise NonFiniteInput(f"{name} embeddings are not finite")
 
-    i2t = recall_at_k(eval_emb, gallery, eval_ids, ks)
-    s2t = scan_to_text_recall(eval_emb, eval_ids, eval_scan_ids, gallery, ks)
-    t2i = text_to_image_recall(gallery, eval_emb, eval_ids, ks)
+    i2t = recall_at_k(eval_emb, gallery, eval_ids)
+    s2t = scan_to_text_recall(eval_emb, eval_ids, eval_scan_ids, gallery)
+    t2i = text_to_image_recall(gallery, eval_emb, eval_ids)
 
     report = EvalReport(
         recalls={
@@ -399,13 +397,10 @@ def run_evaluation(
 def render_table(report: EvalReport) -> str:
     """Plain-text table of the report's headline numbers."""
     lines = []
-    lines.append("task            " + "".join(f"{'R@' + str(k):>8}" for k in (1, 5, 10)))
+    lines.append("task            " + "".join(f"{'R@' + str(k):>8}" for k in DEFAULT_KS))
     for task in ("image_to_text", "scan_to_text", "text_to_image"):
-        r = report.recalls[task]
-        row = f"{task:<16}"
-        for k in (1, 5, 10):
-            row += f"{r.get('r' + str(k), float('nan')):>8.3f}"
-        lines.append(row)
+        lines.append(f"{task:<16}" + "".join(f"{report.recalls[task][f'r{k}']:>8.3f}"
+                                             for k in DEFAULT_KS))
     if report.probe is not None:
         p = report.probe
         lines.append(f"linear probe accuracy: {report.probe_accuracy:.3f}")

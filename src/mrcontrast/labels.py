@@ -96,18 +96,15 @@ def bin_ti(ti_ms: Optional[float]) -> int:
     return 1 + sum(1 for e in TI_EDGES_MS if e < ti_ms)
 
 
-def coarsen_te_tr(
-    te_bin: int, tr_bin: int, fine: GridSpec, coarse: GridSpec
-) -> tuple[int, int]:
-    """Map fine-grid bins onto a coarser grid.
-
-    When the fine bin count is a multiple of the coarse one this is exact
-    nesting (floor division); otherwise the fine bin's center is re-quantized.
-    Both cases are the same arithmetic: quantize the fine bin center.
-    """
-    te_center = TE_RANGE_MS[0] + (te_bin + 0.5) * fine.te_width
-    tr_center = TR_RANGE_MS[0] + (tr_bin + 0.5) * fine.tr_width
-    return quantize_te_tr(te_center, tr_center, coarse)
+def nesting(fine: GridSpec, coarse: GridSpec) -> tuple[int, int]:
+    """How many fine TE and TR bins one coarse bin holds. A coarse count that
+    does not divide the fine one raises IncompatibleRanges: its bins would
+    split fine bins, so no fine label would have one coarse label."""
+    if fine.n_te % coarse.n_te or fine.n_tr % coarse.n_tr:
+        raise IncompatibleRanges(
+            f"grid {coarse.n_te}x{coarse.n_tr} does not nest in grid {fine.n_te}x{fine.n_tr}: "
+            "each of its bin counts must divide that grid's")
+    return fine.n_te // coarse.n_te, fine.n_tr // coarse.n_tr
 
 
 @dataclass(frozen=True)
@@ -511,38 +508,28 @@ def build_label_space(
 
 
 def coarsened_space(
-    space: LabelSpace,
-    eval_ids: np.ndarray,
-    coarse_grid: GridSpec,
-) -> tuple[LabelSpace, np.ndarray, dict[int, int]]:
-    """Relabel grid-grouped assignments under a coarser grid.
-
-    Returns the coarse space over the keys present in eval_ids, the coarse id
-    per evaluation row, and the fine-id -> coarse-id mapping.
-    """
+    space: LabelSpace, eval_ids: np.ndarray, coarse_grid: GridSpec
+) -> tuple[LabelSpace, np.ndarray]:
+    """Relabel grid-grouped assignments under a grid that nests in the
+    space's (`nesting`): each fine label's TE and TR bins floor-divide by the
+    fine bins per coarse bin. Returns the coarse space over the keys present
+    in eval_ids and the coarse id per evaluation row."""
     if not isinstance(space.config, LabelConfig):
         raise IncompatibleRanges("coarsening applies to grid-grouped spaces")
+    te_step, tr_step = nesting(space.config.grid, coarse_grid)
     te_pos, tr_pos = (space.key_fields.index(f) for f in ("te_bin", "tr_bin"))
-    coarse_config = replace(space.config, grid=coarse_grid)
-    fine_to_coarse_key: dict[int, tuple] = {}
-    for lab in space.labels:
+    eval_ids = np.asarray(eval_ids, dtype=np.int64)
+    present: Counter = Counter()
+    keys, reps = [], {}
+    for lab, n in zip(space.labels, np.bincount(eval_ids, minlength=len(space)).tolist()):
         key = list(lab.key)
-        key[te_pos], key[tr_pos] = coarsen_te_tr(
-            lab.key[te_pos], lab.key[tr_pos], space.config.grid, coarse_grid
-        )
-        fine_to_coarse_key[lab.label_id] = tuple(key)
-    present = Counter(fine_to_coarse_key[int(i)] for i in eval_ids)
-    fine_reps: dict[tuple, list] = {}
-    for lab in space.labels:
-        fine_reps.setdefault(fine_to_coarse_key[lab.label_id], []).append(lab.rep)
-    coarse_reps = {k: median_rep(v) for k, v in fine_reps.items()}
-    coarse = LabelSpace(coarse_config, dict(present), None, coarse_reps)
-    mapping = {
-        fid: coarse._key_to_id[k]
-        for fid, k in fine_to_coarse_key.items()
-        if k in coarse._key_to_id
-    }
-    coarse_ids = np.array(
-        [mapping[int(i)] for i in eval_ids], dtype=np.int64
-    )
-    return coarse, coarse_ids, mapping
+        key[te_pos] //= te_step
+        key[tr_pos] //= tr_step
+        keys.append(tuple(key))
+        reps.setdefault(keys[-1], []).append(lab.rep)
+        if n:
+            present[keys[-1]] += n
+    coarse = LabelSpace(replace(space.config, grid=coarse_grid), dict(present), None,
+                        {k: median_rep(v) for k, v in reps.items()})
+    to_coarse = np.array([coarse._key_to_id.get(k, -1) for k in keys], dtype=np.int64)
+    return coarse, to_coarse[eval_ids]

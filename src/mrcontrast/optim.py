@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,21 +10,15 @@ from .errors import NonFiniteGradient
 from .model import TAU_MAX, TAU_MIN
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-8
-    weight_decay: float = 0.2
-    warmup_steps: int = 2000
+# Fixed, as in CLIP; the learning rate, weight decay and warmup are run flags.
+BETA1, BETA2, EPS = 0.9, 0.98, 1e-8
 
 
-def effective_lr(config: AdamConfig, t: int) -> float:
+def effective_lr(lr: float, warmup_steps: int, t: int) -> float:
     """lr * t / warmup_steps while warming up, lr afterwards (t is 1-based)."""
-    if config.warmup_steps > 0 and t < config.warmup_steps:
-        return config.lr * t / config.warmup_steps
-    return config.lr
+    if warmup_steps > 0 and t < warmup_steps:
+        return lr * t / warmup_steps
+    return lr
 
 
 def _as_rows(a: np.ndarray) -> np.ndarray:
@@ -41,9 +34,10 @@ class Adam:
     rows g = m = v = +0.0, so the update (p - lr_eff * 0 / (0 + eps) = p) and
     its finiteness check are skipped without changing a bit. Decay stays dense."""
 
-    def __init__(self, params: list[tuple[str, Tensor, bool]], config: AdamConfig):
+    def __init__(self, params: list[tuple[str, Tensor, bool]], lr: float, weight_decay: float,
+                 warmup_steps: int):
         self.params = params
-        self.config = config
+        self.lr, self.weight_decay, self.warmup_steps = lr, weight_decay, warmup_steps
         self.t = 0
         # np.zeros, not zeros_like: the pages of rows no step touches stay unwritten
         self.m = {name: np.zeros(p.data.shape) for name, p, _ in params}
@@ -53,10 +47,9 @@ class Adam:
     def step(self) -> float:
         """Apply one update from the stored gradients; returns lr_eff."""
         self.t += 1
-        c = self.config
-        lr_eff = effective_lr(c, self.t)
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        lr_eff = effective_lr(self.lr, self.warmup_steps, self.t)
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p, decay in self.params:
             if p.grad_values is None:
                 continue
@@ -67,12 +60,13 @@ class Adam:
             g[np.searchsorted(live, rows)] = _as_rows(p.grad_values)
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"non-finite gradient for {name}")
-            scale = 1.0 - lr_eff * c.weight_decay if decay and c.weight_decay != 0.0 else 1.0
+            wd = self.weight_decay
+            scale = 1.0 - lr_eff * wd if decay and wd != 0.0 else 1.0
             p.data = np.multiply(p.data, scale, out=np.asarray(p.data))  # 0-d data may be a scalar
             m, v, data = (_as_rows(a) for a in (self.m[name], self.v[name], p.data))
-            m[live] = c.beta1 * m[live] + (1.0 - c.beta1) * g
-            v[live] = c.beta2 * v[live] + (1.0 - c.beta2) * (g * g)
-            data[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + c.eps)
+            m[live] = BETA1 * m[live] + (1.0 - BETA1) * g
+            v[live] = BETA2 * v[live] + (1.0 - BETA2) * (g * g)
+            data[live] -= lr_eff * (m[live] / bc1) / (np.sqrt(v[live] / bc2) + EPS)
         return lr_eff
 
     def load_state_dict(self, state: dict) -> None:

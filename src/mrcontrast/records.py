@@ -20,7 +20,7 @@ from .errors import (
     MalformedNumeric,
     NonPositiveSpacing,
 )
-from .rules import positive_int
+from .rules import finite_number, positive_int
 
 ISOTROPY_REL_TOL = 1e-6
 
@@ -58,9 +58,10 @@ class MetadataRecord:
     Raises:
         MalformedJson: a text field (manufacturer, scanner model, series
             description, sequence type or variant) is not a string.
-        MalformedNumeric: a numeric field is non-finite or out of domain
-            (te/tr < 0, ti <= 0, field strength < 0, flip angle outside
-            [0, 360)), or num_slices is not an int of at least 1.
+        MalformedNumeric: a numeric field is not a finite int or float (a
+            bool or a string is not) or is out of domain (te/tr < 0, ti <= 0,
+            field strength < 0, flip angle outside [0, 360)), or num_slices
+            is not an int of at least 1.
         NonPositiveSpacing: voxel spacing has a non-positive component.
     """
 
@@ -131,13 +132,7 @@ class MetadataRecord:
 
 
 def _check_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedNumeric(f"{name} is not numeric: {value!r}") from exc
-    if not math.isfinite(value):
-        raise MalformedNumeric(f"{name} is not finite: {value!r}")
-    return value
+    return float(finite_number(value, name, MalformedNumeric))
 
 
 _RECORD_FIELDS = dict.fromkeys(f.name for f in fields(MetadataRecord))  # ordered, O(1) `in`

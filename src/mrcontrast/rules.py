@@ -28,6 +28,9 @@ non_negative_int = _rule(_int_in(0), "an int of at least 0")
 int64 = _rule(_int_in(-(2**63), 2**63 - 1), "an int that fits in int64")
 float_range_int = _rule(_int_in(0, int(sys.float_info.max)), "an int in [0, largest float]")
 float_range_count = _rule(_int_in(1, int(sys.float_info.max)), "an int in [1, largest float]")
+finite_number = _rule(lambda v: isinstance(v, float) and -inf < v < inf
+                      or _int_in(-int(sys.float_info.max), int(sys.float_info.max))(v),
+                      "a finite int or float")
 non_negative_float = _rule(lambda v: isinstance(v, float) and 0 <= v < inf, "a float in [0, inf)")
 positive_float = _rule(lambda v: isinstance(v, float) and 0 < v < inf, "a float in (0, inf)")
 fraction = _rule(lambda v: isinstance(v, float) and 0 <= v <= 1, "a float in [0, 1]")

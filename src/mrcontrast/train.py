@@ -21,7 +21,7 @@ from .errors import BadCheckpoint, DataError
 from .labels import LabelSpace
 from .loss import LOSS_KINDS, ShardPlan, loss_graph, loss_workspace
 from .model import DualEncoder, ModelConfig, parameter_layout
-from .optim import Adam, AdamConfig, clamp_log_tau
+from .optim import Adam, clamp_log_tau
 from .prompts import PromptBank, PromptConfig
 from .rules import (
     boolean, check_fields, float_range_int, fraction, non_negative_float, non_negative_int, one_of,
@@ -104,10 +104,7 @@ def _build_state(
     run: RunConfig, model: DualEncoder, rng: np.random.Generator, epochs_done: int
 ) -> TrainState:
     """The model and a fresh optimizer for it, as the run config sets it up."""
-    adam = Adam(
-        model.parameters(),
-        AdamConfig(lr=run.lr, weight_decay=run.weight_decay, warmup_steps=run.warmup_steps),
-    )
+    adam = Adam(model.parameters(), run.lr, run.weight_decay, run.warmup_steps)
     return TrainState(model=model, optimizer=adam, rng=rng, epochs_done=epochs_done)
 
 

@@ -481,6 +481,36 @@ class TestIngest:
         assert len(space["labels"]) == 2
 
 
+NOT_NUMBERS = {  # values float() alone would take, or overflow on
+    "bool-te": {"te_ms": True},
+    "string-tr": {"tr_ms": "500"},
+    "spacing-string-and-bool": {"voxel_spacing_mm": ["1", True, 5]},
+    "te-past-float-range": {"te_ms": 10**400},
+}
+
+
+@pytest.mark.parametrize("fields", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_record_numbers_that_are_not_numbers_are_malformed_numeric(tmp_path, capsys, fields):
+    """`ingest --skip-bad` counts such a manifest line as MalformedNumeric and
+    keeps the good one; `build-labels` on the same file exits 2, naming the
+    line, with no traceback."""
+    good = MetadataRecord("good", te_ms=30.0, tr_ms=2000.0).to_dict()
+    manifest = tmp_path / "incoming" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text(json.dumps(good) + "\n" + json.dumps({**good, "source_id": "bad", **fields})
+                        + "\n")
+    out, summary = tmp_path / "records.jsonl", tmp_path / "summary.json"
+    assert main(["ingest", str(manifest.parent), "--out", str(out), "--skip-bad",
+                 "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text()) == {"accepted": 1, "rejected": {"MalformedNumeric": 1}}
+    assert out.read_text() == json.dumps(good, sort_keys=True) + "\n"
+    assert main(["build-labels", "--dataset", str(manifest),
+                 "--out", str(tmp_path / "labels.json")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
+    assert not (tmp_path / "labels.json").exists()
+
+
 def test_build_labels_holds_less_than_the_record_list(tmp_path, capsys):
     """build-labels streams its records: over 3,000 distinct manifest lines
     (one label), its traced peak stays below what a list of the parsed

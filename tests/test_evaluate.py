@@ -19,6 +19,7 @@ from mrcontrast.errors import (
     SingleClassTrainingSet,
 )
 from mrcontrast.evaluate import (
+    DEFAULT_KS,
     Gallery,
     build_gallery,
     encode_features,
@@ -702,11 +703,11 @@ class TestGalleryAndEndToEnd:
         features, scan_ids, _ = dataset_arrays(slices)
         report = run_evaluation(
             state.model, space, features, ids, features, ids, scan_ids,
-            config_hash="cafe0123", ks=(1, 5),
+            config_hash="cafe0123",
         )
         assert set(report.recalls) == {"image_to_text", "scan_to_text", "text_to_image"}
         for task in report.recalls.values():
-            assert set(task) == {"r1", "r5"}
+            assert list(task) == [f"r{k}" for k in DEFAULT_KS] == ["r1", "r5", "r10"]
             for value in task.values():
                 assert 0.0 <= value <= 1.0
         assert report.probe_accuracy is not None
@@ -726,7 +727,7 @@ class TestGalleryAndEndToEnd:
         features, scan_ids, _ = dataset_arrays(slices)
         report = run_evaluation(
             state.model, space, features, ids, features, ids, scan_ids,
-            config_hash="cafe0123", ks=(1,),
+            config_hash="cafe0123",
             transfer_grid=GridSpec(n_te=1, n_tr=1),
         )
         assert report.probe_accuracy is None
@@ -744,7 +745,8 @@ class TestGalleryAndEndToEnd:
             config_hash="cafe0123",
         )
         text = render_table(report)
-        assert "scan_to_text" in text
+        for task, r in report.recalls.items():
+            assert f"{task:<16}{r['r1']:>8.3f}{r['r5']:>8.3f}{r['r10']:>8.3f}\n" in text
         assert "linear probe accuracy" in text
         assert "cafe0123" in text
         n_iterations = report.probe["n_iterations"]

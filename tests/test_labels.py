@@ -19,7 +19,9 @@ from mrcontrast.errors import (
 from mrcontrast.labels import (
     CATEGORICAL_FIELDS,
     FIELD_ORDER,
+    TE_RANGE_MS,
     TI_EDGES_MS,
+    TR_RANGE_MS,
     GridSpec,
     KMeansLabelConfig,
     LabelConfig,
@@ -27,9 +29,9 @@ from mrcontrast.labels import (
     bin_ti,
     build_label_space,
     canonical_text,
-    coarsen_te_tr,
     coarsened_space,
     median_rep,
+    nesting,
     quantize_te_tr,
 )
 from mrcontrast.kmeans import KMeansModel
@@ -156,21 +158,53 @@ class TestTiBins:
             bin_ti(float("nan"))
 
 
+def requantized_center(te_bin, tr_bin, fine, coarse):
+    """The fine bin's centre quantized on the coarse grid: how coarsening
+    was computed before it required nesting grids, kept as an oracle."""
+    te_center = TE_RANGE_MS[0] + (te_bin + 0.5) * fine.te_width
+    tr_center = TR_RANGE_MS[0] + (tr_bin + 0.5) * fine.tr_width
+    return quantize_te_tr(te_center, tr_center, coarse)
+
+
+def grid_space(n_te, n_tr):
+    """A space with one label per cell of an n_te x n_tr grid, and its ids."""
+    fine = GridSpec(n_te=n_te, n_tr=n_tr)
+    records = [rec((i + 0.5) * fine.te_width, (j + 0.5) * fine.tr_width)
+               for i in range(n_te) for j in range(n_tr)]
+    return build_label_space(records, LabelConfig(grid=fine))
+
+
 class TestCoarsening:
     def test_nested_grids_use_floor_division(self):
-        fine, coarse = GridSpec(), GridSpec(n_te=5, n_tr=5)
-        for tb in range(20):
-            for rb in range(20):
-                assert coarsen_te_tr(tb, rb, fine, coarse) == (tb // 4, rb // 4)
+        """For every pair of counts up to 20 where the coarse one divides the
+        fine one, floor division by the quotient equals re-quantizing every
+        fine bin's centre on the coarse grid."""
+        for n_fine in range(1, 21):
+            for n_coarse in (n for n in range(1, n_fine + 1) if n_fine % n == 0):
+                fine, coarse = GridSpec(n_fine, n_fine), GridSpec(n_coarse, n_fine // n_coarse)
+                steps = nesting(fine, coarse)
+                assert steps == (n_fine // n_coarse, n_coarse)
+                for b in range(n_fine):
+                    want = requantized_center(b, b, fine, coarse)
+                    assert (b // steps[0], b // steps[1]) == want, (n_fine, n_coarse, b)
 
-    def test_non_nested_grids_requantize_centers(self):
-        fine, coarse = GridSpec(), GridSpec(n_te=3, n_tr=3)
-        tb, rb = coarsen_te_tr(7, 19, fine, coarse)
-        assert (tb, rb) == (1, 2)
+    def test_non_nested_grids_raise_incompatible_ranges(self):
+        """A coarse bin that would split a fine bin is not a coarsening;
+        both `nesting` and `coarsened_space` refuse it."""
+        for fine, coarse in [((3, 3), (5, 5)), ((20, 20), (3, 3)), ((20, 20), (20, 3)),
+                             ((4, 6), (4, 4))]:
+            with pytest.raises(IncompatibleRanges, match="does not nest"):
+                nesting(GridSpec(*fine), GridSpec(*coarse))
+            space, ids = grid_space(*fine)
+            with pytest.raises(IncompatibleRanges, match="does not nest"):
+                coarsened_space(space, ids, GridSpec(*coarse))
 
     def test_identity_coarsening(self):
-        grid = GridSpec()
-        assert coarsen_te_tr(13, 4, grid, grid) == (13, 4)
+        space, ids = grid_space(4, 5)
+        assert nesting(space.config.grid, space.config.grid) == (1, 1)
+        coarse, coarse_ids = coarsened_space(space, ids, space.config.grid)
+        assert coarse.to_json() == space.to_json()
+        assert coarse_ids.tolist() == ids.tolist()
 
 
 class TestLabelConfig:
@@ -550,38 +584,37 @@ class TestCoarsenedSpace:
         space, ids = build_label_space(records, config)
         return space, ids
 
+    def coarse_key(self, space, label_id, coarse_grid):
+        """The fine label's key with its TE and TR bins re-quantized (the oracle)."""
+        key = list(space.labels[label_id].key)
+        te_pos, tr_pos = (space.key_fields.index(f) for f in ("te_bin", "tr_bin"))
+        key[te_pos], key[tr_pos] = requantized_center(key[te_pos], key[tr_pos],
+                                                      space.config.grid, coarse_grid)
+        return tuple(key)
+
     def test_coarse_ids_consistent_with_key_coarsening(self):
         space, ids = self.dataset()
-        coarse_grid = GridSpec(n_te=4, n_tr=4)
-        coarse, coarse_ids, mapping = coarsened_space(space, ids, coarse_grid)
-        te_pos = space.key_fields.index("te_bin")
-        tr_pos = space.key_fields.index("tr_bin")
+        coarse_grid = GridSpec(n_te=4, n_tr=10)
+        coarse, coarse_ids = coarsened_space(space, ids, coarse_grid)
         for row, fine_id in enumerate(ids):
-            fine_key = space.labels[int(fine_id)].key
-            te_b, tr_b = coarsen_te_tr(
-                fine_key[te_pos], fine_key[tr_pos], space.config.grid, coarse_grid
-            )
-            want = list(fine_key)
-            want[te_pos], want[tr_pos] = te_b, tr_b
-            got = coarse.labels[int(coarse_ids[row])].key
-            assert got == tuple(want)
-            assert mapping[int(fine_id)] == int(coarse_ids[row])
+            want = self.coarse_key(space, int(fine_id), coarse_grid)
+            assert coarse.labels[int(coarse_ids[row])].key == want
 
     def test_coarse_space_is_smaller(self):
         space, ids = self.dataset()
-        coarse, coarse_ids, _ = coarsened_space(space, ids, GridSpec(n_te=2, n_tr=2))
+        coarse, coarse_ids = coarsened_space(space, ids, GridSpec(n_te=2, n_tr=2))
         assert len(coarse) < len(space)
         assert set(coarse_ids.tolist()) == set(range(len(coarse)))
 
     def test_coarse_reps_come_from_fine_reps(self):
         space, ids = self.dataset()
-        coarse, _, mapping = coarsened_space(space, ids, GridSpec(n_te=2, n_tr=2))
+        coarse, _ = coarsened_space(space, ids, GridSpec(n_te=2, n_tr=2))
         fine_tes = {}
         for lab in space.labels:
-            if lab.label_id in mapping:
-                fine_tes.setdefault(mapping[lab.label_id], []).append(lab.rep[0])
+            key = self.coarse_key(space, lab.label_id, GridSpec(n_te=2, n_tr=2))
+            fine_tes.setdefault(key, []).append(lab.rep[0])
         for lab in coarse.labels:
-            assert lab.rep[0] in fine_tes[lab.label_id]
+            assert lab.rep[0] in fine_tes[lab.key]
 
     def test_kmeans_space_cannot_be_coarsened(self):
         protocols = default_protocols(

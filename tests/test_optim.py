@@ -8,42 +8,43 @@ import pytest
 from mrcontrast.autodiff import Tensor, node
 from mrcontrast.errors import NonFiniteGradient
 from mrcontrast.model import TAU_MAX, TAU_MIN
-from mrcontrast.optim import Adam, AdamConfig, clamp_log_tau, effective_lr
+from mrcontrast import optim
+from mrcontrast.optim import Adam, clamp_log_tau, effective_lr
 
 
 def reference_step(p, g, m, v, t, config, decay):
-    """One decoupled-decay Adam update, written out literally."""
-    lr = effective_lr(config, t)
-    if decay and config.weight_decay != 0.0:
-        p = p * (1.0 - lr * config.weight_decay)
-    m = config.beta1 * m + (1.0 - config.beta1) * g
-    v = config.beta2 * v + (1.0 - config.beta2) * (g * g)
-    m_hat = m / (1.0 - config.beta1 ** t)
-    v_hat = v / (1.0 - config.beta2 ** t)
-    p = p - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    """One decoupled-decay Adam update, written out literally; `config` holds
+    Adam's keyword arguments, and the betas and eps are read when it runs."""
+    beta1, beta2, eps = optim.BETA1, optim.BETA2, optim.EPS
+    lr = effective_lr(config["lr"], config["warmup_steps"], t)
+    if decay and config["weight_decay"] != 0.0:
+        p = p * (1.0 - lr * config["weight_decay"])
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p, m, v
 
 
 class TestEffectiveLr:
     def test_linear_warmup_is_one_based(self):
-        config = AdamConfig(lr=0.1, warmup_steps=4)
-        assert effective_lr(config, 1) == 0.1 * 1 / 4
-        assert effective_lr(config, 2) == 0.1 * 2 / 4
-        assert effective_lr(config, 3) == 0.1 * 3 / 4
-        assert effective_lr(config, 4) == 0.1
-        assert effective_lr(config, 100) == 0.1
+        assert effective_lr(0.1, 4, 1) == 0.1 * 1 / 4
+        assert effective_lr(0.1, 4, 2) == 0.1 * 2 / 4
+        assert effective_lr(0.1, 4, 3) == 0.1 * 3 / 4
+        assert effective_lr(0.1, 4, 4) == 0.1
+        assert effective_lr(0.1, 4, 100) == 0.1
 
     def test_zero_warmup_is_constant(self):
-        config = AdamConfig(lr=0.05, warmup_steps=0)
-        assert effective_lr(config, 1) == 0.05
+        assert effective_lr(0.05, 0, 1) == 0.05
+
+    def test_betas_and_eps_are_clip_constants(self):
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.98, 1e-8)
 
 
 class TestStepArithmetic:
     def config(self):
-        return AdamConfig(
-            lr=0.01, beta1=0.9, beta2=0.98, eps=1e-8,
-            weight_decay=0.2, warmup_steps=3,
-        )
+        return dict(lr=0.01, weight_decay=0.2, warmup_steps=3)
 
     def test_single_step_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -51,13 +52,13 @@ class TestStepArithmetic:
         g0 = rng.normal(size=(3, 2))
         t = Tensor(p0.copy(), requires_grad=True)
         t.grad = g0.copy()
-        opt = Adam([("w", t, True)], self.config())
+        opt = Adam([("w", t, True)], **self.config())
         lr_eff = opt.step()
 
         want, m, v = reference_step(
             p0, g0, np.zeros_like(p0), np.zeros_like(p0), 1, self.config(), True
         )
-        assert lr_eff == effective_lr(self.config(), 1)
+        assert lr_eff == effective_lr(0.01, 3, 1)
         np.testing.assert_array_equal(t.data, want)
         np.testing.assert_array_equal(opt.m["w"], m)
         np.testing.assert_array_equal(opt.v["w"], v)
@@ -66,7 +67,7 @@ class TestStepArithmetic:
         rng = np.random.default_rng(1)
         p = rng.normal(size=5)
         t = Tensor(p.copy(), requires_grad=True)
-        opt = Adam([("w", t, True)], self.config())
+        opt = Adam([("w", t, True)], **self.config())
         m = np.zeros_like(p)
         v = np.zeros_like(p)
         for step in range(1, 4):
@@ -81,7 +82,7 @@ class TestStepArithmetic:
         g0 = np.zeros(4)
         no_decay = Tensor(p0.copy(), requires_grad=True)
         no_decay.grad = g0.copy()
-        opt = Adam([("b", no_decay, False)], self.config())
+        opt = Adam([("b", no_decay, False)], **self.config())
         opt.step()
         np.testing.assert_array_equal(no_decay.data, p0)
 
@@ -91,7 +92,7 @@ class TestStepArithmetic:
         t = Tensor(p0.copy(), requires_grad=True)
         t.grad = np.zeros(4)
         config = self.config()
-        opt = Adam([("w", t, True)], config)
+        opt = Adam([("w", t, True)], **config)
         lr_eff = opt.step()
         np.testing.assert_array_equal(t.data, p0 * (1.0 - lr_eff * 0.2))
 
@@ -99,7 +100,7 @@ class TestStepArithmetic:
         a = Tensor(np.ones(2), requires_grad=True)
         b = Tensor(np.ones(2), requires_grad=True)
         a.grad = np.full(2, 0.5)
-        opt = Adam([("a", a, True), ("b", b, True)], self.config())
+        opt = Adam([("a", a, True), ("b", b, True)], **self.config())
         opt.step()
         assert not np.array_equal(a.data, np.ones(2))
         np.testing.assert_array_equal(b.data, np.ones(2))
@@ -108,7 +109,7 @@ class TestStepArithmetic:
     def test_non_finite_gradient_raises(self):
         t = Tensor(np.ones(2), requires_grad=True)
         t.grad = np.array([1.0, np.inf])
-        opt = Adam([("w", t, True)], self.config())
+        opt = Adam([("w", t, True)], **self.config())
         with pytest.raises(NonFiniteGradient):
             opt.step()
 
@@ -116,11 +117,11 @@ class TestStepArithmetic:
 class TestState:
     def test_state_round_trip_reproduces_next_step(self):
         rng = np.random.default_rng(2)
-        config = AdamConfig(lr=0.01, warmup_steps=5)
+        config = dict(lr=0.01, weight_decay=0.2, warmup_steps=5)
 
         def fresh():
             t = Tensor(np.ones(3), requires_grad=True)
-            return t, Adam([("w", t, True)], config)
+            return t, Adam([("w", t, True)], **config)
 
         t1, opt1 = fresh()
         grads = [rng.normal(size=3) for _ in range(4)]
@@ -142,7 +143,7 @@ class TestState:
 
     def test_state_dict_copies_are_independent(self):
         t = Tensor(np.ones(2), requires_grad=True)
-        opt = Adam([("w", t, True)], AdamConfig())
+        opt = Adam([("w", t, True)], lr=1e-4, weight_decay=0.2, warmup_steps=2000)
         state = {"t": 3, "m": {"w": np.zeros(2)}, "v": {"w": np.zeros(2)}}
         opt.load_state_dict(state)
         state["m"]["w"][:] = 99.0
@@ -172,10 +173,7 @@ class TestRowRestrictedStep:
     m or v; every bit must still equal the dense update in reference_step."""
 
     def config(self):
-        return AdamConfig(
-            lr=0.05, beta1=0.9, beta2=0.98, eps=1e-8,
-            weight_decay=0.2, warmup_steps=3,
-        )
+        return dict(lr=0.05, weight_decay=0.2, warmup_steps=3)
 
     def grads(self, step, rng):
         """Row 1's gradient vanishes at steps 3-5 and returns at step 6; row
@@ -197,7 +195,7 @@ class TestRowRestrictedStep:
         tensors = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
         params = [("table", tensors["table"], True), ("bias", tensors["bias"], False),
                   ("scalar", tensors["scalar"], False)]
-        return tensors, Adam(params, self.config()), values
+        return tensors, Adam(params, **self.config()), values
 
     def test_matches_dense_reference_with_resume(self):
         rng = np.random.default_rng(3)
@@ -227,13 +225,14 @@ class TestRowRestrictedStep:
         assert m["table"][2].all() and not v["table"][2].any()
         assert not m["table"][4].any() and np.signbit(p["table"][4, 0])
 
-    def test_rows_live_only_through_m_or_v_update_like_the_dense_step(self):
+    def test_rows_live_only_through_m_or_v_update_like_the_dense_step(self, monkeypatch):
         """Row 0's -0.0 moment compares equal to zero, but the dense step turns
         it into +0.0; row 1 has m = 0 (an underflowed moment) while v > 0
         still decays. Both rows count as live; row 2 is all +0.0."""
-        config = AdamConfig(lr=0.1, beta1=0.3, warmup_steps=0, weight_decay=0.0)
+        monkeypatch.setattr(optim, "BETA1", 0.3)
+        config = dict(lr=0.1, weight_decay=0.0, warmup_steps=0)
         t = Tensor(np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, -0.0]]), requires_grad=True)
-        opt = Adam([("w", t, True)], config)
+        opt = Adam([("w", t, True)], **config)
         opt.load_state_dict({"t": 4, "m": {"w": np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])},
                              "v": {"w": np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])}})
         t.grad = np.zeros((3, 2))
@@ -255,7 +254,7 @@ class TestRowRestrictedStep:
         want, _, _ = reference_step(before.copy(), 0.5, 0.0, 0.0, 1, self.config(), True)
         t.grad = np.full((3, 2), 0.5)
         s.grad = np.float64(0.5)
-        Adam([("w", t, True), ("s", s, False)], self.config()).step()
+        Adam([("w", t, True), ("s", s, False)], **self.config()).step()
         assert t.data is before
         assert before.tobytes() == want.tobytes()
         assert float(s.data) == reference_step(1.0, 0.5, 0.0, 0.0, 1, self.config(), False)[0]
@@ -276,14 +275,14 @@ class TestRowRestrictedStep:
         p = rng.normal(size=(6, 3))
         p[5, 2] = -0.0
         t = Tensor(p.copy(), requires_grad=True)
-        opt = Adam([("table", t, True)], config)
+        opt = Adam([("table", t, True)], **config)
         m, v = np.zeros_like(p), np.zeros_like(p)
         schedule = [[0, 2], [2], [1, 2, 4], [0], [3], [3, 0], [4]]
         for step, rows in enumerate(schedule, start=1):
             if step == 4:
                 state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
                 t = Tensor(t.data.copy(), requires_grad=True)
-                opt = Adam([("table", t, True)], config)
+                opt = Adam([("table", t, True)], **config)
                 opt.load_state_dict(state)
             g = np.zeros_like(p)
             g[rows] = rng.normal(size=(len(rows), 3))
@@ -304,6 +303,6 @@ class TestRowRestrictedStep:
         t.grad = np.full((4, 2), 0.5)
         assert t.grad_rows is None
         want, _, _ = reference_step(t.data.copy(), t.grad, 0.0, 0.0, 1, self.config(), False)
-        Adam([("w", t, False)], self.config()).step()
+        Adam([("w", t, False)], **self.config()).step()
         assert t.data.tobytes() == want.tobytes()
         assert (t.data != 1.0).all()

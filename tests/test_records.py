@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mrcontrast.errors import (
@@ -97,6 +99,24 @@ class TestMakeRecord:
     def test_domain_violations_raise(self, field, value):
         with pytest.raises(MalformedNumeric):
             MetadataRecord("s", **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("te_ms", True), ("tr_ms", "500"), ("field_strength_tesla", False), ("ti_ms", "900"),
+        ("te_ms", 10**400), ("flip_angle_deg", -(10**400)),
+        ("voxel_spacing_mm", ["1", True, 5]), ("voxel_spacing_mm", [1.0, True, 5.0]),
+    ], ids=["bool", "string", "bool-field", "string-ti", "past-float-range",
+            "past-float-range-negative", "spacing-string", "spacing-bool"])
+    def test_only_ints_and_floats_are_numbers(self, field, value):
+        """float() alone takes a bool or a numeric string, and overflows on an
+        int past the float range; each is a MalformedNumeric naming the field."""
+        with pytest.raises(MalformedNumeric, match=field):
+            MetadataRecord("s", **{field: value})
+
+    def test_ints_up_to_the_largest_float_are_numbers(self):
+        big = int(sys.float_info.max)
+        rec = MetadataRecord("s", te_ms=big, tr_ms=np.float64(2.5), voxel_spacing_mm=[1, 2.0, big])
+        assert (rec.te_ms, rec.tr_ms) == (sys.float_info.max, 2.5)
+        assert rec.voxel_spacing_mm == (1.0, 2.0, sys.float_info.max)
 
     def test_flip_angle_boundaries(self):
         assert MetadataRecord("s", flip_angle_deg=0.0).flip_angle_deg == 0.0

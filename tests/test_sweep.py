@@ -23,7 +23,7 @@ from test_train import rewrite_header
 
 VALUES = [
     None, -1, 0, 1e308, float("nan"), "x", [], {}, [1, 2], True, 10**30, -0.0,
-    [None, None, None], ["a", "b", "c"],
+    [None, None, None], ["a", "b", "c"], 10**400,
 ]
 DELETE = "<deleted>"
 SAMPLE, SEED = 200, 11

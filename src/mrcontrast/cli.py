@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import dicom, synth
-from .errors import DataError, LabelDecodeFailure, MrContrastError, NumericalError
+from .errors import DataError, EmptyImageSet, LabelDecodeFailure, MrContrastError, NumericalError
 from .labels import (
     CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, LabelSpace, build_label_space,
     nesting,
@@ -188,6 +188,9 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.resume)
         epochs_before = ckpt.epochs_done
         run = replace(ckpt.run, **flags)
+        if run.epochs < epochs_before:
+            raise DataError(f"--epochs {run.epochs} is below the checkpoint's "
+                            f"{epochs_before} epochs done")
         state = train_model(
             slices, space, ids, run, resume_from=ckpt, checkpoint_path=args.checkpoint
         )
@@ -201,14 +204,11 @@ def cmd_train(args) -> int:
             args.checkpoint, state, run, space.hash_hex, config_hash(run, space.hash_hex)
         )
     if args.log:
-        Path(args.log).write_text(
-            "\n".join(state.log_lines) + "\n", encoding="utf-8"
-        )
-    final = json.loads(state.log_lines[-1]) if state.log_lines else {}
-    print(
-        f"trained {state.epochs_done} epochs, {state.optimizer.t} steps, "
-        f"final loss {final.get('loss', float('nan')):.4f} -> {args.checkpoint}"
-    )
+        Path(args.log).write_text("".join(f"{line}\n" for line in state.log_lines), "utf-8")
+    summary = f"trained {state.epochs_done} epochs, {state.optimizer.t} steps"
+    if state.log_lines:  # a loss only when this run took a step
+        summary += f", final loss {json.loads(state.log_lines[-1])['loss']:.4f}"
+    print(f"{summary} -> {args.checkpoint}")
     return 0
 
 
@@ -227,6 +227,9 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
         nesting(space.config.grid, transfer.grid)
     slices = synth.load_dataset(args.dataset)
     ckpt = load_checkpoint(args.checkpoint)
+    if ckpt.run.val_fraction == 0:
+        raise EmptyImageSet("the checkpoint's run held out no scans (val_fraction 0.0): "
+                            "nothing to evaluate")
     if ckpt.label_space_hash != space.hash_hex:
         raise DataError(
             "checkpoint was trained on a different label space than --labels"

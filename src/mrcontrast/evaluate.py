@@ -28,7 +28,7 @@ DEFAULT_KS = (1, 5, 10)
 
 @dataclass
 class Gallery:
-    label_ids: np.ndarray  # (G,), ascending
+    label_ids: np.ndarray  # (G,), ascending and unique (np.unique): row order is id order
     embeddings: np.ndarray  # (G, d_emb), unit rows
 
 
@@ -47,68 +47,59 @@ def build_gallery(
     ids = np.unique(np.asarray(present_ids, dtype=np.int64))
     if ids.size == 0:
         raise EmptyGallery("no labels to build a gallery from")
-    token_lists = [
-        tokenize(space.labels[int(i)].canonical_text) for i in ids
-    ]
+    token_lists = [tokenize(space.labels[int(i)].canonical_text) for i in ids]
     emb = model.encode_texts(token_lists).data
     return Gallery(label_ids=ids, embeddings=emb)
 
 
-def rank_gallery(queries: np.ndarray, gallery: Gallery) -> np.ndarray:
-    """(N, G) ranked gallery label ids per query, best first.
+def similarities(gallery: Gallery, image_embeddings: np.ndarray) -> np.ndarray:
+    """The (G, N) cosine similarities (inputs are unit rows) that all three
+    retrieval tasks read: row i is gallery label i, column j is image j."""
+    if image_embeddings.shape[0] == 0:
+        raise EmptyImageSet("no images to rank")
+    return gallery.embeddings @ image_embeddings.T
 
-    Cosine similarity (inputs are unit rows); ties break by ascending label
-    id: the columns are put in id order, then sorted stably.
+
+def _recalls(rank: np.ndarray, found: np.ndarray) -> dict[int, float]:
+    """R@k at DEFAULT_KS: the share of queries found at a 0-based rank below k."""
+    return {k: float((found & (rank < k)).mean()) for k in DEFAULT_KS}
+
+
+def recall_at_k(sims: np.ndarray, gallery: Gallery, true_ids: np.ndarray) -> dict[int, float]:
+    """Image to text: does an image's true label rank among its top k?
+
+    The rank counts the labels more similar to the image, plus the equally
+    similar ones with a lower id. A true label missing from the gallery is a
+    miss at every k.
     """
-    if queries.shape[0] == 0:
-        raise EmptyImageSet("no queries to rank")
-    sims = queries @ gallery.embeddings.T
-    by_id = np.argsort(gallery.label_ids, kind="stable")
-    return gallery.label_ids[by_id][np.argsort(-sims[:, by_id], axis=1, kind="stable")]
-
-
-def recall_at_k(
-    queries: np.ndarray,
-    gallery: Gallery,
-    true_ids: np.ndarray,
-    ks: Sequence[int] = DEFAULT_KS,
-) -> dict[int, float]:
-    """Fraction of queries whose true label appears in the top k."""
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
-    ranked = rank_gallery(queries, gallery)
-    out = {}
-    for k in ks:
-        hits = (ranked[:, :k] == np.asarray(true_ids)[:, None]).any(axis=1)
-        out[k] = float(hits.mean())
-    return out
+    ids, true_ids = gallery.label_ids, np.asarray(true_ids)
+    row = np.minimum(np.searchsorted(ids, true_ids), ids.size - 1)
+    own = sims[row, np.arange(sims.shape[1])]
+    lower_id = np.arange(ids.size)[:, None] < row
+    rank = (sims > own).sum(axis=0) + ((sims == own) & lower_id).sum(axis=0)
+    return _recalls(rank, ids[row] == true_ids)
 
 
 def text_to_image_recall(
-    gallery: Gallery,
-    image_embeddings: np.ndarray,
-    image_label_ids: np.ndarray,
-    ks: Sequence[int] = DEFAULT_KS,
+    sims: np.ndarray, gallery: Gallery, image_label_ids: np.ndarray
 ) -> dict[int, float]:
-    """Per unique label, does any top-k image carry the query's label?
+    """Text to image: per gallery label, does an image of that label rank
+    among the label's top k images?
 
-    Image ties break by ascending label id, then ascending image index.
+    Images rank by similarity, ties by ascending label id, then ascending
+    image index, so a label's first image is its most similar one. Its rank
+    counts the images more similar, plus the equally similar ones with a
+    lower label id. A label with no image is a miss at every k.
     """
-    if image_embeddings.shape[0] == 0:
-        raise EmptyImageSet("no images to rank")
-    sims = gallery.embeddings @ image_embeddings.T  # (G, N)
-    by_label = np.argsort(image_label_ids, kind="stable")  # ties in image order
-    order = np.argsort(-sims[:, by_label], axis=1, kind="stable")[:, : max(ks, default=0)]
-    hits = image_label_ids[by_label][order] == gallery.label_ids[:, None]
-    return {k: float(hits[:, :k].any(axis=1).mean()) for k in ks}
+    labels, ids = np.asarray(image_label_ids), gallery.label_ids[:, None]
+    mine = labels == ids  # (G, N)
+    best = np.where(mine, sims, -np.inf).max(axis=1, keepdims=True)
+    rank = (sims > best).sum(axis=1) + ((sims == best) & (labels < ids)).sum(axis=1)
+    return _recalls(rank, mine.any(axis=1))
 
 
 def scan_to_text_recall(
-    image_embeddings: np.ndarray,
-    image_label_ids: np.ndarray,
-    scan_ids: np.ndarray,
-    gallery: Gallery,
-    ks: Sequence[int] = DEFAULT_KS,
+    sims: np.ndarray, gallery: Gallery, image_label_ids: np.ndarray, scan_ids: np.ndarray
 ) -> dict[int, float]:
     """Majority-vote retrieval per scan (all slices of a scan share a label).
 
@@ -124,12 +115,9 @@ def scan_to_text_recall(
     can differ from numpy's pairwise 1-D mean in its last bit only for a
     label with at least 8 voters.
     """
-    by_id = np.argsort(gallery.label_ids, kind="stable")
-    ids = gallery.label_ids[by_id]
-    sims = (image_embeddings @ gallery.embeddings.T)[:, by_id]  # (N, G), id order
-    g = ids.size
-    top1 = np.argmax(sims, axis=1)  # ties -> lowest id
-    top1_score = sims[np.arange(sims.shape[0]), top1]
+    ids, g = gallery.label_ids, gallery.label_ids.size
+    top1 = np.argmax(sims, axis=0)  # ties -> lowest id
+    top1_score = sims[top1, np.arange(sims.shape[1])]
     _, first, scan = np.unique(scan_ids, return_index=True, return_inverse=True)
     n_scans = first.size
 
@@ -138,14 +126,14 @@ def scan_to_text_recall(
     voter_sum = np.bincount(cell, top1_score, minlength=n_scans * g).reshape(n_scans, g)
     voter_mean = voter_sum / np.maximum(votes, 1)
     scan_mean = np.zeros((n_scans, g))
-    np.add.at(scan_mean, scan, sims)
+    np.add.at(scan_mean, scan, sims.T)
     scan_mean /= np.bincount(scan)[:, None]
 
     id_key = np.broadcast_to(ids, (n_scans, g))
     winner = np.lexsort((id_key, -voter_mean, -votes))[:, :1]
     ranked = ids[np.lexsort((id_key, -scan_mean, -votes, np.arange(g) != winner))]
-    truth = np.asarray(image_label_ids)[first]
-    return {k: float((ranked[:, :k] == truth[:, None]).any(axis=1).mean()) for k in ks}
+    hit = ranked == np.asarray(image_label_ids)[first][:, None]
+    return _recalls(hit.argmax(axis=1), hit.any(axis=1))
 
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
@@ -326,10 +314,6 @@ class EvalReport:
         return asdict(self)
 
 
-def _recall_dict(r: dict[int, float]) -> dict[str, float]:
-    return {f"r{k}": v for k, v in sorted(r.items())}
-
-
 def run_evaluation(
     model: DualEncoder,
     space: LabelSpace,
@@ -362,16 +346,16 @@ def run_evaluation(
         if emb is not None and not np.isfinite(emb).all():
             raise NonFiniteInput(f"{name} embeddings are not finite")
 
-    i2t = recall_at_k(eval_emb, gallery, eval_ids)
-    s2t = scan_to_text_recall(eval_emb, eval_ids, eval_scan_ids, gallery)
-    t2i = text_to_image_recall(gallery, eval_emb, eval_ids)
+    sims = similarities(gallery, eval_emb)
+    recalls = {
+        "image_to_text": recall_at_k(sims, gallery, eval_ids),
+        "scan_to_text": scan_to_text_recall(sims, gallery, eval_ids, eval_scan_ids),
+        "text_to_image": text_to_image_recall(sims, gallery, eval_ids),
+    }
+    del sims  # the probe runs without the (G, N) matrix
 
     report = EvalReport(
-        recalls={
-            "image_to_text": _recall_dict(i2t),
-            "scan_to_text": _recall_dict(s2t),
-            "text_to_image": _recall_dict(t2i),
-        },
+        recalls={task: {f"r{k}": v for k, v in r.items()} for task, r in recalls.items()},
         config_hash=config_hash,
         counts={
             "n_eval_slices": int(eval_features.shape[0]),

@@ -250,6 +250,66 @@ class TestPipeline:
         assert "data error" in err and "Traceback" not in err
         assert not ckpt.exists() and not (tmp_path / "fresh.ckpt.tmp").exists()
 
+    def test_resume_to_fewer_epochs_than_done_is_data_error(self, pipeline, tmp_path, capsys):
+        """--epochs below the checkpoint's epochs_done cannot be reached by
+        training on: exit 2 naming both counts, and nothing is written."""
+        resumed, log = tmp_path / "resumed.ckpt", tmp_path / "resumed.log"
+        assert main([
+            "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", str(resumed), "--log", str(log),
+            "--resume", pipeline["ckpt"], "--epochs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--epochs 1 is below the checkpoint's 2 epochs done" in err
+        assert "Traceback" not in err
+        assert not resumed.exists() and not log.exists()
+
+    def test_zero_step_runs_write_an_empty_log(self, pipeline, tmp_path, capsys):
+        """A run that takes no step writes an empty log (no line, so no
+        non-JSON line) and prints no loss; its checkpoint is still written."""
+        common = ["train", "--dataset", pipeline["data"], "--labels", pipeline["labels"]]
+        fresh, resumed = tmp_path / "zero.ckpt", tmp_path / "resumed.ckpt"
+        assert main(common + ["--checkpoint", str(fresh), "--log", str(tmp_path / "zero.log"),
+                              "--epochs", "0"]) == 0
+        assert main(common + ["--checkpoint", str(resumed), "--log", str(tmp_path / "resumed.log"),
+                              "--resume", pipeline["ckpt"], "--epochs", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"trained 0 epochs, 0 steps -> {fresh}",
+                       f"trained 2 epochs, 6 steps -> {resumed}"]
+        assert (tmp_path / "zero.log").read_bytes() == b""
+        assert (tmp_path / "resumed.log").read_bytes() == b""
+        assert train.load_checkpoint(str(fresh)).epochs_done == 0
+        assert resumed.read_bytes() == open(pipeline["ckpt"], "rb").read()
+
+    @pytest.mark.parametrize("transfer", [False, True], ids=["eval", "eval-transfer"])
+    def test_eval_of_a_run_that_held_out_no_scans_names_val_fraction(
+        self, pipeline, tmp_path, monkeypatch, capsys, transfer
+    ):
+        """A checkpoint trained with --val-fraction 0.0 has no eval split:
+        eval exits 2 naming val_fraction before it encodes anything, and
+        writes no report."""
+        ckpt = str(tmp_path / "all_train.ckpt")
+        assert main([
+            "train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", ckpt, "--val-fraction", "0.0", "--epochs", "1",
+        ]) == 0
+        extra = []
+        if transfer:
+            extra = ["--transfer", str(tmp_path / "1x1.json")]
+            assert main(["build-labels", "--dataset", pipeline["data"],
+                         "--out", extra[1], "--grid", "1x1"]) == 0
+        capsys.readouterr()
+        encoded = []
+        monkeypatch.setattr(evaluate, "encode_features", lambda *a: encoded.append(a))
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+            "--checkpoint", ckpt, "--out", str(out),
+        ] + extra) == 2
+        err = capsys.readouterr().err
+        assert "held out no scans (val_fraction 0.0)" in err and "Traceback" not in err
+        assert encoded == [] and not out.exists()
+
     def test_eval_table_report(self, pipeline, tmp_path):
         out = str(tmp_path / "report.txt")
         assert main([

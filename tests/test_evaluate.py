@@ -5,7 +5,9 @@ import json
 import math
 import operator
 import tracemalloc
+import weakref
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +27,11 @@ from mrcontrast.evaluate import (
     encode_features,
     linear_probe,
     per_tag_error,
-    rank_gallery,
     recall_at_k,
     render_table,
     run_evaluation,
     scan_to_text_recall,
+    similarities,
     text_to_image_recall,
 )
 from mrcontrast.labels import (
@@ -46,10 +48,9 @@ def unit(rows):
 
 
 def mk_gallery(ids, embeddings):
-    return Gallery(
-        label_ids=np.asarray(ids, dtype=np.int64),
-        embeddings=unit(embeddings),
-    )
+    ids = np.asarray(ids, dtype=np.int64)
+    assert (np.diff(ids) > 0).all(), "gallery ids ascend, as build_gallery makes them"
+    return Gallery(label_ids=ids, embeddings=unit(embeddings))
 
 
 def random_gallery(rng, n_labels, dim):
@@ -57,43 +58,92 @@ def random_gallery(rng, n_labels, dim):
     return Gallery(label_ids=ids, embeddings=unit(rng.normal(size=(n_labels, dim))))
 
 
-def reference_rank(queries, gallery):
-    """Sort by similarity descending, then ascending label id."""
-    sims = queries @ gallery.embeddings.T
+def tie_heavy_case(rng, case):
+    """A gallery of 1-11 labels, 1-59 images in scans of one label each, and
+    embeddings rounded or sign-quantized in two of three cases so that
+    similarities tie exactly. Some image labels are outside the gallery, so
+    some gallery labels have no image, and k often exceeds both counts."""
+    quantize = (None, np.round, np.sign)[case % 3]
+
+    def draw(n):
+        x = rng.normal(size=(n, 3))
+        if quantize is not None:
+            x = quantize(x)
+            x[~x.any(axis=1), 0] = 1.0
+        return unit(x)
+
+    ids = np.sort(rng.choice(40, size=int(rng.integers(1, 12)), replace=False))
+    gallery = Gallery(label_ids=ids, embeddings=draw(ids.size))
+    n = int(rng.integers(1, 60))
+    scan_ids = rng.integers(0, max(1, n // 3), size=n)
+    pool = np.concatenate([gallery.label_ids, rng.choice(40, size=2)])
+    scan_labels = rng.choice(pool, size=scan_ids.max() + 1)
+    return gallery, draw(n), scan_labels[scan_ids].astype(np.int64), scan_ids
+
+
+def ranks(recall, *args):
+    """The 0-based ranks a recall function counts, -1 for a miss: the
+    arguments it hands to evaluate._recalls."""
+    with mock.patch.object(evaluate, "_recalls", wraps=evaluate._recalls) as spy:
+        recall(*args)
+    rank, found = spy.call_args.args
+    return np.where(found, rank, -1).tolist()
+
+
+def reference_rank(sims, gallery):
+    """Per image (a column of sims), the gallery ids sorted by similarity
+    descending, then ascending label id."""
     out = []
-    for i in range(queries.shape[0]):
+    for i in range(sims.shape[1]):
         order = sorted(
             range(gallery.label_ids.size),
-            key=lambda j: (-sims[i, j], gallery.label_ids[j]),
+            key=lambda j: (-sims[j, i], gallery.label_ids[j]),
         )
         out.append([int(gallery.label_ids[j]) for j in order])
-    return np.asarray(out, dtype=np.int64)
+    return out
+
+
+def reference_recall_at_k(sims, gallery, true_ids):
+    ranked = reference_rank(sims, gallery)
+    return {k: sum(int(t) in r[:k] for r, t in zip(ranked, true_ids)) / len(ranked)
+            for k in DEFAULT_KS}
+
+
+def i2t_order(image, gallery):
+    """Gallery ids in the order recall_at_k ranks them for one image: each
+    label's rank when it is the image's true label."""
+    g = gallery.label_ids.size
+    sims = np.repeat(similarities(gallery, image[None]), g, axis=1)
+    rank = ranks(recall_at_k, sims, gallery, gallery.label_ids)
+    assert sorted(rank) == list(range(g))
+    return [int(gallery.label_ids[rank.index(r)]) for r in range(g)]
 
 
 class TestRankGallery:
+    """Image to text: the rank recall_at_k counts for each gallery label."""
+
     def test_hand_case(self):
         gallery = mk_gallery([0, 1, 2], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        ranked = rank_gallery(unit([[1.0, 0.0]]), gallery)
-        np.testing.assert_array_equal(ranked, [[0, 2, 1]])
+        assert i2t_order(unit([[1.0, 0.0]])[0], gallery) == [0, 2, 1]
 
     def test_tie_breaks_by_ascending_label_id(self):
-        gallery = mk_gallery([7, 3, 5], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        ranked = rank_gallery(unit([[1.0, 0.0]]), gallery)
-        np.testing.assert_array_equal(ranked, [[3, 5, 7]])
+        gallery = mk_gallery([3, 5, 7], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert i2t_order(unit([[1.0, 0.0]])[0], gallery) == [3, 5, 7]
+        assert i2t_order(unit([[0.0, 1.0]])[0], gallery) == [7, 3, 5]
 
     def test_matches_sorting_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            gallery = random_gallery(rng, int(rng.integers(2, 9)), 4)
-            queries = unit(rng.normal(size=(int(rng.integers(1, 7)), 4)))
-            np.testing.assert_array_equal(
-                rank_gallery(queries, gallery), reference_rank(queries, gallery)
-            )
+        for case in range(300):
+            gallery, images, labels, _ = tie_heavy_case(rng, case)
+            sims = similarities(gallery, images)
+            want = [r.index(t) if t in r else -1
+                    for r, t in zip(reference_rank(sims, gallery), labels.tolist())]
+            assert ranks(recall_at_k, sims, gallery, labels) == want
 
     def test_empty_queries_raise(self):
         gallery = mk_gallery([0], [[1.0, 0.0]])
         with pytest.raises(EmptyImageSet):
-            rank_gallery(np.empty((0, 2)), gallery)
+            similarities(gallery, np.empty((0, 2)))
 
 
 class TestRecallAtK:
@@ -101,70 +151,96 @@ class TestRecallAtK:
         return mk_gallery([0, 1, 2], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
     def test_hand_case(self):
-        queries = unit([[1.0, 0.0], [0.0, 1.0]])
-        out = recall_at_k(queries, self.gallery(), np.array([0, 0]), ks=(1, 2, 3))
-        assert out == {1: 0.5, 2: 0.5, 3: 1.0}
+        gallery = self.gallery()
+        sims = similarities(gallery, unit([[1.0, 0.0], [0.0, 1.0]]))
+        assert ranks(recall_at_k, sims, gallery, np.array([0, 0])) == [0, 2]
+        assert recall_at_k(sims, gallery, np.array([0, 0])) == {1: 0.5, 5: 1.0, 10: 1.0}
 
     def test_k_larger_than_gallery_saturates(self):
-        queries = unit([[0.0, 1.0]])
-        out = recall_at_k(queries, self.gallery(), np.array([0]), ks=(10,))
-        assert out == {10: 1.0}
+        gallery = self.gallery()
+        sims = similarities(gallery, unit([[0.0, 1.0]]))
+        assert recall_at_k(sims, gallery, np.array([0])) == {1: 0.0, 5: 1.0, 10: 1.0}
 
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k(unit([[1.0, 0.0]]), self.gallery(), np.array([0]), ks=(0,))
+    @pytest.mark.parametrize("missing", [-1, 1, 4])
+    def test_true_label_missing_from_the_gallery_is_a_miss(self, missing):
+        # below, between and above the gallery's ids, with k past its size
+        gallery = mk_gallery([0, 3], [[1.0, 0.0], [0.0, 1.0]])
+        sims = similarities(gallery, unit([[1.0, 0.0], [0.0, 1.0]]))
+        out = recall_at_k(sims, gallery, np.array([0, missing]))
+        assert out == reference_recall_at_k(sims, gallery, [0, missing])
+        assert out == {1: 0.5, 5: 0.5, 10: 0.5}
+
+    def test_matches_sorting_oracle(self):
+        rng = np.random.default_rng(3)
+        for case in range(300):
+            gallery, images, labels, _ = tie_heavy_case(rng, case)
+            sims = similarities(gallery, images)
+            assert recall_at_k(sims, gallery, labels) == reference_recall_at_k(sims, gallery, labels)
 
 
-def reference_text_to_image(gallery, image_embeddings, image_label_ids, ks):
-    sims = gallery.embeddings @ image_embeddings.T
-    n = image_embeddings.shape[0]
-    hits = {k: 0 for k in ks}
+def reference_text_to_image(sims, gallery, image_label_ids):
+    n = sims.shape[1]
+    hits = {k: 0 for k in DEFAULT_KS}
     for q in range(gallery.label_ids.size):
         order = sorted(
             range(n), key=lambda i: (-sims[q, i], image_label_ids[i], i)
         )
         labels = [int(image_label_ids[i]) for i in order]
-        for k in ks:
+        for k in DEFAULT_KS:
             if int(gallery.label_ids[q]) in labels[:k]:
                 hits[k] += 1
-    return {k: hits[k] / gallery.label_ids.size for k in ks}
+    return {k: hits[k] / gallery.label_ids.size for k in DEFAULT_KS}
 
 
 class TestTextToImageRecall:
     def test_hand_case_perfect(self):
         gallery = mk_gallery([0, 1], [[1.0, 0.0], [0.0, 1.0]])
-        images = unit([[1.0, 0.1], [0.1, 1.0]])
-        out = text_to_image_recall(gallery, images, np.array([0, 1]), ks=(1,))
-        assert out == {1: 1.0}
+        sims = similarities(gallery, unit([[1.0, 0.1], [0.1, 1.0]]))
+        assert text_to_image_recall(sims, gallery, np.array([0, 1])) == {1: 1.0, 5: 1.0, 10: 1.0}
 
     def test_hand_case_swapped_labels(self):
         gallery = mk_gallery([0, 1], [[1.0, 0.0], [0.0, 1.0]])
-        images = unit([[1.0, 0.1], [0.1, 1.0]])
-        out = text_to_image_recall(gallery, images, np.array([1, 0]), ks=(1, 2))
-        assert out == {1: 0.0, 2: 1.0}
+        sims = similarities(gallery, unit([[1.0, 0.1], [0.1, 1.0]]))
+        assert ranks(text_to_image_recall, sims, gallery, np.array([1, 0])) == [1, 1]
+        assert text_to_image_recall(sims, gallery, np.array([1, 0])) == {1: 0.0, 5: 1.0, 10: 1.0}
+
+    def test_equal_images_break_by_label_id_then_index(self):
+        # four equal images tie for every text, so a label's first image
+        # ranks after the images of every lower label id
+        gallery = mk_gallery([2, 5, 9], [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        sims = similarities(gallery, unit([[1.0, 0.0]] * 4))
+        labels = np.array([9, 5, 2, 9])
+        assert ranks(text_to_image_recall, sims, gallery, labels) == [0, 1, 2]
+        assert text_to_image_recall(sims, gallery, labels) == reference_text_to_image(
+            sims, gallery, labels)
+
+    def test_label_without_an_image_is_a_miss(self):
+        # k exceeds the two images, yet label 2 has none to find
+        gallery = mk_gallery([0, 1, 2], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        sims = similarities(gallery, unit([[1.0, 0.1], [0.1, 1.0]]))
+        out = text_to_image_recall(sims, gallery, np.array([0, 1]))
+        assert out == reference_text_to_image(sims, gallery, np.array([0, 1]))
+        assert out == {1: 2 / 3, 5: 2 / 3, 10: 2 / 3}
 
     def test_matches_sorting_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            gallery = random_gallery(rng, int(rng.integers(2, 6)), 4)
-            n = int(rng.integers(2, 9))
-            images = unit(rng.normal(size=(n, 4)))
-            labels = rng.choice(gallery.label_ids, size=n)
-            got = text_to_image_recall(gallery, images, labels, ks=(1, 2, 3))
-            want = reference_text_to_image(gallery, images, labels, ks=(1, 2, 3))
-            assert got == want
+        for case in range(300):
+            gallery, images, labels, _ = tie_heavy_case(rng, case)
+            sims = similarities(gallery, images)
+            got = text_to_image_recall(sims, gallery, labels)
+            assert got == reference_text_to_image(sims, gallery, labels)
 
     def test_empty_images_raise(self):
         gallery = mk_gallery([0], [[1.0, 0.0]])
         with pytest.raises(EmptyImageSet):
-            text_to_image_recall(gallery, np.empty((0, 2)), np.array([]))
+            similarities(gallery, np.empty((0, 2)))
 
 
-def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery, ks):
-    sims = image_embeddings @ gallery.embeddings.T
+def reference_scan_to_text(sims, gallery, image_label_ids, scan_ids):
+    sims = sims.T
     top1_label = []
     top1_score = []
-    for i in range(image_embeddings.shape[0]):
+    for i in range(sims.shape[0]):
         order = sorted(
             range(gallery.label_ids.size),
             key=lambda j: (-sims[i, j], gallery.label_ids[j]),
@@ -189,7 +265,7 @@ def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery,
         best = max(means.values())
         return min(lab for lab in tied if means[lab] == best)
 
-    hits = {k: 0 for k in ks}
+    hits = {k: 0 for k in DEFAULT_KS}
     scans = sorted(set(int(s) for s in scan_ids))
     for scan in scans:
         rows = [i for i, s in enumerate(scan_ids) if int(s) == scan]
@@ -212,10 +288,10 @@ def reference_scan_to_text(image_embeddings, image_label_ids, scan_ids, gallery,
             for j in rest
             if int(gallery.label_ids[j]) != winner
         ]
-        for k in ks:
+        for k in DEFAULT_KS:
             if truth in ranked[:k]:
                 hits[k] += 1
-    return {k: hits[k] / len(scans) for k in ks}
+    return {k: hits[k] / len(scans) for k in DEFAULT_KS}
 
 
 def at(*degrees):
@@ -226,29 +302,27 @@ def at(*degrees):
 
 def scan_order(images, gallery):
     """Gallery ids in the order scan_to_text_recall ranks them for one scan
-    made of these slices: a label's rank is the smallest k whose R@k is 1
-    when it is the scan's true label."""
+    made of these slices: each label's rank when it is the scan's true label."""
     n, ids = images.shape[0], gallery.label_ids
-    ks = range(1, ids.size + 1)
+    sims = similarities(gallery, images)
     rank = {}
     for lab in ids:
-        hits = scan_to_text_recall(
-            images, np.full(n, lab), np.zeros(n, dtype=np.int64), gallery, ks
+        (rank[int(lab)],) = ranks(
+            scan_to_text_recall, sims, gallery, np.full(n, lab), np.zeros(n, dtype=np.int64)
         )
-        rank[int(lab)] = min(k for k in ks if hits[k] == 1.0)
-    assert sorted(rank.values()) == list(ks)
+    assert sorted(rank.values()) == list(range(ids.size))
     return sorted(rank, key=rank.get)
 
 
 class TestScanToTextRecall:
     def test_majority_vote_rescues_outvoted_slice(self):
         gallery = mk_gallery([0, 1], [[1.0, 0.0], [0.0, 1.0]])
-        images = unit([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+        sims = similarities(gallery, unit([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0]]))
         labels = np.array([0, 0, 0])
         scans = np.array([9, 9, 9])
-        s2t = scan_to_text_recall(images, labels, scans, gallery, ks=(1,))
-        assert s2t == {1: 1.0}
-        i2t = recall_at_k(images, gallery, labels, ks=(1,))
+        s2t = scan_to_text_recall(sims, gallery, labels, scans)
+        assert s2t[1] == 1.0
+        i2t = recall_at_k(sims, gallery, labels)
         assert i2t[1] == pytest.approx(2.0 / 3.0)
 
     def test_clear_mode_wins(self):
@@ -263,7 +337,7 @@ class TestScanToTextRecall:
         assert scan_order(at(30, 80), gallery) == [2, 1]
 
     def test_full_tie_resolved_by_lowest_id(self):
-        gallery = mk_gallery([2, 1], at(90, 0))
+        gallery = mk_gallery([1, 2], at(0, 90))
         assert scan_order(at(90, 0), gallery) == [1, 2]
 
     def test_mean_uses_only_voting_slices(self):
@@ -276,7 +350,7 @@ class TestScanToTextRecall:
     def test_vote_counts_order_the_tail(self):
         # votes: 0 twice, 1 once. Label 9 has a higher scan mean than 1 but
         # no vote; 4 and 7 share a direction, so only their ids order them.
-        gallery = mk_gallery([0, 1, 9, 2, 7, 4], at(0, 90, 45, 180, 270, 270))
+        gallery = mk_gallery([0, 1, 2, 4, 7, 9], at(0, 90, 180, 270, 270, 45))
         assert scan_order(at(10, -10, 80), gallery) == [0, 1, 9, 4, 7, 2]
 
     def test_vote_winner_promoted_over_higher_mean(self):
@@ -292,13 +366,12 @@ class TestScanToTextRecall:
         assert order[0] == 3
 
     def test_matches_reference_implementation(self):
-        # long scans, shuffled non-contiguous scan ids, unsorted gallery
-        # ids, and quantized embeddings whose vote counts and similarities
-        # tie exactly
+        # long scans, shuffled non-contiguous scan ids, and quantized
+        # embeddings whose vote counts and similarities tie exactly
         rng = np.random.default_rng(2)
         for case in range(60):
             n_labels = int(rng.integers(1, 8))
-            ids = rng.choice(50, size=n_labels, replace=False).astype(np.int64)
+            ids = np.sort(rng.choice(50, size=n_labels, replace=False)).astype(np.int64)
             quantize = (None, np.round, np.sign)[case % 3]
 
             def draw(n):
@@ -318,11 +391,17 @@ class TestScanToTextRecall:
             order = rng.permutation(len(labels))
             labels = np.asarray(labels, dtype=np.int64)[order]
             scan_ids = np.asarray(scan_ids, dtype=np.int64)[order]
-            images = draw(len(labels))
-            ks = (1, 2, 3, 8)
-            got = scan_to_text_recall(images, labels, scan_ids, gallery, ks)
-            want = reference_scan_to_text(images, labels, scan_ids, gallery, ks)
-            assert got == want
+            sims = similarities(gallery, draw(len(labels)))
+            got = scan_to_text_recall(sims, gallery, labels, scan_ids)
+            assert got == reference_scan_to_text(sims, gallery, labels, scan_ids)
+
+    def test_matches_reference_with_labels_outside_the_gallery(self):
+        rng = np.random.default_rng(4)
+        for case in range(300):
+            gallery, images, labels, scan_ids = tie_heavy_case(rng, case)
+            sims = similarities(gallery, images)
+            got = scan_to_text_recall(sims, gallery, labels, scan_ids)
+            assert got == reference_scan_to_text(sims, gallery, labels, scan_ids)
 
 
 def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, grad_tol=1e-6):
@@ -752,11 +831,33 @@ class TestGalleryAndEndToEnd:
         n_iterations = report.probe["n_iterations"]
         assert f"probe: {n_iterations} iterations, grad norm" in text
 
+    def test_one_similarity_matrix_freed_before_the_probe(self, tiny_run, monkeypatch):
+        """The three tasks read one (G, N) product, and the probe runs after
+        run_evaluation has dropped it."""
+        slices, space, ids, run, state = tiny_run
+        features, scan_ids, _ = dataset_arrays(slices)
+        products, alive_at_probe = [], []
+        product, probe = evaluate.similarities, evaluate.linear_probe
+
+        def tracked_product(*args):
+            sims = product(*args)
+            products.append(weakref.ref(sims))
+            return sims
+
+        def checked_probe(*args, **kwargs):
+            alive_at_probe.extend(ref() is not None for ref in products)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "similarities", tracked_product)
+        monkeypatch.setattr(evaluate, "linear_probe", checked_probe)
+        run_evaluation(state.model, space, features, ids, features, ids, scan_ids, "cafe0123")
+        assert alive_at_probe == [False]
+
     def test_non_finite_embeddings_rejected_before_ranking(self, tiny_run, monkeypatch):
         slices, space, ids, run, state = tiny_run
         features, scan_ids, _ = dataset_arrays(slices)
         calls = []
-        for name in ("recall_at_k", "scan_to_text_recall", "linear_probe"):
+        for name in ("similarities", "recall_at_k", "scan_to_text_recall", "linear_probe"):
             monkeypatch.setattr(evaluate, name, lambda *a, **k: calls.append(a))
         features = features.copy()
         features[0, 0] = np.nan

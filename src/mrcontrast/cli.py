@@ -24,6 +24,7 @@ from .records import MetadataRecord, manifest_lines, parse_manifest_line
 from .rules import non_negative_float, non_negative_int, positive_int
 from .train import (
     RUN_RULES,
+    Checkpoint,
     RunConfig,
     config_hash,
     dataset_arrays,
@@ -70,10 +71,18 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Called by each command before any work, so a bad output path costs nothing."""
+    for path in filter(None, paths):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: not a file in an existing directory")
+
+
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
+    _check_outputs(args.out)
     grid = _parse_grid(args.protocol_grid)
     one_site = dict(scanners=(("SIEMENS", "AVANTO"),), field_strengths=(1.5,))
     protocols = synth.default_protocols(n_te_cells=grid.n_te, n_tr_cells=grid.n_tr,
@@ -96,6 +105,7 @@ def cmd_ingest(args) -> int:
     """Each accepted record is written as it is parsed, through a temporary
     file that replaces --out at the end, so only the rejection counts are
     kept; a strict-mode failure leaves --out as it was."""
+    _check_outputs(args.out, args.summary)
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -150,6 +160,7 @@ def _read_records(path: str) -> Iterator[MetadataRecord]:
 
 
 def cmd_build_labels(args) -> int:
+    _check_outputs(args.out)
     cats = ("flip_angle",) if args.numerical_labels else CATEGORICAL_FIELDS
     if args.kmeans is None:
         grid = _parse_grid(args.grid) if args.grid else GridSpec()
@@ -169,34 +180,30 @@ def _load_space(path: str) -> LabelSpace:
         raise LabelDecodeFailure(f"{path}: {exc}") from exc
 
 
-def _check_outputs(*paths: Optional[str]) -> None:
-    for path in filter(None, paths):
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            raise DataError(f"cannot write {path}: not a file in an existing directory")
+def _load_checkpoint_for(path: str, space: LabelSpace) -> Checkpoint:
+    """The checkpoint at path; a data error unless it was trained on space."""
+    ckpt = load_checkpoint(path)
+    if ckpt.label_space_hash != space.hash_hex:
+        raise DataError("checkpoint was trained on a different label space than --labels")
+    return ckpt
 
 
 def cmd_train(args) -> int:
     _check_outputs(args.checkpoint, args.log)
     flags = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    slices = synth.load_dataset(args.dataset)
+    # the label file and the checkpoint are read and checked before the dataset load
     space = _load_space(args.labels)
-    records = [s.record for s in slices]
-    ids = space.assign(records)
-
-    epochs_before = 0
-    if args.resume is not None:
-        ckpt = load_checkpoint(args.resume)
-        epochs_before = ckpt.epochs_done
-        run = replace(ckpt.run, **flags)
-        if run.epochs < epochs_before:
-            raise DataError(f"--epochs {run.epochs} is below the checkpoint's "
-                            f"{epochs_before} epochs done")
-        state = train_model(
-            slices, space, ids, run, resume_from=ckpt, checkpoint_path=args.checkpoint
-        )
-    else:
-        run = RunConfig(**flags)
-        state = train_model(slices, space, ids, run, checkpoint_path=args.checkpoint)
+    ckpt = _load_checkpoint_for(args.resume, space) if args.resume is not None else None
+    epochs_before = ckpt.epochs_done if ckpt else 0
+    run = replace(ckpt.run, **flags) if ckpt else RunConfig(**flags)
+    if run.epochs < epochs_before:
+        raise DataError(f"--epochs {run.epochs} is below the checkpoint's "
+                        f"{epochs_before} epochs done")
+    slices = synth.load_dataset(args.dataset)
+    ids = space.assign([s.record for s in slices])
+    state = train_model(
+        slices, space, ids, run, resume_from=ckpt, checkpoint_path=args.checkpoint
+    )
 
     # train_model saves after every epoch; write here only when none ran.
     if state.epochs_done == epochs_before:
@@ -213,10 +220,11 @@ def cmd_train(args) -> int:
 
 
 def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
-    """run_evaluation's positional arguments and the transfer grid. Only the
-    model is built from the checkpoint; the slices and the checkpoint go out
-    of scope on return, so neither is alive while eval ranks and probes. Both
-    label files are read and checked first, before any of that work."""
+    """run_evaluation's positional arguments and the transfer grid. Both label
+    files, then the checkpoint, are read and checked before the dataset load.
+    Only the model, the run config and the config hash are kept from the
+    checkpoint, which is dropped before that load; the slices go out of scope
+    on return, so neither is alive while eval ranks and probes."""
     transfer = _load_space(args.transfer).config if args.transfer else None
     if isinstance(transfer, KMeansLabelConfig):
         raise DataError(f"--transfer needs a grid label file, not the k-means file {args.transfer}")
@@ -225,24 +233,19 @@ def _eval_inputs(args) -> tuple[tuple, Optional[GridSpec]]:
         raise DataError(f"--transfer coarsens grid --labels, not the k-means file {args.labels}")
     if transfer:
         nesting(space.config.grid, transfer.grid)
-    slices = synth.load_dataset(args.dataset)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint_for(args.checkpoint, space)
     if ckpt.run.val_fraction == 0:
         raise EmptyImageSet("the checkpoint's run held out no scans (val_fraction 0.0): "
                             "nothing to evaluate")
-    if ckpt.label_space_hash != space.hash_hex:
-        raise DataError(
-            "checkpoint was trained on a different label space than --labels"
-        )
-    model = ckpt.model()
+    model, run, cfg_hash = ckpt.model(), ckpt.run, ckpt.config_hash
+    del ckpt
+    slices = synth.load_dataset(args.dataset)
     ids = space.assign([s.record for s in slices])
     features, scan_ids, _ = dataset_arrays(slices)
-    train_mask, eval_mask = split_by_scan(
-        scan_ids, ckpt.run.val_fraction, ckpt.run.seed
-    )
+    train_mask, eval_mask = split_by_scan(scan_ids, run.val_fraction, run.seed)
     return (
         model, space, features[train_mask], ids[train_mask], features[eval_mask],
-        ids[eval_mask], scan_ids[eval_mask], ckpt.config_hash,
+        ids[eval_mask], scan_ids[eval_mask], cfg_hash,
     ), transfer.grid if transfer else None
 
 

@@ -32,12 +32,24 @@ class Gallery:
     embeddings: np.ndarray  # (G, d_emb), unit rows
 
 
-def encode_features(model: DualEncoder, features: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Image embeddings without keeping the autodiff graphs around."""
-    parts = []
-    for start in range(0, features.shape[0], chunk):
-        parts.append(model.encode_images(features[start : start + chunk]).data)
-    return np.concatenate(parts, axis=0) if parts else np.empty((0, model.config.d_emb))
+# Rows per block: the image encoder's blocks, and the probe's training and
+# eval columns, whose one buffer is (C, BLOCK_ROWS).
+BLOCK_ROWS = 1024
+
+
+def encode_features(model: DualEncoder, features: np.ndarray) -> np.ndarray:
+    """Image embeddings, BLOCK_ROWS rows at a time into one (n, d_emb) array,
+    with no autodiff graph kept. The output equals one encode_images pass bit
+    for bit: a one-row block would take BLAS's matrix-vector path, whose bits
+    differ, so a one-row remainder joins the block before it."""
+    n = features.shape[0]
+    out = np.empty((n, model.config.d_emb))
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        out[start:stop] = model.encode_images(features[start:stop]).data
+    return out
 
 
 def build_gallery(
@@ -138,8 +150,6 @@ def scan_to_text_recall(
 
 # L-BFGS keeps this many curvature pairs (Nocedal & Wright, ch. 7).
 LBFGS_MEMORY = 10
-# The probe's training and eval columns per block; its one buffer is (C, PROBE_BLOCK).
-PROBE_BLOCK = 1024
 
 
 @dataclass
@@ -200,7 +210,7 @@ def linear_probe(
 
     xa = augment(np.asarray(train_x, dtype=np.float64))
     n, d = xa.shape
-    buf = np.empty(classes.size * PROBE_BLOCK)
+    buf = np.empty(classes.size * BLOCK_ROWS)
     row_nll = np.empty(n)
 
     def block_logits(w_t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,8 +220,8 @@ def linear_probe(
     def objective(w_t: np.ndarray) -> tuple[float, np.ndarray]:
         """The regularised mean NLL of w_t and its gradient. A block's logits become
         their softmax minus one-hot in place; the gradient adds the blocks in order."""
-        for start in range(0, n, PROBE_BLOCK):
-            rows = slice(start, start + PROBE_BLOCK)
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
             z = block_logits(w_t, xa[rows])
             np.subtract(z, z.max(axis=0), out=z)
             hit = (y[rows], np.arange(z.shape[1]))
@@ -254,8 +264,8 @@ def linear_probe(
         grad_norm = float(np.sqrt((grad * grad).sum()))
 
     best = np.empty(len(eval_x), dtype=np.intp)  # argmax ties: the lowest class id
-    for start in range(0, len(eval_x), PROBE_BLOCK):
-        rows = slice(start, start + PROBE_BLOCK)
+    for start in range(0, len(eval_x), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         best[rows] = np.argmax(block_logits(w, augment(eval_x[rows])), axis=0)
     pred = classes[best]
     accuracy = float((pred == np.asarray(eval_y)).mean())

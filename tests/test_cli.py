@@ -468,6 +468,36 @@ class TestPipeline:
         assert alive_at_probe == [[]]
         assert open(out).read() == open(pipeline["report"]).read()
 
+    def test_eval_drops_the_checkpoint_before_the_dataset_load(self, pipeline, tmp_path, monkeypatch):
+        """eval reads the checkpoint first and keeps only the model, the run
+        config and the config hash, so the checkpoint and its Adam moments
+        are freed before the slices are loaded."""
+        checkpoints, alive_at_load = [], []
+        load_dataset, load_checkpoint = synth.load_dataset, cli.load_checkpoint
+
+        def tracked_load_checkpoint(path):
+            ckpt = load_checkpoint(path)
+            checkpoints.append(weakref.ref(ckpt))
+            return ckpt
+
+        def tracked_load_dataset(path):
+            alive_at_load.append([ref() is not None for ref in checkpoints])
+            return load_dataset(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", tracked_load_checkpoint)
+        monkeypatch.setattr(synth, "load_dataset", tracked_load_dataset)
+        out = str(tmp_path / "report.json")
+        gc.disable()  # freed by reference counts, not by a collection
+        try:
+            assert main([
+                "eval", "--dataset", pipeline["data"],
+                "--labels", pipeline["labels"], "--checkpoint", pipeline["ckpt"], "--out", out,
+            ]) == 0
+        finally:
+            gc.enable()
+        assert alive_at_load == [[False]]
+        assert open(out).read() == open(pipeline["report"]).read()
+
 
 class TestIngest:
     def corpus(self, tmp_path):
@@ -1050,6 +1080,94 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestChecksBeforeWork:
+    """Errors that depend only on the flags, the label file or the checkpoint
+    exit 2 before a command does its work: before the dataset load for
+    train and eval, before any generation, parsing or grouping otherwise."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, pipeline, tmp_path_factory):
+        root = tmp_path_factory.mktemp("before_load")
+        paths = {"labels5x5": str(root / "labels5x5.json"),
+                 "all_train": str(root / "all_train.ckpt"),
+                 "truncated": str(root / "truncated.ckpt"),
+                 "bad_labels": str(root / "bad_labels.json")}
+        assert main(["build-labels", "--dataset", pipeline["data"],
+                     "--out", paths["labels5x5"], "--grid", "5x5"]) == 0
+        assert main(["train", "--dataset", pipeline["data"], "--labels", pipeline["labels"],
+                     "--checkpoint", paths["all_train"], "--val-fraction", "0.0",
+                     "--epochs", "1"]) == 0
+        blob = open(pipeline["ckpt"], "rb").read()
+        Path(paths["truncated"]).write_bytes(blob[: len(blob) // 2])
+        Path(paths["bad_labels"]).write_text("not json")
+        return {**pipeline, **paths}
+
+    # case -> (command, --labels, eval's --checkpoint, train's extra flags,
+    # what the error says); names are keys of the inputs fixture
+    CASES = {
+        "eval-val-fraction-0": ("eval", "labels", "all_train", [],
+                                "held out no scans (val_fraction 0.0)"),
+        "eval-label-space-mismatch": ("eval", "labels5x5", "ckpt", [], "different label space"),
+        "eval-truncated-checkpoint": ("eval", "labels", "truncated", [], "data error"),
+        "train-resume-truncated-checkpoint": ("train", "labels", None,
+                                              ["--resume", "truncated"], "data error"),
+        "train-resume-label-space-mismatch": ("train", "labels5x5", None, ["--resume", "ckpt"],
+                                              "different label space"),
+        "train-resume-to-fewer-epochs": ("train", "labels", None,
+                                         ["--resume", "ckpt", "--epochs", "1"],
+                                         "--epochs 1 is below the checkpoint's 2 epochs done"),
+        "train-malformed-labels": ("train", "bad_labels", None, [], "data error"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_label_and_checkpoint_errors_come_before_the_dataset_load(
+        self, inputs, tmp_path, capsys, monkeypatch, case
+    ):
+        command, labels, ckpt, extra, message = self.CASES[case]
+        out = tmp_path / "out"
+        args = [command, "--dataset", inputs["data"], "--labels", inputs[labels]]
+        if command == "eval":
+            args += ["--checkpoint", inputs[ckpt], "--out", str(out)]
+        else:
+            args += ["--checkpoint", str(out)] + [inputs.get(a, a) for a in extra]
+        monkeypatch.setattr(synth, "load_dataset", lambda path: pytest.fail("data was loaded"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", [".", "missing_dir/data.jsonl"])
+    def test_unwritable_synth_output_fails_before_generating(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "generate_dataset", lambda *a: pytest.fail("data generated"))
+        assert main(["synth", "--out", out] + SYNTH_FLAGS) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unwritable_ingest_summary_keeps_the_previous_output(self, tmp_path, capsys):
+        """--summary in a missing directory exits 2 before ingest parses or
+        writes anything, so an existing --out keeps its bytes."""
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(MetadataRecord("m-1", te_ms=30.0, tr_ms=2000.0).to_dict()))
+        out = tmp_path / "records.jsonl"
+        out.write_bytes(b"previous run\n")
+        assert main(["ingest", str(manifest), "--out", str(out),
+                     "--summary", str(tmp_path / "missing_dir" / "s.json")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "records.jsonl"]
+
+    @pytest.mark.parametrize("out", [".", "missing_dir/labels.json"])
+    def test_unwritable_label_output_fails_before_grouping(
+        self, pipeline, tmp_path, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_label_space", lambda *a: pytest.fail("labels built"))
+        assert main(["build-labels", "--dataset", pipeline["data"], "--out", out]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_every_error_class_maps_to_an_exit_code():

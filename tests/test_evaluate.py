@@ -37,6 +37,7 @@ from mrcontrast.evaluate import (
 from mrcontrast.labels import (
     CATEGORICAL_FIELDS, GridSpec, KMeansLabelConfig, LabelConfig, build_label_space,
 )
+from mrcontrast.model import DualEncoder, ModelConfig
 from mrcontrast.records import MetadataRecord
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 from mrcontrast.train import dataset_arrays
@@ -407,14 +408,14 @@ class TestScanToTextRecall:
 def full_array_probe(train_x, train_y, eval_x, eval_y, l2=1e-5, max_iter=500, grad_tol=1e-6):
     """The L-BFGS probe with a fresh (C, n) array for every intermediate: the
     logits w_t @ xa.T at every trial and the softmax over axis 0; the gradient
-    sums residual @ xa over blocks of PROBE_BLOCK training rows, in order.
+    sums residual @ xa over blocks of BLOCK_ROWS training rows, in order.
     Also counts rejected trial steps."""
     classes = np.unique(train_y)
     y = np.array([{int(c): i for i, c in enumerate(classes)}[int(v)] for v in train_y])
     xa = np.concatenate([train_x, np.ones((len(train_x), 1))], axis=1)
     n, d = xa.shape
     cols = np.arange(n)
-    block = evaluate.PROBE_BLOCK
+    block = evaluate.BLOCK_ROWS
     blocks = [slice(start, start + block) for start in range(0, n, block)]
 
     def gradient(residual, w_t):
@@ -604,7 +605,7 @@ class TestLinearProbe:
         assert max_iter == 500 or result.n_iterations == max_iter
 
     def test_peak_memory_does_not_grow_with_the_logits(self):
-        # the fit and the prediction run through one (C, PROBE_BLOCK) buffer;
+        # the fit and the prediction run through one (C, BLOCK_ROWS) buffer;
         # only (n, d)-sized arrays and vectors grow with n
         n_classes, d = 50, 8
         rng = np.random.default_rng(12)
@@ -769,13 +770,49 @@ class TestGalleryAndEndToEnd:
         with pytest.raises(EmptyGallery):
             build_gallery(state.model, space, [])
 
-    def test_encode_features_chunking_is_consistent(self, tiny_run):
+    # n = 0, 1, 2, B - 1, B, B + 1 and 2B + 1 rows for blocks of B = 4
+    @pytest.mark.parametrize("n, blocks", [
+        (0, []), (1, [1]), (2, [2]), (3, [3]), (4, [4]), (5, [5]), (9, [4, 5]),
+    ], ids=["0", "1", "2", "B-1", "B", "B+1", "2B+1"])
+    def test_encode_features_equals_one_pass_bit_for_bit(self, tiny_run, monkeypatch, n, blocks):
+        """Blocks of BLOCK_ROWS rows give one encode_images pass's bytes; a
+        one-row remainder joins the block before it, so no block has one row
+        unless the input has one row."""
         slices, _, _, _, state = tiny_run
-        features, _, _ = dataset_arrays(slices[:10])
-        full = encode_features(state.model, features)
-        chunked = encode_features(state.model, features, chunk=3)
-        np.testing.assert_allclose(chunked, full, rtol=1e-12)
-        assert full.shape == (10, state.model.config.d_emb)
+        features = dataset_arrays(slices[:9])[0][:n]
+        model = state.model
+        full = model.encode_images(features).data
+        sizes, encode_images = [], model.encode_images
+
+        def recorded(x):
+            sizes.append(len(x))
+            return encode_images(x)
+
+        monkeypatch.setattr(evaluate, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(model, "encode_images", recorded)
+        out = encode_features(model, features)
+        assert sizes == blocks
+        assert out.shape == full.shape == (n, model.config.d_emb)
+        assert out.tobytes() == full.tobytes()
+
+    def test_encode_features_peak_grows_by_its_output(self):
+        """The output is allocated once and each block is written into it, so
+        the traced peak grows with n by the output alone: the block
+        temporaries do not grow, and no list of parts is concatenated."""
+        model = DualEncoder(ModelConfig(), seed=3)
+        features = np.random.default_rng(4).normal(size=(65_536, model.config.d_in))
+        encode_features(model, features[:10])
+        peaks = {}
+        for n in (4_096, 65_536):
+            tracemalloc.start()
+            try:
+                encode_features(model, features[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_growth = (65_536 - 4_096) * model.config.d_emb * 8
+        one_block = evaluate.BLOCK_ROWS * model.config.d_hidden * 8
+        assert peaks[65_536] - peaks[4_096] < output_growth + one_block
 
     def test_run_evaluation_report_shape(self, tiny_run):
         slices, space, ids, run, state = tiny_run

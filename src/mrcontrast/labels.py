@@ -8,7 +8,6 @@ assigned in sorted key order so a label space is a pure function of
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -367,6 +366,11 @@ class LabelSpace:
 
     @property
     def hash_hex(self) -> str:
+        # hashlib loads OpenSSL (3.6 MB), which ingest and build-labels never
+        # use, so it is imported where a digest is taken: here and in prompts,
+        # synth and train
+        import hashlib
+
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     @staticmethod

@@ -9,7 +9,6 @@ state to ship.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -133,6 +132,8 @@ _TOKEN_RE = re.compile(r"[a-z]+|[0-9]+(?:\.[0-9]+)?")
 
 
 def _hash_token(token: str) -> int:
+    import hashlib
+
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % VOCAB_SIZE
 

@@ -10,10 +10,10 @@ be indistinguishable from image features alone.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,13 +84,19 @@ def signal(tissue: Tissue, record: MetadataRecord) -> float:
     return abs(s)
 
 
+@lru_cache(maxsize=1024)
 def _pattern(tag: str, value: str, n_channels: int, amp: float) -> np.ndarray:
+    """One tag value's gain pattern, drawn once per process (read-only)."""
+    import hashlib
+
     digest = hashlib.blake2b(
         f"{tag}={value}".encode("utf-8"), digest_size=8
     ).digest()
     seed = int.from_bytes(digest, "little")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return 1.0 + amp * rng.uniform(-1.0, 1.0, size=n_channels)
+    out = 1.0 + amp * rng.uniform(-1.0, 1.0, size=n_channels)
+    out.flags.writeable = False
+    return out
 
 
 def channel_gain(record: MetadataRecord, n_channels: int) -> np.ndarray:

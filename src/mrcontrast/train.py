@@ -6,7 +6,6 @@ run reproduces the uninterrupted run bit for bit.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -65,6 +64,8 @@ def config_hash(run: RunConfig, label_space_hash: str) -> str:
     blob = json.dumps(
         {"run": asdict(run), "label_space": label_space_hash}, sort_keys=True
     ).encode()
+    import hashlib
+
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

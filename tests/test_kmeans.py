@@ -111,10 +111,11 @@ class TestMatchesPlainLloyd:
     def test_bitwise_equal_when_clusters_are_refilled(self, d, monkeypatch):
         # k-means++ never seeds two centroids on one point; forcing repeats
         # leaves every later copy without points, so the refill runs, and the
-        # refilled columns must be recomputed
+        # refilled columns must be recomputed. The picks come from the test's
+        # own generator, seeded by the shape, so both fits seed alike.
         monkeypatch.setattr(
             kmeans, "_seed_centroids",
-            lambda points, k, rng: points[rng.integers(0, 3, k)].copy(),
+            lambda points, k, rng: points[np.random.default_rng(points.size + k).integers(0, 3, k)].copy(),
         )
         rng = np.random.default_rng(200 + d)
         refills = 0
@@ -123,6 +124,43 @@ class TestMatchesPlainLloyd:
             for k in (2, 5, 12):
                 refills += assert_matches_reference(points, k, seed=trial)
         assert refills > 0
+
+
+# 1 draws nothing; below 2**32 - 1 Lemire on 32 bits (the half-word buffer, and
+# rejections at 2**31 + 5); 2**32 - 1 a bare 32-bit draw; above it Lemire on 64
+# bits (rejections at 2**62 + 1)
+CLONE_NS = (1, 2, 3, 40, 11_600, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**50,
+            2**62 + 1, 2**63 - 1)
+# seeds of one to seven 32-bit words; five and more also run the pool's
+# second mixing loop
+CLONE_SEEDS = (*range(40), 2**32 - 1, 2**32, 2**32 + 7, 2**64, 2**64 + 3, 2**96 + 5,
+               2**128 + 1, 2**160 + 12345, 2**200 - 1)
+
+
+class TestSeedingGenerator:
+    """k-means++ draws from kmeans._PCG64, which must give numpy's
+    Generator(PCG64(seed)) draws for integers(n) and random()."""
+
+    @pytest.mark.parametrize("seed", CLONE_SEEDS)
+    def test_interleaved_draws_equal_numpy(self, seed):
+        want, got = np.random.Generator(np.random.PCG64(seed)), kmeans._PCG64(seed)
+        picks = np.random.default_rng(seed % 2**64 + 1)
+        for _ in range(300):
+            if picks.random() < 0.3:
+                assert got.random() == want.random()
+            else:
+                n = CLONE_NS[int(picks.integers(len(CLONE_NS)))]
+                assert got.integers(n) == int(want.integers(n))
+
+    @pytest.mark.parametrize("n", CLONE_NS)
+    def test_runs_of_one_bound_equal_numpy(self, n):
+        want, got = np.random.Generator(np.random.PCG64(n)), kmeans._PCG64(n)
+        assert [got.integers(n) for _ in range(101)] == want.integers(n, size=101).tolist()
+        assert got.random() == want.random()
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            kmeans._PCG64(-1)
 
 
 class TestBlockedDistances:

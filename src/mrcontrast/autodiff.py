@@ -35,10 +35,6 @@ class Tensor:
         self._vjp = None
         self._prev: tuple = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _dense(self, values, rows):
         if rows is None:
             return values

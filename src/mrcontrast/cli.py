@@ -26,7 +26,6 @@ from .train import (
     RUN_RULES,
     Checkpoint,
     RunConfig,
-    config_hash,
     dataset_arrays,
     load_checkpoint,
     save_checkpoint,
@@ -207,9 +206,7 @@ def cmd_train(args) -> int:
 
     # train_model saves after every epoch; write here only when none ran.
     if state.epochs_done == epochs_before:
-        save_checkpoint(
-            args.checkpoint, state, run, space.hash_hex, config_hash(run, space.hash_hex)
-        )
+        save_checkpoint(args.checkpoint, state, run, space.hash_hex)
     if args.log:
         Path(args.log).write_text("".join(f"{line}\n" for line in state.log_lines), "utf-8")
     summary = f"trained {state.epochs_done} epochs, {state.optimizer.t} steps"

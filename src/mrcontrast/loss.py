@@ -48,38 +48,26 @@ class ContrastiveBatch:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Contiguous anchor ranges; must tile [0, N) without overlap."""
+    """`shards` contiguous, near-equal anchor ranges tiling [0, n)."""
 
-    ranges: tuple[tuple[int, int], ...]
+    n: int
+    shards: int
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise InvalidPlan(f"need at least 1 shard, got {self.shards}")
 
     @staticmethod
     def even(n: int, n_shards: int) -> "ShardPlan":
-        """n_shards near-equal ranges, leaving out the empty ones past n."""
-        if n_shards < 1:
-            raise InvalidPlan(f"need at least 1 shard, got {n_shards}")
-        base, extra = divmod(n, n_shards)
-        ranges = []
-        start = 0
-        for i in range(min(n, n_shards)):
-            size = base + (1 if i < extra else 0)
-            ranges.append((start, start + size))
-            start += size
-        return ShardPlan(tuple(ranges))
+        return ShardPlan(n, n_shards)
 
-    def validate(self, n: int) -> None:
-        covered = 0
-        last_end = 0
-        for start, end in sorted(self.ranges):
-            if not (0 <= start <= end <= n):
-                raise InvalidPlan(f"range ({start}, {end}) outside [0, {n})")
-            if start < last_end:
-                raise InvalidPlan(f"ranges overlap at {start}")
-            if start > last_end:
-                raise InvalidPlan(f"gap before {start}")
-            covered += end - start
-            last_end = end
-        if last_end != n or covered != n:
-            raise InvalidPlan(f"ranges cover {covered} of {n} anchors")
+    @property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        """The first n % shards ranges are one longer; none is empty, so there
+        are at most n."""
+        base, extra = divmod(self.n, self.shards)
+        bounds = [i * base + min(i, extra) for i in range(min(self.n, self.shards) + 1)]
+        return tuple(zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -146,8 +134,9 @@ def contrastive_loss(
     """
     n = img.shape[0]
     if plan is None:
-        plan = ShardPlan(((0, n),))
-    plan.validate(n)
+        plan = ShardPlan(n, 1)
+    if plan.n != n:
+        raise InvalidPlan(f"plan covers {plan.n} anchors, the batch has {n}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if kind == "infonce":  # supcon over distinct labels: each pair is its own class
@@ -158,8 +147,6 @@ def contrastive_loss(
     d_tau = 0.0
     workspace = loss_workspace(n, plan) if workspace is None else workspace
     for start, end in plan.ranges:
-        if start == end:
-            continue
         rows = slice(start, end)
         shifted, log_prob, product, weights = workspace[:, : (end - start) * n].reshape(4, -1, n)
         # weights[i, p] = 1/|P(i)| on positives; one block serves both directions

@@ -131,7 +131,6 @@ def train_model(
     bank = PromptBank(records, PromptConfig(
         dropout=run.text_dropout, include_series_description=run.include_series_description))
     space_hash = space.hash_hex
-    cfg_hash = config_hash(run, space_hash)
 
     if resume_from is not None:
         if resume_from.label_space_hash != space_hash:
@@ -184,7 +183,7 @@ def train_model(
             )
         state.epochs_done = epoch + 1
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, state, run, space_hash, cfg_hash)
+            save_checkpoint(checkpoint_path, state, run, space_hash)
     return state
 
 
@@ -223,7 +222,7 @@ class Checkpoint:
 
 
 def _checkpoint_pieces(
-    state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
+    state: TrainState, run: RunConfig, label_space_hash: str
 ) -> list[bytes | memoryview]:
     """The file in order: magic, prefix, header, then every parameter, Adam
     first moment and second moment, each a view of its float64 array."""
@@ -236,7 +235,7 @@ def _checkpoint_pieces(
         "epochs_done": state.epochs_done,
         "rng_state": _rng_state(state.rng.bit_generator.state, str),
         "label_space_hash": label_space_hash,
-        "config_hash": cfg_hash,
+        "config_hash": config_hash(run, label_space_hash),
         "adam_t": state.optimizer.t,
         "params": manifest,
     }
@@ -246,12 +245,6 @@ def _checkpoint_pieces(
         for name, _, _ in params:
             pieces.append(memoryview(np.ascontiguousarray(arrays[name], dtype="<f8")))
     return pieces
-
-
-def checkpoint_bytes(
-    state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
-) -> bytes:
-    return b"".join(_checkpoint_pieces(state, run, label_space_hash, cfg_hash))
 
 
 def write_replacing(path, pieces: Iterable[bytes]) -> None:
@@ -268,13 +261,11 @@ def write_replacing(path, pieces: Iterable[bytes]) -> None:
             os.remove(tmp)
 
 
-def save_checkpoint(
-    path: str, state: TrainState, run: RunConfig, label_space_hash: str, cfg_hash: str
-) -> None:
-    """Stream the pieces of `checkpoint_bytes` to ``path`` through
+def save_checkpoint(path: str, state: TrainState, run: RunConfig, label_space_hash: str) -> None:
+    """Stream the pieces of `_checkpoint_pieces` to ``path`` through
     `write_replacing`, so a failed or interrupted write leaves any previous
     checkpoint intact."""
-    write_replacing(path, _checkpoint_pieces(state, run, label_space_hash, cfg_hash))
+    write_replacing(path, _checkpoint_pieces(state, run, label_space_hash))
 
 
 def _rng_state(obj: dict, word: type) -> dict:
@@ -300,7 +291,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
 
 
 def _read_checkpoint(fh: BinaryIO, size: int) -> Checkpoint:
-    """Inverse of `checkpoint_bytes`, from the start of a file of `size` bytes.
+    """Inverse of `_checkpoint_pieces`, from the start of a file of `size` bytes.
     BadCheckpoint for any malformed input: a header value that breaks its rule,
     a config_hash other than `config_hash` of the header's run and label space
     hash, a tensor manifest other than the model config's layout (before any

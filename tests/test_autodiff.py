@@ -61,7 +61,7 @@ def check_param(model, encode, name, rows=None):
     """Gradient of sum(encode(model) * w) with respect to the parameter
     `name` (only the given table rows, if any) against central differences;
     returns the analytic gradient."""
-    w = np.random.default_rng(0).normal(size=encode(model).shape)
+    w = np.random.default_rng(0).normal(size=encode(model).data.shape)
     model.zero_grad()
     probe(encode(model), w).backward()
     p = getattr(model, name)
@@ -69,7 +69,7 @@ def check_param(model, encode, name, rows=None):
     if rows is None:
         idx = list(range(flat.size))
     else:
-        d = p.shape[1]
+        d = p.data.shape[1]
         idx = [r * d + j for r in rows for j in range(d)]
     numeric = []
     for i in idx:

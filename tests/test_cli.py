@@ -4,7 +4,9 @@ import argparse
 import gc
 import importlib.util
 import json
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1212,3 +1214,27 @@ def test_bench_trace_hooks_find_and_restore_their_targets():
     assert [(owner, attr) for owner, attr, original in patched
             if owner.__dict__[attr] is not original] == []
     assert gc.callbacks == callbacks
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set and dict order of str keys follows PYTHONHASHSEED: a file written
+    under two hash seeds, one process after the other, keeps its bytes."""
+    commands = [
+        ["synth", "--out", "data.jsonl", "--scans", "30"],
+        ["build-labels", "--dataset", "data.jsonl", "--out", "grid.json", "--grid", "5x5"],
+        ["build-labels", "--dataset", "data.jsonl", "--out", "kmeans.json",
+         "--kmeans", "6", "--kmeans-seed", "3"],
+    ]
+    code = f"from mrcontrast.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=out, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("data.jsonl", "grid.json", "kmeans.json")})
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,7 @@
 """Lloyd iteration tests: inertia descent, exact toy solutions, determinism,
 bit identity with the plain Lloyd loop, and memory bounded by the row block."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -26,16 +27,21 @@ def full_sq_dists(points, centroids):
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def uniform_index(rng, n):
+    """A uniform index in [0, n) from one rng.random() draw."""
+    return min(int(rng.random() * n), n - 1)
+
+
 def reference_seeds(points, k, rng):
     """k-means++ seeding written out on full_sq_dists."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[int(rng.integers(n))]
+    centroids[0] = points[uniform_index(rng, n)]
     d2 = full_sq_dists(points, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            idx = int(rng.integers(n))
+            idx = uniform_index(rng, n)
         else:
             idx = min(int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right")), n - 1)
         centroids[j] = points[idx]
@@ -50,8 +56,7 @@ def reference_lloyd(points, n_clusters, seed):
     kmeans._seed_centroids, so a test can patch them;
     TestBlockedDistances checks that function against reference_seeds."""
     points = np.asarray(points, dtype=np.float64)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = kmeans._seed_centroids(points, n_clusters, rng)
+    centroids = kmeans._seed_centroids(points, n_clusters, random.Random(seed))
     history, n_iter, refills = [], 0, 0
     for iteration in range(MAX_ITER):
         d2 = full_sq_dists(points, centroids)
@@ -126,41 +131,24 @@ class TestMatchesPlainLloyd:
         assert refills > 0
 
 
-# 1 draws nothing; below 2**32 - 1 Lemire on 32 bits (the half-word buffer, and
-# rejections at 2**31 + 5); 2**32 - 1 a bare 32-bit draw; above it Lemire on 64
-# bits (rejections at 2**62 + 1)
-CLONE_NS = (1, 2, 3, 40, 11_600, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**50,
-            2**62 + 1, 2**63 - 1)
-# seeds of one to seven 32-bit words; five and more also run the pool's
-# second mixing loop
-CLONE_SEEDS = (*range(40), 2**32 - 1, 2**32, 2**32 + 7, 2**64, 2**64 + 3, 2**96 + 5,
-               2**128 + 1, 2**160 + 12345, 2**200 - 1)
-
-
 class TestSeedingGenerator:
-    """k-means++ draws from kmeans._PCG64, which must give numpy's
-    Generator(PCG64(seed)) draws for integers(n) and random()."""
+    """k-means++ draws from random.Random(seed).random(), the sequence Python
+    keeps across versions."""
 
-    @pytest.mark.parametrize("seed", CLONE_SEEDS)
-    def test_interleaved_draws_equal_numpy(self, seed):
-        want, got = np.random.Generator(np.random.PCG64(seed)), kmeans._PCG64(seed)
-        picks = np.random.default_rng(seed % 2**64 + 1)
-        for _ in range(300):
-            if picks.random() < 0.3:
-                assert got.random() == want.random()
-            else:
-                n = CLONE_NS[int(picks.integers(len(CLONE_NS)))]
-                assert got.integers(n) == int(want.integers(n))
+    # integer coordinates: every squared distance and cumulative sum is exact,
+    # so the picks depend on the random() draws alone
+    POINTS = np.array([[0, 0], [1, 0], [0, 2], [5, 5], [6, 5], [9, 0], [9, 1], [3, 8]], dtype=float)
+    PICKS = {0: [6, 4, 1, 3], 1: [1, 7, 6, 3], 7: [2, 4, 6, 0]}
 
-    @pytest.mark.parametrize("n", CLONE_NS)
-    def test_runs_of_one_bound_equal_numpy(self, n):
-        want, got = np.random.Generator(np.random.PCG64(n)), kmeans._PCG64(n)
-        assert [got.integers(n) for _ in range(101)] == want.integers(n, size=101).tolist()
-        assert got.random() == want.random()
+    @pytest.mark.parametrize("seed", sorted(PICKS))
+    def test_picks_are_pinned(self, seed):
+        centroids = kmeans._seed_centroids(self.POINTS, 4, random.Random(seed))
+        picks = [int(np.flatnonzero((self.POINTS == c).all(axis=1))[0]) for c in centroids]
+        assert picks == self.PICKS[seed]
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
-            kmeans._PCG64(-1)
+            fit_kmeans(np.arange(10.0).reshape(5, 2), 2, seed=-1)
 
 
 class TestBlockedDistances:
@@ -180,7 +168,7 @@ class TestBlockedDistances:
             kmeans._sq_dists(points, centroids[cols], out, cols)
             assert out[:, cols].tobytes() == want[:, cols].tobytes()
             assert (out[:, ~cols] == -1.0).all()
-            got, ref = (seed(points, 9, np.random.default_rng(n))
+            got, ref = (seed(points, 9, random.Random(n))
                         for seed in (kmeans._seed_centroids, reference_seeds))
             assert got.tobytes() == ref.tobytes()
 

@@ -160,7 +160,7 @@ class TestShardEquivalence:
     def test_loss_and_gradients_match_unsharded(self):
         rng = np.random.default_rng(7)
         batch = random_batch(rng, n=64)
-        base = sharded_loss(batch, ShardPlan(((0, 64),)))
+        base = sharded_loss(batch, ShardPlan.even(64, 1))
         for shards in (2, 3, 4, 8, 13):
             part = sharded_loss(batch, ShardPlan.even(64, shards))
             np.testing.assert_allclose(part.loss, base.loss, rtol=1e-9)
@@ -200,7 +200,7 @@ class TestShardEquivalence:
         batch = random_batch(rng, n=10)
         np.testing.assert_allclose(
             sharded_loss(batch).loss,
-            sharded_loss(batch, ShardPlan(((0, 10),))).loss,
+            sharded_loss(batch, ShardPlan.even(10, 1)).loss,
             rtol=0, atol=0,
         )
 
@@ -235,27 +235,33 @@ class TestWorkspace:
 
 class TestShardPlan:
     def test_even_covers_range(self):
-        plan = ShardPlan.even(10, 3)
-        assert plan.ranges == ((0, 4), (4, 7), (7, 10))
-        plan.validate(10)
+        assert ShardPlan.even(10, 3).ranges == ((0, 4), (4, 7), (7, 10))
 
     def test_even_with_exact_division(self):
         assert ShardPlan.even(8, 4).ranges == ((0, 2), (2, 4), (4, 6), (6, 8))
 
-    @pytest.mark.parametrize("ranges", [
-        ((0, 4), (5, 10)),          # gap
-        ((0, 6), (4, 10)),          # overlap
-        ((0, 11),),                 # past the end
-        ((2, 10),),                 # missing head
-        ((0, 10), (10, 10), (10, 11)),
-    ])
-    def test_validate_rejects_bad_plans(self, ranges):
-        with pytest.raises(InvalidPlan):
-            ShardPlan(tuple(ranges)).validate(10)
+    def test_ranges_tile_in_order_with_the_longer_ones_first(self):
+        for n in range(30):
+            for shards in range(1, 35):
+                ranges = ShardPlan.even(n, shards).ranges
+                sizes = [end - start for start, end in ranges]
+                want = [n // shards + (i < n % shards) for i in range(min(n, shards))]
+                assert sizes == want, (n, shards)
+                assert [start for start, _ in ranges] == [sum(sizes[:i]) for i in range(len(sizes))]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(InvalidPlan):
             ShardPlan.even(10, 0)
+
+    @pytest.mark.parametrize("plan_n", [9, 11])
+    def test_plan_for_another_batch_size_rejected(self, plan_n):
+        batch = random_batch(np.random.default_rng(10), n=10)
+        args = (batch.image_embeddings, batch.text_embeddings, batch.labels)
+        with pytest.raises(InvalidPlan):
+            contrastive_loss(*args, batch.temperature, plan=ShardPlan.even(plan_n, 2))
+        with pytest.raises(InvalidPlan):
+            loss_graph(*(Tensor(a) for a in args[:2]), batch.labels, Tensor(batch.temperature),
+                       plan=ShardPlan.even(plan_n, 2))
 
 
 class TestGradients:

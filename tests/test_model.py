@@ -28,7 +28,7 @@ class TestEncoding:
         model = small_model()
         rng = np.random.default_rng(0)
         emb = model.encode_images(rng.normal(size=(10, 6)))
-        assert emb.shape == (10, 8)
+        assert emb.data.shape == (10, 8)
         np.testing.assert_allclose(
             np.linalg.norm(emb.data, axis=1), 1.0, rtol=1e-12
         )
@@ -36,7 +36,7 @@ class TestEncoding:
     def test_text_embeddings_are_unit_rows(self):
         model = small_model()
         emb = model.encode_texts([[1, 2, 3], [4], []])
-        assert emb.shape == (3, 8)
+        assert emb.data.shape == (3, 8)
         np.testing.assert_allclose(
             np.linalg.norm(emb.data, axis=1), 1.0, rtol=1e-12
         )
@@ -83,7 +83,7 @@ class TestEncoding:
         loss_graph(img, txt, np.array([0, 0, 1, 1]), model.tau()).backward()
         for name, p, _ in model.parameters():
             assert p.grad is not None, name
-            assert p.grad.shape == p.shape, name
+            assert p.grad.shape == p.data.shape, name
             assert np.any(p.grad != 0), name
 
 
@@ -159,7 +159,7 @@ class TestTextPoolingBits:
         g_rows, rows = txt._vjp(g)[0]
         used = [t for ids in token_lists for t in (ids or [VOCAB_SIZE])]
         assert rows.tolist() == sorted(set(used))
-        assert g_rows.shape == (rows.size, model.tok_table.shape[1])
+        assert g_rows.shape == (rows.size, model.tok_table.data.shape[1])
         assert g_rows.tobytes() == want_table[rows].tobytes()
         assert not np.delete(want_table, rows, axis=0).view(np.int64).any()
 
@@ -226,7 +226,7 @@ class TestParameters:
 
     def test_token_table_has_null_row(self):
         model = small_model()
-        assert model.tok_table.shape == (VOCAB_SIZE + 1, 8)
+        assert model.tok_table.data.shape == (VOCAB_SIZE + 1, 8)
 
     def test_biases_start_at_zero(self):
         model = small_model()
@@ -293,7 +293,7 @@ class TestGradients:
             if name == "tok_table":
                 touched = np.flatnonzero(np.any(p.grad != 0, axis=1))
                 assert touched.tolist() == used_rows
-                d = p.shape[1]
+                d = p.data.shape[1]
                 # The touched rows plus row 0, which no prompt uses.
                 check = [row * d + j for row in [0] + used_rows for j in range(d)]
             else:

@@ -20,7 +20,6 @@ from mrcontrast.prompts import PromptBank, PromptConfig
 from mrcontrast.train import (
     CHECKPOINT_VERSION,
     RunConfig,
-    checkpoint_bytes,
     checkpoint_from_bytes,
     config_hash,
     dataset_arrays,
@@ -29,6 +28,11 @@ from mrcontrast.train import (
     split_by_scan,
     train_model,
 )
+
+
+def checkpoint_bytes(state, run, label_space_hash):
+    """The whole file that save_checkpoint streams, as one bytes object."""
+    return b"".join(train._checkpoint_pieces(state, run, label_space_hash))
 
 
 TINY_RUN = RunConfig(batch_size=64, epochs=4, seed=0, warmup_steps=10)
@@ -43,11 +47,10 @@ def small_blob(tiny_dataset):
     run = RunConfig(batch_size=64, epochs=1)
     narrow = ModelConfig(d_in=slices[0].features.size, d_hidden=2, d_emb=2, d_tok=1)
     rng = np.random.Generator(np.random.PCG64(run.seed))
-    cfg = config_hash(run, space.hash_hex)
     untrained_state = train._build_state(run, DualEncoder(narrow, seed=run.seed), rng, 0)
-    untrained = checkpoint_bytes(untrained_state, run, space.hash_hex, cfg)
+    untrained = checkpoint_bytes(untrained_state, run, space.hash_hex)
     state = train_model(slices, space, ids, run, resume_from=checkpoint_from_bytes(untrained))
-    return checkpoint_bytes(state, run, space.hash_hex, cfg)
+    return checkpoint_bytes(state, run, space.hash_hex)
 
 
 def rewrite_header(blob: bytes, edit, version: int = CHECKPOINT_VERSION) -> bytes:
@@ -177,10 +180,8 @@ class TestTrainModel:
     def test_retraining_is_byte_identical(self, tiny_run):
         slices, space, ids, run, state = tiny_run
         again = train_model(slices, space, ids, run)
-        cfg = config_hash(run, space.hash_hex)
-        assert checkpoint_bytes(again, run, space.hash_hex, cfg) == checkpoint_bytes(
-            state, run, space.hash_hex, cfg
-        )
+        want = checkpoint_bytes(state, run, space.hash_hex)
+        assert checkpoint_bytes(again, run, space.hash_hex) == want
 
     def test_batch_dropout_draw_equals_per_row_draws(self, tiny_dataset, monkeypatch):
         """One rng.random per batch, sampled for the whole batch, hands each row
@@ -273,9 +274,8 @@ class TestTrainModel:
 class TestCheckpoint:
     def test_bytes_are_deterministic(self, tiny_run):
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
-        a = checkpoint_bytes(state, run, space.hash_hex, cfg)
-        b = checkpoint_bytes(state, run, space.hash_hex, cfg)
+        a = checkpoint_bytes(state, run, space.hash_hex)
+        b = checkpoint_bytes(state, run, space.hash_hex)
         assert a == b
         assert a[:4] == b"MRCC"
 
@@ -283,7 +283,7 @@ class TestCheckpoint:
         _, space, _, run, state = tiny_run
         cfg = config_hash(run, space.hash_hex)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, state, run, space.hash_hex, cfg)
+        save_checkpoint(path, state, run, space.hash_hex)
         ckpt = load_checkpoint(path)
         assert ckpt.run == run
         assert ckpt.model_config == state.model.config
@@ -299,23 +299,21 @@ class TestCheckpoint:
 
     def test_save_writes_checkpoint_bytes(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
-        assert path.read_bytes() == checkpoint_bytes(state, run, space.hash_hex, cfg)
+        save_checkpoint(str(path), state, run, space.hash_hex)
+        assert path.read_bytes() == checkpoint_bytes(state, run, space.hash_hex)
 
     def test_save_and_load_peaks_are_bounded(self, tiny_run, tmp_path):
         """A save streams its pieces: its traced peak stays below a quarter of
         the file. Loading and building the model hold the tensors once: the
         model shares the loaded parameters."""
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        save_checkpoint(str(path), state, run, space.hash_hex)
         tensor_bytes = 3 * sum(p.data.nbytes for _, p, _ in state.model.parameters())
         tracemalloc.start()
         try:
-            save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+            save_checkpoint(str(path), state, run, space.hash_hex)
             save_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             model = load_checkpoint(str(path)).model()
@@ -345,7 +343,7 @@ class TestCheckpoint:
     def test_model_takes_the_loaded_parameters(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, state, run, space.hash_hex, config_hash(run, space.hash_hex))
+        save_checkpoint(path, state, run, space.hash_hex)
         ckpt = load_checkpoint(path)
         model, resumed = ckpt.model(), ckpt.restore().model
         for m in (model, resumed):
@@ -354,9 +352,8 @@ class TestCheckpoint:
 
     def test_restore_rebuilds_identical_state(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, state, run, space.hash_hex, cfg)
+        save_checkpoint(path, state, run, space.hash_hex)
         restored = load_checkpoint(path).restore()
         for (na, pa, da), (nb, pb, db) in zip(
             state.model.parameters(), restored.model.parameters()
@@ -374,7 +371,6 @@ class TestCheckpoint:
         """Resuming after 1, 2 or 3 of 4 epochs (steps 5, 10 and 15, around
         the 10-step warmup) gives the uninterrupted run's bytes."""
         slices, space, ids, run, full_state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
         half_run = replace(run, epochs=split_epochs)
         path = str(tmp_path / "half.ckpt")
         half = train_model(slices, space, ids, half_run, checkpoint_path=path)
@@ -383,21 +379,19 @@ class TestCheckpoint:
             slices, space, ids, run, resume_from=load_checkpoint(path)
         )
         assert resumed.epochs_done == run.epochs
-        assert checkpoint_bytes(
-            resumed, run, space.hash_hex, cfg
-        ) == checkpoint_bytes(full_state, run, space.hash_hex, cfg)
+        want = checkpoint_bytes(full_state, run, space.hash_hex)
+        assert checkpoint_bytes(resumed, run, space.hash_hex) == want
 
     def test_resume_rejects_foreign_label_space(self, tiny_run, tmp_path):
         slices, space, ids, run, state = tiny_run
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, state, run, "0" * 64, config_hash(run, "0" * 64))
+        save_checkpoint(path, state, run, "0" * 64)
         with pytest.raises(BadCheckpoint):
             train_model(slices, space, ids, run, resume_from=load_checkpoint(path))
 
     def test_bad_magic_rejected(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
-        blob = checkpoint_bytes(state, run, space.hash_hex, cfg)
+        blob = checkpoint_bytes(state, run, space.hash_hex)
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + blob[4:])
         with pytest.raises(BadCheckpoint):
@@ -407,8 +401,7 @@ class TestCheckpoint:
         import struct
 
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
-        blob = bytearray(checkpoint_bytes(state, run, space.hash_hex, cfg))
+        blob = bytearray(checkpoint_bytes(state, run, space.hash_hex))
         blob[4:8] = struct.pack("<I", 99)
         path = tmp_path / "bad.ckpt"
         path.write_bytes(bytes(blob))
@@ -417,8 +410,7 @@ class TestCheckpoint:
 
     def test_truncated_tensors_rejected(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
-        blob = checkpoint_bytes(state, run, space.hash_hex, cfg)
+        blob = checkpoint_bytes(state, run, space.hash_hex)
         path = tmp_path / "bad.ckpt"
         path.write_bytes(blob[: len(blob) - 100])
         with pytest.raises(BadCheckpoint):
@@ -538,9 +530,8 @@ class TestCheckpoint:
         """A save that fails once the header is in the temporary file, or at
         the rename, leaves the previous checkpoint and no temporary file."""
         slices, space, ids, run, state = tiny_run
-        cfg = config_hash(run, space.hash_hex)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+        save_checkpoint(str(path), state, run, space.hash_hex)
         before = path.read_bytes()
         head_end = 12 + struct.unpack("<I", before[8:12])[0]
         written = []
@@ -560,7 +551,7 @@ class TestCheckpoint:
         else:
             monkeypatch.setattr(train.os, "replace", boom)
         with pytest.raises(OSError):
-            save_checkpoint(str(path), state, run, space.hash_hex, cfg)
+            save_checkpoint(str(path), state, run, space.hash_hex)
         monkeypatch.undo()
         assert fail == "replace" or sum(written) == head_end
         assert path.read_bytes() == before

@@ -22,39 +22,23 @@ from .errors import NonFiniteGradient
 
 
 class Tensor:
-    """A float64 array on the tape. A first gradient given as a (values, rows)
-    pair stays compact: `grad_values` on `grad_rows`, and `grad` is dense, +0.0
-    off those rows. A second gradient or `.grad = x` leaves it dense."""
+    """A float64 array on the tape and its dense gradient, None until one arrives."""
 
-    __slots__ = ("data", "grad_values", "grad_rows", "requires_grad", "_vjp", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_vjp", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._vjp = None
         self._prev: tuple = ()
 
-    def _dense(self, values, rows):
-        if rows is None:
-            return values
-        dense = np.zeros_like(self.data)
-        dense[rows] = values
-        return dense
-
-    def _set_grad(self, value: Optional[np.ndarray]) -> None:
-        self.grad_values, self.grad_rows = value, None
-
-    grad = property(lambda self: self._dense(self.grad_values, self.grad_rows), _set_grad)
-
     def _accum(self, grad) -> None:
-        grad, rows = grad if isinstance(grad, tuple) else (grad, None)
         grad = np.asarray(grad, dtype=np.float64)
-        if self.grad_values is None:
-            values = grad.copy() if grad.base is not None else grad
+        if self.grad is None:
+            self.grad = grad.copy() if grad.base is not None else grad
         else:
-            values, rows = self.grad + self._dense(grad, rows), None
-        self.grad_values, self.grad_rows = values, rows
+            self.grad = self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -88,8 +72,8 @@ class Tensor:
                     if parent.requires_grad:
                         parent._accum(grad)
         for t in topo:
-            if t.requires_grad and not t._prev and t.grad_values is not None:
-                if not np.isfinite(t.grad_values).all():
+            if t.requires_grad and not t._prev and t.grad is not None:
+                if not np.isfinite(t.grad).all():
                     raise NonFiniteGradient("non-finite gradient in backward")
 
 
@@ -97,9 +81,7 @@ def node(
     value, inputs: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence]
 ) -> Tensor:
     """A tape node holding `value`, computed from `inputs`; `vjp(grad)`
-    returns one gradient per input, each shaped like that input, or a
-    (values, rows) pair: the gradient on those distinct rows, +0.0 elsewhere,
-    kept compact while it is its input's only gradient."""
+    returns one gradient per input, each shaped like that input."""
     out = Tensor(value, any(t.requires_grad for t in inputs))
     out._prev = tuple(inputs)
     out._vjp = vjp

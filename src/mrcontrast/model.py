@@ -45,15 +45,15 @@ class ModelConfig:
         check_fields(self, MODEL_RULES)
 
 
-def parameter_layout(c: ModelConfig) -> list[tuple[str, tuple[int, ...], bool]]:
+def parameter_layout(c: ModelConfig, table_rows: int) -> list[tuple[str, tuple[int, ...], bool]]:
     """(name, shape, weight-decay eligible) of each parameter in draw and
-    checkpoint order; the token table's extra row is an empty prompt's token."""
+    checkpoint order; the token table has `table_rows` rows, one per bucket."""
     return [
         ("img_w1", (c.d_in, c.d_hidden), True),
         ("img_b1", (c.d_hidden,), False),
         ("img_w2", (c.d_hidden, c.d_emb), True),
         ("img_b2", (c.d_emb,), False),
-        ("tok_table", (VOCAB_SIZE + 1, c.d_tok), True),
+        ("tok_table", (table_rows, c.d_tok), True),
         ("txt_w1", (c.d_tok, c.d_hidden), True),
         ("txt_b1", (c.d_hidden,), False),
         ("txt_w2", (c.d_hidden, c.d_emb), True),
@@ -108,26 +108,31 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 class DualEncoder:
     """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]. Init: Glorot
-    weights, zero biases, an N(0, 0.1) token table, log(tau_init); or `params`, as is."""
+    weights, zero biases, an N(0, 0.1) token table, log(tau_init); or `params`, as is.
+    The table has a row per `vocab` bucket (ascending ids, then the null bucket
+    VOCAB_SIZE; all VOCAB_SIZE + 1 without `vocab`), drawn as that row of the full
+    table's draw, so no other parameter's bits depend on `vocab`."""
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
+                 params: dict[str, np.ndarray] | None = None, vocab: np.ndarray | None = None):
         self.config = config
+        self.vocab = np.arange(VOCAB_SIZE + 1) if vocab is None else np.asarray(vocab, np.int64)
         rng = np.random.Generator(np.random.PCG64(seed))
-        for name, shape, _ in parameter_layout(config):
+        for name, shape, _ in parameter_layout(config, self.vocab.size):
             if params is not None:
                 value = params[name]
             elif name == "log_tau":
                 value = np.float64(math.log(config.tau_init))
             elif name == "tok_table":
-                value = rng.normal(0.0, 0.1, size=shape)
+                value = rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, config.d_tok))[self.vocab]
             else:
                 value = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
             setattr(self, name, Tensor(value, True))
 
     def parameters(self) -> list[tuple[str, Tensor, bool]]:
         """(name, tensor, weight-decay eligible) in `parameter_layout` order."""
-        return [(n, getattr(self, n), decay) for n, _, decay in parameter_layout(self.config)]
+        layout = parameter_layout(self.config, self.vocab.size)
+        return [(n, getattr(self, n), decay) for n, _, decay in layout]
 
     def zero_grad(self) -> None:
         for _, p, _ in self.parameters():
@@ -155,8 +160,8 @@ class DualEncoder:
 
     def encode_texts(self, tokens: TokenBatch | Sequence[Sequence[int]]) -> Tensor:
         """A TokenBatch or token id lists -> (N, d_emb) unit embeddings (mean
-        pooling; an empty prompt maps to the learned null token). The table
-        gradient is one row per distinct id, paired with the ids."""
+        pooling over table rows; an empty prompt and an id outside `vocab`
+        pool the null row). The table gradient is dense, +0.0 on unused rows."""
         if isinstance(tokens, TokenBatch):
             flat_idx, lengths = tokens
         else:
@@ -166,9 +171,11 @@ class DualEncoder:
         if bad.any():
             raise TokenIdOutOfRange(f"token id {flat_idx[bad.argmax()]} outside [0, {VOCAB_SIZE})")
         flat_idx = np.insert(flat_idx, np.cumsum(lengths)[lengths == 0], VOCAB_SIZE)
+        rows = np.searchsorted(self.vocab, flat_idx)  # the null bucket is last: rows stay in range
+        rows[self.vocab[rows] != flat_idx] = self.vocab.size - 1
         counts = np.maximum(lengths, 1)
         table = self.tok_table.data
-        pooled = _pool_slotwise(table, flat_idx, counts) / counts[:, None]
+        pooled = _pool_slotwise(table, rows, counts) / counts[:, None]
 
         params = (self.tok_table, self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2)
         w1 = self.txt_w1.data
@@ -177,12 +184,11 @@ class DualEncoder:
         def text_vjp(g):
             ga, *weight_grads = vjp(g)
             g_pooled_t = ((ga @ w1.T) / counts[:, None]).T.copy()
-            del ga  # freed before the sort in np.unique
+            del ga  # freed before the scatter's temporaries
             seg_idx = np.repeat(np.arange(counts.size), counts)
-            ids, slot = np.unique(flat_idx, return_inverse=True)
-            g_rows = np.empty((ids.size, table.shape[1]))
+            g_table = np.empty(table.shape)
             for c, column in enumerate(g_pooled_t):
-                g_rows[:, c] = np.bincount(slot, column[seg_idx], ids.size)
-            return ((g_rows, ids), *weight_grads)
+                g_table[:, c] = np.bincount(rows, column[seg_idx], table.shape[0])
+            return (g_table, *weight_grads)
 
         return node(out, params, text_vjp)

@@ -196,6 +196,10 @@ class PromptBank:
         """One row of `tokens` with dropout drawn from `uniforms`."""
         return tuple(self.tokens([index], uniforms).flat.tolist())
 
+    def token_ids(self) -> np.ndarray:
+        """Every token id any clause holds, ascending and distinct."""
+        return np.unique(self._tokens[self._tokens >= 0])
+
     def n_droppable(self, rows) -> int:
         """Droppable clauses in a row or an array of rows: the uniforms they take."""
         return int(self._droppable[rows].sum())

@@ -49,6 +49,13 @@ def ordered_subset(names: tuple[str, ...], required: tuple[str, ...] = ()):
                  + (f", including {' and '.join(required)}" if required else ""))
 
 
+def ascending_ints_to(last: int):
+    """A list of strictly ascending ints in [0, last] whose last item is last."""
+    return _rule(lambda v: isinstance(v, list) and v[-1:] == [last] and all(map(_int_in(0, last), v))
+                 and all(a < b for a, b in zip(v, v[1:])),
+                 f"a list of strictly ascending ints in [0, {last}] ending in {last}")
+
+
 def instance_of(cls: type):
     return _rule(lambda v: isinstance(v, cls), f"a {cls.__name__}")
 

@@ -21,15 +21,15 @@ from .labels import LabelSpace
 from .loss import LOSS_KINDS, ShardPlan, loss_graph, loss_workspace
 from .model import DualEncoder, ModelConfig, parameter_layout
 from .optim import Adam, clamp_log_tau
-from .prompts import PromptBank, PromptConfig
+from .prompts import VOCAB_SIZE, PromptBank, PromptConfig, tokenize
 from .rules import (
-    boolean, check_fields, float_range_int, fraction, non_negative_float, non_negative_int, one_of,
-    positive_int, string,
+    ascending_ints_to, boolean, check_fields, float_range_int, fraction, non_negative_float,
+    non_negative_int, one_of, positive_int, string,
 )
 from .synth import SyntheticSlice
 
 CHECKPOINT_MAGIC = b"MRCC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 RUN_RULES = dict(
     batch_size=positive_int, epochs=non_negative_int, seed=non_negative_int,
@@ -92,6 +92,13 @@ def dataset_arrays(
     return features, scan_ids, records
 
 
+def vocabulary(bank: PromptBank, space: LabelSpace) -> np.ndarray:
+    """The run's token-table buckets: every id of the bank's clauses and of
+    the label texts, ascending, then the null bucket VOCAB_SIZE."""
+    label_ids = [np.array(tokenize(lab.canonical_text), np.int64) for lab in space.labels]
+    return np.append(np.unique(np.concatenate([bank.token_ids(), *label_ids])), VOCAB_SIZE)
+
+
 @dataclass
 class TrainState:
     model: DualEncoder
@@ -132,13 +139,18 @@ def train_model(
         dropout=run.text_dropout, include_series_description=run.include_series_description))
     space_hash = space.hash_hex
 
+    vocab = vocabulary(bank, space)
     if resume_from is not None:
         if resume_from.label_space_hash != space_hash:
             raise BadCheckpoint("checkpoint was trained on a different label space")
+        missing = np.setdiff1d(vocab, resume_from.vocab).size
+        if missing:
+            raise DataError(f"the dataset's prompts hold {missing} token buckets "
+                            "outside the checkpoint's vocab")
         state = resume_from.restore()
     else:
         rng = np.random.Generator(np.random.PCG64(run.seed))
-        model = DualEncoder(ModelConfig(d_in=features.shape[1]), seed=run.seed)
+        model = DualEncoder(ModelConfig(d_in=features.shape[1]), seed=run.seed, vocab=vocab)
         state = _build_state(run, model, rng, epochs_done=0)
 
     n_train = train_rows.size
@@ -199,6 +211,7 @@ class Checkpoint:
     label_space_hash: str
     config_hash: str
     adam_t: int
+    vocab: np.ndarray  # the token table's buckets, see DualEncoder
     # the tensors, which the loader fills
     params: dict[str, np.ndarray] = field(default_factory=dict)
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -206,7 +219,7 @@ class Checkpoint:
 
     def model(self) -> DualEncoder:
         """The model on the loaded arrays, shared, for a caller that never steps it."""
-        return DualEncoder(self.model_config, params=self.params)
+        return DualEncoder(self.model_config, params=self.params, vocab=self.vocab)
 
     def restore(self) -> TrainState:
         """`model()`, an optimizer holding the loaded moments, and the generator. Steps write
@@ -237,6 +250,7 @@ def _checkpoint_pieces(
         "label_space_hash": label_space_hash,
         "config_hash": config_hash(run, label_space_hash),
         "adam_t": state.optimizer.t,
+        "vocab": state.model.vocab.tolist(),
         "params": manifest,
     }
     head = json.dumps(header, sort_keys=True).encode()
@@ -280,7 +294,7 @@ def _rng_state(obj: dict, word: type) -> dict:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # reads fill the header and tensors: no buffer
         if not fh.seekable():  # a pipe: its size is known only once it is read
             return checkpoint_from_bytes(fh.read())
         return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
@@ -294,8 +308,8 @@ def _read_checkpoint(fh: BinaryIO, size: int) -> Checkpoint:
     """Inverse of `_checkpoint_pieces`, from the start of a file of `size` bytes.
     BadCheckpoint for any malformed input: a header value that breaks its rule,
     a config_hash other than `config_hash` of the header's run and label space
-    hash, a tensor manifest other than the model config's layout (before any
-    tensor is read), a non-finite value."""
+    hash, a tensor manifest other than the layout of the model config and the
+    vocab (before any tensor is read), a non-finite value."""
     prefix = fh.read(12)
     if prefix[:4] != CHECKPOINT_MAGIC:
         raise BadCheckpoint("not a checkpoint file (bad magic)")
@@ -320,14 +334,17 @@ def _read_checkpoint(fh: BinaryIO, size: int) -> Checkpoint:
             label_space_hash=string(header["label_space_hash"], "label_space_hash"),
             config_hash=string(header["config_hash"], "config_hash"),
             adam_t=float_range_int(header["adam_t"], "adam_t"),
+            vocab=np.array(ascending_ints_to(VOCAB_SIZE)(header["vocab"], "vocab"), np.int64),
         )
         if checkpoint.config_hash != config_hash(checkpoint.run, checkpoint.label_space_hash):
             raise BadCheckpoint("config_hash does not match the run config and label space hash")
-        manifest = [(name, shape) for name, shape, _ in parameter_layout(checkpoint.model_config)]
+        layout = parameter_layout(checkpoint.model_config, checkpoint.vocab.size)
+        manifest = [(name, shape) for name, shape, _ in layout]
         if header["params"] != [[name, list(shape)] for name, shape in manifest]:
             raise BadCheckpoint("tensor manifest does not match the model config")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCheckpoint(f"corrupt header: {exc!r}") from exc
+    del header  # a small file's load then peaks at its tensors alone
     tensor_bytes = sum(8 * math.prod(shape) for _, shape in manifest)
     if size != 12 + head_len + 3 * tensor_bytes:
         raise BadCheckpoint(f"checkpoint size {size} disagrees with its manifest")

@@ -330,51 +330,36 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
 
     def test_row_grads_of_a_tensor_used_twice_sum_densely(self):
-        """Two (values, rows) pairs for one tensor leave a dense gradient with
-        the bits of the dense sum: a -0.0 on a row only one side names adds
-        the other side's +0.0, and a row both name adds both values. A plain
-        gradient for the same tensor leaves it dense too; only a sole pair
-        stays compact."""
+        """Two gradients for one tensor leave the bits of their sum: -0.0 +
+        +0.0 is +0.0 and -0.0 + -0.0 is -0.0. A sole gradient that views
+        another array is copied, so the tensor owns its gradient."""
         rng = np.random.default_rng(5)
-
-        def on(rows):
-            values = rng.normal(size=(len(rows), 2))
-            return values, np.array(rows)
-
-        def dense(pair):
-            values, rows = pair
-            out = np.zeros((5, 2))
-            out[rows] = values
-            return out
-
-        a, b = on([3, 1]), on([1, 0])
-        a[0][0, 0] = -0.0  # row 3, named by a alone: -0.0 + +0.0 is +0.0
-        a[0][1, 1] = b[0][0, 1] = -0.0  # row 1, named by both: -0.0 + -0.0 is -0.0
+        a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        a[3, 0], b[3, 0] = -0.0, 0.0
+        a[1, 1] = b[1, 1] = -0.0
         t = Tensor(np.ones((5, 2)), requires_grad=True)
         node(np.float64(0.0), (t, t), lambda g: (a, b)).backward()
-        assert t.grad_rows is None
-        assert t.grad.tobytes() == (dense(a) + dense(b)).tobytes()
+        assert t.grad.tobytes() == (a + b).tobytes()
         assert not np.signbit(t.grad[3, 0]) and np.signbit(t.grad[1, 1])
-        node(np.float64(0.0), (t, t), lambda g: (on([0]), np.zeros((5, 2)))).backward()
-        assert t.grad_rows is None
         t.grad = None
-        node(np.float64(0.0), (t,), lambda g: (on([4]),)).backward()
-        assert t.grad_rows.tolist() == [4]
-        t.grad = t.grad.copy()
-        assert t.grad_rows is None
+        both = np.stack([a, b])
+        node(np.float64(0.0), (t,), lambda g: (both[0],)).backward()
+        assert t.grad.tobytes() == a.tobytes()
+        assert not np.shares_memory(t.grad, both)
 
     def test_non_finite_row_grad_raises(self):
         t = Tensor(np.ones((3, 2)), requires_grad=True)
-        values = np.array([[np.nan, 0.0]])
+        grad = np.zeros((3, 2))
+        grad[1, 0] = np.nan
         with pytest.raises(NonFiniteGradient):
-            node(np.float64(0.0), (t,), lambda g: ((values, np.array([1])),)).backward()
+            node(np.float64(0.0), (t,), lambda g: (grad,)).backward()
 
     def test_non_finite_value_in_a_second_row_grad_raises(self):
-        """An inf that arrives with the second of two (values, rows) pairs
-        is caught in the dense sum."""
+        """An inf that arrives with the second of two gradients is caught in
+        their sum."""
         t = Tensor(np.ones((6, 2)), requires_grad=True)
-        first = (np.array([[0.5, 1.0], [2.0, 3.0]]), np.array([1, 4]))
-        second = (np.array([[np.inf, 0.0]]), np.array([4]))
+        first, second = np.full((6, 2), 0.5), np.zeros((6, 2))
+        second[4, 0] = np.inf
         with pytest.raises(NonFiniteGradient):
             node(np.float64(0.0), (t, t), lambda g: (first, second)).backward()
 

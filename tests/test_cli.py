@@ -21,7 +21,7 @@ from mrcontrast import cli, errors, evaluate, optim, synth, train
 from mrcontrast.cli import main
 from mrcontrast.errors import BadCheckpoint, LabelDecodeFailure
 from mrcontrast.model import ModelConfig
-from mrcontrast.prompts import VOCAB_SIZE
+from mrcontrast.prompts import VOCAB_SIZE, PromptConfig, render_prompt, tokenize
 from mrcontrast.records import MetadataRecord, manifest_lines, parse_manifest_line
 from mrcontrast.train import RunConfig
 from test_train import rewrite_header
@@ -265,6 +265,37 @@ class TestPipeline:
         assert "--epochs 1 is below the checkpoint's 2 epochs done" in err
         assert "Traceback" not in err
         assert not resumed.exists() and not log.exists()
+
+    def test_resume_on_data_quoting_other_numbers_is_data_error(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        """Data whose TE and TR sit in the same 3x3 bins at other values
+        assigns to the same labels, but its prompts quote numbers whose
+        buckets the checkpoint's vocab lacks: a resume on it exits 2 naming
+        how many, before any step, and writes nothing. A fresh run trains."""
+        protocols = synth.default_protocols(
+            n_te_cells=3, n_tr_cells=3, scanners=(("SIEMENS", "AVANTO"),),
+            field_strengths=(1.5,), offsets=((1.0, 10.0),))
+        slices = synth.generate_dataset(protocols, synth.SynthConfig(n_scans=60, slices_per_scan=3,
+                                                                     seed=11))
+        data = str(tmp_path / "shifted.jsonl")
+        synth.write_dataset(slices, data)
+        vocab = set(train.load_checkpoint(pipeline["ckpt"]).vocab.tolist())
+        missing = {t for s in slices for t in tokenize(render_prompt(s.record, PromptConfig()).text)}
+        missing -= vocab
+        assert missing
+        steps = []
+        monkeypatch.setattr(optim.Adam, "step", lambda self: steps.append(1) or 0.0)
+        common = ["train", "--dataset", data, "--labels", pipeline["labels"]]
+        resumed, log = tmp_path / "resumed.ckpt", tmp_path / "resumed.log"
+        assert main(common + ["--checkpoint", str(resumed), "--log", str(log),
+                              "--resume", pipeline["ckpt"], "--epochs", "3"]) == 2
+        err = capsys.readouterr().err
+        assert (f"data error: the dataset's prompts hold {len(missing)} token buckets "
+                "outside the checkpoint's vocab") in err
+        assert not steps and not resumed.exists() and not log.exists()
+        monkeypatch.undo()
+        assert main(common + ["--checkpoint", str(tmp_path / "fresh.ckpt"), "--epochs", "1"]) == 0
 
     def test_zero_step_runs_write_an_empty_log(self, pipeline, tmp_path, capsys):
         """A run that takes no step writes an empty log (no line, so no

@@ -10,16 +10,16 @@ import pytest
 from mrcontrast.autodiff import node
 from mrcontrast.errors import ShapeMismatch, TokenIdOutOfRange
 from mrcontrast.loss import loss_graph
-from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig, _mlp
+from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig, _glorot, _mlp
 from mrcontrast.prompts import VOCAB_SIZE, PromptBank, PromptConfig, TokenBatch
 from mrcontrast.synth import SynthConfig, default_protocols, generate_dataset
 from mrcontrast.train import RunConfig
 
 
-def small_model(seed=0):
+def small_model(seed=0, vocab=None):
     return DualEncoder(
         ModelConfig(d_in=6, d_hidden=16, d_emb=8, d_tok=8),
-        seed=seed,
+        seed=seed, vocab=vocab,
     )
 
 
@@ -66,6 +66,21 @@ class TestEncoding:
         with pytest.raises(TokenIdOutOfRange):
             small_model().encode_texts([[0], [-1]])
 
+    def test_out_of_range_token_raises_with_a_vocab(self):
+        model = small_model(vocab=[1, 2, VOCAB_SIZE])
+        for bad in (VOCAB_SIZE, -1, VOCAB_SIZE + 7):
+            with pytest.raises(TokenIdOutOfRange, match=rf"^token id {bad} outside"):
+                model.encode_texts([[1], [bad]])
+
+    def test_unknown_buckets_embed_as_the_empty_prompt(self):
+        """Each bucket outside the vocab pools the null row: one is the empty
+        prompt bit for bit, three are its mean up to rounding."""
+        model = small_model(vocab=[3, 7, VOCAB_SIZE])
+        empty = model.encode_texts([[]]).data
+        assert model.encode_texts([[5]]).data.tobytes() == empty.tobytes()
+        np.testing.assert_allclose(model.encode_texts([[5, 9, 5]]).data, empty, rtol=0, atol=1e-15)
+        assert not np.allclose(model.encode_texts([[3]]).data, empty)
+
     @pytest.mark.parametrize("lists, first", [
         ([[1, 9000, -1]], 9000),
         ([[3], [], [2, -2, VOCAB_SIZE]], -2),
@@ -88,9 +103,12 @@ class TestEncoding:
 
 
 def dense_text_reference(model, token_lists, g):
-    """Pooled rows, embeddings and token-table gradient for upstream gradient
-    g, pooled and scattered with np.add.at into dense zero arrays."""
-    use = [list(ids) if ids else [VOCAB_SIZE] for ids in token_lists]
+    """Embeddings and token-table gradient for upstream gradient g, pooled
+    and scattered with np.add.at into dense zero arrays; an empty prompt and
+    a bucket outside the model's vocab take the null row, its last."""
+    row = {bucket: i for i, bucket in enumerate(model.vocab.tolist())}
+    null = row[VOCAB_SIZE]
+    use = [[row.get(t, null) for t in ids] if ids else [null] for ids in token_lists]
     flat = np.array([t for ids in use for t in ids], dtype=np.int64)
     seg = np.repeat(np.arange(len(use)), [len(ids) for ids in use])
     counts = np.array([len(ids) for ids in use], dtype=np.float64)
@@ -131,11 +149,11 @@ def random_lists(rng, n, min_len, max_len):
 
 
 class TestTextPoolingBits:
-    """Pooling and the token-table gradient equal a dense np.add.at
-    reference bit for bit; the gradient holds only the rows of the ids used,
-    and the reference is +0.0 on every other row."""
+    """Pooling and the dense token-table gradient equal a dense np.add.at
+    reference bit for bit, +0.0 on every row no id uses included."""
 
-    @pytest.mark.parametrize("n", [1, 5, 1024, "bank-dropout", "equal-lengths", "long-rows"])
+    @pytest.mark.parametrize("n", [1, 5, 1024, "bank-dropout", "equal-lengths", "long-rows",
+                                   "unknown-buckets"])
     def test_pooling_and_table_gradient_match_dense_add_at(self, n):
         rng = np.random.default_rng(n if isinstance(n, int) else len(n))
         model = small_model(seed=4)
@@ -145,6 +163,10 @@ class TestTextPoolingBits:
             tokens = token_lists = random_lists(rng, 64, 7, 8)[0]
         elif n == "long-rows":
             tokens = token_lists = random_lists(rng, 200, 13, 41)[0]
+        elif n == "unknown-buckets":  # 10 of the 40 ids pool the null row
+            tokens = token_lists = random_lists(rng, 300, 0, 12)[0]
+            ids = sorted({t for ids in token_lists for t in ids})
+            model = small_model(seed=4, vocab=ids[:15] + ids[25:] + [VOCAB_SIZE])
         else:
             token_lists, vocab = random_lists(rng, n, 0, 12)
             token_lists[0] = []  # the null row
@@ -156,19 +178,17 @@ class TestTextPoolingBits:
         txt = model.encode_texts(tokens)
         want_out, want_table = dense_text_reference(model, token_lists, g)
         assert txt.data.tobytes() == want_out.tobytes()
-        g_rows, rows = txt._vjp(g)[0]
-        used = [t for ids in token_lists for t in (ids or [VOCAB_SIZE])]
-        assert rows.tolist() == sorted(set(used))
-        assert g_rows.shape == (rows.size, model.tok_table.data.shape[1])
-        assert g_rows.tobytes() == want_table[rows].tobytes()
-        assert not np.delete(want_table, rows, axis=0).view(np.int64).any()
+        g_table = txt._vjp(g)[0]
+        assert g_table.shape == model.tok_table.data.shape
+        assert g_table.tobytes() == want_table.tobytes()
 
 
 class TestTextTowerMemory:
     def test_forward_and_backward_build_no_token_sized_array(self):
         """On a 1024-row PromptBank batch with the run's default dropout
-        (about 28 ids a row), one text forward and its backward peak below
-        the size of one (tokens, d_tok) float64 array."""
+        (about 28 ids a row), one text forward and its backward, on a table
+        of the bank's buckets, peak below the size of one (tokens, d_tok)
+        float64 array."""
         rng = np.random.default_rng(0)
         protocols = default_protocols(n_te_cells=5, n_tr_cells=5)
         slices = generate_dataset(protocols, SynthConfig(n_scans=200, slices_per_scan=1, seed=1))
@@ -176,7 +196,7 @@ class TestTextTowerMemory:
         bank = PromptBank([s.record for s in slices], PromptConfig(dropout=dropout))
         rows = rng.integers(0, len(slices), size=1024)
         batch = bank.tokens(rows, rng.random(bank.n_droppable(rows)))
-        model = DualEncoder(ModelConfig(), seed=0)
+        model = DualEncoder(ModelConfig(), seed=0, vocab=np.append(bank.token_ids(), VOCAB_SIZE))
         g = rng.normal(size=(rows.size, model.config.d_emb))
         token_array_bytes = batch.flat.size * model.config.d_tok * 8
         tracemalloc.start()
@@ -187,7 +207,7 @@ class TestTextTowerMemory:
         finally:
             tracemalloc.stop()
         assert 25 < batch.flat.size / rows.size < 30
-        assert model.tok_table.grad_rows.size > 0
+        assert model.tok_table.grad.shape == model.tok_table.data.shape
         assert peak < token_array_bytes
 
 
@@ -227,6 +247,24 @@ class TestParameters:
     def test_token_table_has_null_row(self):
         model = small_model()
         assert model.tok_table.data.shape == (VOCAB_SIZE + 1, 8)
+
+    def test_default_model_keeps_the_full_table_and_its_init_bits(self):
+        """Without a vocab the table is all VOCAB_SIZE + 1 rows, drawn after
+        the image weights; a vocab keeps its buckets' rows of that draw and
+        every other parameter's bits."""
+        config = ModelConfig()
+        full = DualEncoder(config, seed=3)
+        rng = np.random.Generator(np.random.PCG64(3))
+        _glorot(rng, config.d_in, config.d_hidden)
+        _glorot(rng, config.d_hidden, config.d_emb)
+        table = rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, config.d_tok))
+        assert full.tok_table.data.tobytes() == table.tobytes()
+        vocab = [0, 17, 4095, VOCAB_SIZE - 1, VOCAB_SIZE]
+        kept = DualEncoder(config, seed=3, vocab=vocab)
+        assert kept.tok_table.data.tobytes() == table[vocab].tobytes()
+        for (name, p, _), (_, q, _) in zip(full.parameters(), kept.parameters()):
+            if name != "tok_table":
+                assert p.data.tobytes() == q.data.tobytes(), name
 
     def test_biases_start_at_zero(self):
         model = small_model()

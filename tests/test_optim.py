@@ -169,8 +169,9 @@ class TestClampLogTau:
 
 
 class TestRowRestrictedStep:
-    """Adam runs its moment arithmetic only on rows with a nonzero bit in g,
-    m or v; every bit must still equal the dense update in reference_step."""
+    """Adam updates every row densely, so every bit equals reference_step's,
+    and a row that no step gives a gradient keeps its bits (the token table's
+    rows outside a batch's prompts)."""
 
     def config(self):
         return dict(lr=0.05, weight_decay=0.2, warmup_steps=3)
@@ -228,7 +229,7 @@ class TestRowRestrictedStep:
     def test_rows_live_only_through_m_or_v_update_like_the_dense_step(self, monkeypatch):
         """Row 0's -0.0 moment compares equal to zero, but the dense step turns
         it into +0.0; row 1 has m = 0 (an underflowed moment) while v > 0
-        still decays. Both rows count as live; row 2 is all +0.0."""
+        still decays. Row 2 is all +0.0 and keeps its -0.0 parameter."""
         monkeypatch.setattr(optim, "BETA1", 0.3)
         config = dict(lr=0.1, weight_decay=0.0, warmup_steps=0)
         t = Tensor(np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, -0.0]]), requires_grad=True)
@@ -259,17 +260,11 @@ class TestRowRestrictedStep:
         assert before.tobytes() == want.tobytes()
         assert float(s.data) == reference_step(1.0, 0.5, 0.0, 0.0, 1, self.config(), False)[0]
 
-    def backward_rows(self, t, g, rows):
-        """Give t the gradient g through backward(), as the compact pair of
-        its rows' values and the rows."""
-        t.grad = None
-        node(np.float64(0.0), (t,), lambda _: ((g[rows], np.array(rows)),)).backward()
-        assert t.grad_rows.tolist() == rows
-
-    def test_row_tracked_steps_match_dense_reference_with_resume(self):
-        """Gradients arrive with grad_rows (some listing a row whose gradient
-        is zero); the resumed optimizer holds m and v on rows outside the next
-        step's grad_rows, which must still move as in the dense update."""
+    def test_dense_steps_match_the_reference_with_resume(self):
+        """Gradients arrive through backward(), +0.0 off each step's rows (row
+        4 is named but its gradient is zero); the resumed optimizer's m and v
+        on rows outside the next step's gradient still move as in the
+        reference."""
         config = self.config()
         rng = np.random.default_rng(11)
         p = rng.normal(size=(6, 3))
@@ -286,23 +281,29 @@ class TestRowRestrictedStep:
                 opt.load_state_dict(state)
             g = np.zeros_like(p)
             g[rows] = rng.normal(size=(len(rows), 3))
-            g[4] = 0.0  # row 4 is named but has no gradient
-            self.backward_rows(t, g, rows)
+            g[4] = 0.0
+            node(np.float64(0.0), (t,), lambda _: (g,)).backward()
             opt.step()
+            t.grad = None
             p, m, v = reference_step(p, g, m, v, step, config, True)
             assert t.data.tobytes() == p.tobytes(), step
             assert opt.m["table"].tobytes() == m.tobytes(), step
             assert opt.v["table"].tobytes() == v.tobytes(), step
-        assert np.signbit(t.data[5, 2]) and not opt.touched["table"][5]
+        assert np.signbit(t.data[5, 2])
 
-    def test_assigned_gradient_is_not_limited_to_stale_rows(self):
-        """After a backward naming row 1, an assigned gradient on every row
-        updates every row."""
-        t = Tensor(np.ones((4, 2)), requires_grad=True)
-        self.backward_rows(t, np.ones((4, 2)) * [[0.0], [1.0], [0.0], [0.0]], [1])
-        t.grad = np.full((4, 2), 0.5)
-        assert t.grad_rows is None
-        want, _, _ = reference_step(t.data.copy(), t.grad, 0.0, 0.0, 1, self.config(), False)
-        Adam([("w", t, False)], **self.config()).step()
-        assert t.data.tobytes() == want.tobytes()
-        assert (t.data != 1.0).all()
+    def test_rows_without_a_gradient_keep_their_bits(self):
+        """Without decay, rows 0 and 2 never get a gradient over ten dense
+        steps: their parameters keep every bit, -0.0 included, and their
+        moments stay +0.0."""
+        t = Tensor(np.array([[-0.0, 1.5], [2.0, 3.0], [0.25, -0.0]]), requires_grad=True)
+        before = t.data.copy()
+        opt = Adam([("w", t, True)], lr=0.1, weight_decay=0.0, warmup_steps=3)
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            t.grad = np.zeros((3, 2))
+            t.grad[1] = rng.normal(size=2)
+            opt.step()
+        assert t.data[[0, 2]].tobytes() == before[[0, 2]].tobytes()
+        assert (t.data[1] != before[1]).all()
+        for moment in (opt.m["w"], opt.v["w"]):
+            assert not moment[[0, 2]].view(np.int64).any()

@@ -15,8 +15,9 @@ import pytest
 
 from mrcontrast import train
 from mrcontrast.errors import BadCheckpoint, DataError
+from mrcontrast.evaluate import run_evaluation
 from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
-from mrcontrast.prompts import PromptBank, PromptConfig
+from mrcontrast.prompts import VOCAB_SIZE, PromptBank, PromptConfig, tokenize
 from mrcontrast.train import (
     CHECKPOINT_VERSION,
     RunConfig,
@@ -40,14 +41,16 @@ TINY_RUN = RunConfig(batch_size=64, epochs=4, seed=0, warmup_steps=10)
 
 @pytest.fixture(scope="module")
 def small_blob(tiny_dataset):
-    """Checkpoint bytes of a one-epoch run with the narrowest towers, so the
-    blob is little more than the 8,193-row token table (about 200 KB). The
-    narrow model is built from its ModelConfig and trained by resuming it."""
+    """Checkpoint bytes of a one-epoch run with the narrowest towers (a few
+    KB). The narrow model is built from its ModelConfig and the run's
+    vocabulary, and trained by resuming it."""
     slices, space, ids = tiny_dataset
     run = RunConfig(batch_size=64, epochs=1)
     narrow = ModelConfig(d_in=slices[0].features.size, d_hidden=2, d_emb=2, d_tok=1)
     rng = np.random.Generator(np.random.PCG64(run.seed))
-    untrained_state = train._build_state(run, DualEncoder(narrow, seed=run.seed), rng, 0)
+    bank = PromptBank([s.record for s in slices], PromptConfig(dropout=run.text_dropout))
+    model = DualEncoder(narrow, seed=run.seed, vocab=train.vocabulary(bank, space))
+    untrained_state = train._build_state(run, model, rng, 0)
     untrained = checkpoint_bytes(untrained_state, run, space.hash_hex)
     state = train_model(slices, space, ids, run, resume_from=checkpoint_from_bytes(untrained))
     return checkpoint_bytes(state, run, space.hash_hex)
@@ -234,8 +237,9 @@ class TestTrainModel:
     ):
         """At the default widths and batch 256 (a full batch, then a partial
         one, each epoch), every step after the first peaks less than one
-        token-table array over its start: the loss reuses one workspace, the
-        table gradient holds only the used rows and Adam steps in place."""
+        table of every bucket over its start: the loss reuses one workspace,
+        the table and its gradient hold the run's buckets only and Adam steps
+        in place."""
         slices, space, ids = tiny_dataset
         starts, peaks = [], []
         encode, step = DualEncoder.encode_images, train.Adam.step
@@ -258,10 +262,48 @@ class TestTrainModel:
             state = train_model(slices, space, ids, run)
         finally:
             tracemalloc.stop()
-        table_bytes = state.model.tok_table.data.nbytes
+        table_bytes = (VOCAB_SIZE + 1) * state.model.config.d_tok * 8
         assert state.model.config == ModelConfig(d_in=slices[0].features.size)
-        assert len(peaks) == 6 and table_bytes > 2 * 2**20
+        assert len(peaks) == 6 and state.model.tok_table.data.shape[0] < 100
         assert max(p - s for s, p in zip(starts[1:], peaks[1:])) < table_bytes
+
+    def test_vocabulary_holds_every_prompt_and_label_bucket_then_the_null_one(
+        self, tiny_dataset
+    ):
+        slices, space, _ = tiny_dataset
+        bank = PromptBank([s.record for s in slices], PromptConfig())
+        vocab = train.vocabulary(bank, space)
+        want = {t for lab in space.labels for t in tokenize(lab.canonical_text)}
+        want |= {t for i in range(len(slices)) for t in bank.tokens([i]).flat.tolist()}
+        assert vocab.tolist() == sorted(want) + [VOCAB_SIZE]
+
+    def test_bucket_keyed_table_changes_no_trained_value(self, tiny_run, monkeypatch):
+        """The tiny run again with a table of every bucket: the same log, the
+        same report, and the run's rows of the table and of both Adam moments
+        bit for bit, as is every other tensor; the other rows are untrained."""
+        slices, space, ids, run, state = tiny_run
+        monkeypatch.setattr(train, "vocabulary", lambda bank, space: np.arange(VOCAB_SIZE + 1))
+        full = train_model(slices, space, ids, run)
+        assert full.log_lines == state.log_lines
+        vocab = state.model.vocab
+        assert vocab.size < 100 and full.model.vocab.size == VOCAB_SIZE + 1
+        for (name, p, _), (_, q, _) in zip(state.model.parameters(), full.model.parameters()):
+            rows = vocab if name == "tok_table" else ...
+            assert p.data.tobytes() == q.data[rows].tobytes(), name
+            for moments in ("m", "v"):
+                mine, theirs = (getattr(s.optimizer, moments)[name] for s in (state, full))
+                assert mine.tobytes() == theirs[rows].tobytes(), (name, moments)
+        assert not np.delete(full.optimizer.v["tok_table"], vocab, axis=0).any()
+
+        features, scan_ids, _ = dataset_arrays(slices)
+        train_mask, eval_mask = split_by_scan(scan_ids, run.val_fraction, run.seed)
+        reports = [
+            run_evaluation(s.model, space, features[train_mask], ids[train_mask],
+                           features[eval_mask], ids[eval_mask], scan_ids[eval_mask], "0" * 16)
+            for s in (state, full)
+        ]
+        dumps = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+        assert dumps[0] == dumps[1]
 
     def test_single_scan_with_holdout_has_no_training_rows(self, tiny_dataset):
         slices, space, ids = tiny_dataset
@@ -467,6 +509,39 @@ class TestCheckpoint:
         assert_rejected(rewrite_header(small_blob, edit), tmp_path / "bad.ckpt")
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda v: v.clear(),
+            lambda v: v.__setitem__(0, float(v[0])),
+            lambda v: v.__setitem__(0, str(v[0])),
+            lambda v: v.__setitem__(0, False),
+            lambda v: v.__setitem__(0, -1),
+            lambda v: v.__setitem__(1, v[0]),
+            lambda v: v.__setitem__(slice(0, 2), v[1::-1]),
+            lambda v: v.__setitem__(-1, VOCAB_SIZE - 1),
+            lambda v: v.__setitem__(-1, VOCAB_SIZE + 1),
+            lambda v: v.append(VOCAB_SIZE),
+        ],
+        ids=[
+            "empty", "float-id", "string-id", "bool-id", "negative-id", "repeated-id",
+            "descending-ids", "no-null-bucket", "past-the-null-bucket", "null-bucket-twice",
+        ],
+    )
+    def test_malformed_vocab_rejected(self, small_blob, tmp_path, edit):
+        """Before any tensor is read, and so before the manifest is compared
+        with the table's row count."""
+        assert checkpoint_from_bytes(small_blob).vocab[0] > 0  # so a leading False stays ascending
+        bad = rewrite_header(small_blob, lambda h: edit(h["vocab"]))
+        assert_rejected(bad, tmp_path / "bad.ckpt", match="corrupt header.*vocab must be")
+
+    def test_vocab_not_a_list_rejected(self, small_blob, tmp_path):
+        for vocab in (VOCAB_SIZE, {"0": VOCAB_SIZE}, None):
+            bad = rewrite_header(small_blob, lambda h: h.update(vocab=vocab))
+            assert_rejected(bad, tmp_path / "bad.ckpt", match="vocab must be")
+        bad = rewrite_header(small_blob, lambda h: h.pop("vocab"))
+        assert_rejected(bad, tmp_path / "bad.ckpt", match="KeyError")
+
+    @pytest.mark.parametrize(
         "params",
         ["img_w1", [["img_w1"]], [["img_w1", 12]], [["img_w1", ["a", 2]]], [["img_w1", [-1, -2]]]],
     )
@@ -517,11 +592,17 @@ class TestCheckpoint:
             header["version"] = 3
             header["run"]["numerical_only"] = False
 
-        assert CHECKPOINT_VERSION == 4
+        def as_version_4(header):
+            header["version"] = 4
+            header.pop("vocab")
+
+        assert CHECKPOINT_VERSION == 5
         with pytest.raises(BadCheckpoint, match="version 2"):
             checkpoint_from_bytes(rewrite_header(small_blob, as_version_2, version=2))
         with pytest.raises(BadCheckpoint, match="version 3"):
             checkpoint_from_bytes(rewrite_header(small_blob, as_version_3, version=3))
+        with pytest.raises(BadCheckpoint, match="version 4"):
+            checkpoint_from_bytes(rewrite_header(small_blob, as_version_4, version=4))
 
     @pytest.mark.parametrize("fail", ["tensor_write", "replace"])
     def test_failed_save_keeps_previous_checkpoint(

@@ -106,28 +106,37 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
+def parameter_views(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...], bool]]) -> list:
+    """One view of the flat array `flat` per `parameter_layout` entry, in order, shaped as it."""
+    shapes = [shape for _, shape, _ in layout]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [piece.reshape(shape) for piece, shape in zip(np.split(flat, ends), shapes)]
+
+
 class DualEncoder:
-    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]. Init: Glorot
-    weights, zero biases, an N(0, 0.1) token table, log(tau_init); or `params`, as is.
-    The table has a row per `vocab` bucket (ascending ids, then the null bucket
-    VOCAB_SIZE; all VOCAB_SIZE + 1 without `vocab`), drawn as that row of the full
-    table's draw, so no other parameter's bits depend on `vocab`."""
+    """Image MLP [d_in, h, d_emb] and text [token table -> mean -> MLP]; every parameter
+    is a view into `flat`, one array in `parameter_layout` order. Init: Glorot weights,
+    zero biases, an N(0, 0.1) token table, log(tau_init); or a given `flat`, as is. The
+    table has a row per `vocab` bucket (ascending ids, then the null bucket VOCAB_SIZE;
+    all VOCAB_SIZE + 1 without `vocab`), drawn as that row of the full table's draw, so
+    no other parameter's bits depend on `vocab`."""
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None, vocab: np.ndarray | None = None):
+                 flat: np.ndarray | None = None, vocab: np.ndarray | None = None):
         self.config = config
         self.vocab = np.arange(VOCAB_SIZE + 1) if vocab is None else np.asarray(vocab, np.int64)
+        layout = parameter_layout(config, self.vocab.size)
+        fresh = flat is None
+        self.flat = np.zeros(sum(math.prod(s) for _, s, _ in layout)) if fresh else flat
         rng = np.random.Generator(np.random.PCG64(seed))
-        for name, shape, _ in parameter_layout(config, self.vocab.size):
-            if params is not None:
-                value = params[name]
-            elif name == "log_tau":
-                value = np.float64(math.log(config.tau_init))
-            elif name == "tok_table":
-                value = rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, config.d_tok))[self.vocab]
-            else:
-                value = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-            setattr(self, name, Tensor(value, True))
+        for (name, shape, _), view in zip(layout, parameter_views(self.flat, layout)):
+            if fresh and name == "log_tau":
+                view[...] = math.log(config.tau_init)
+            elif fresh and name == "tok_table":
+                view[...] = rng.normal(0.0, 0.1, size=(VOCAB_SIZE + 1, config.d_tok))[self.vocab]
+            elif fresh and len(shape) == 2:  # the biases stay zero
+                view[...] = _glorot(rng, *shape)
+            setattr(self, name, Tensor(view, True))
 
     def parameters(self) -> list[tuple[str, Tensor, bool]]:
         """(name, tensor, weight-decay eligible) in `parameter_layout` order."""

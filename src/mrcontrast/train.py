@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadCheckpoint, DataError
 from .labels import LabelSpace
 from .loss import LOSS_KINDS, ShardPlan, loss_graph, loss_workspace
-from .model import DualEncoder, ModelConfig, parameter_layout
+from .model import DualEncoder, ModelConfig, parameter_layout, parameter_views
 from .optim import Adam, clamp_log_tau
 from .prompts import VOCAB_SIZE, PromptBank, PromptConfig, tokenize
 from .rules import (
@@ -109,10 +109,12 @@ class TrainState:
 
 
 def _build_state(
-    run: RunConfig, model: DualEncoder, rng: np.random.Generator, epochs_done: int
+    run: RunConfig, model: DualEncoder, rng: np.random.Generator, epochs_done: int, *adam_state
 ) -> TrainState:
-    """The model and a fresh optimizer for it, as the run config sets it up."""
-    adam = Adam(model.parameters(), run.lr, run.weight_decay, run.warmup_steps)
+    """The model and an optimizer for it, as the run config sets it up; a fresh
+    one, or one on `adam_state`, Adam's (t, m, v), as is."""
+    adam = Adam(model.flat, model.parameters(), run.lr, run.weight_decay, run.warmup_steps,
+                *adam_state)
     return TrainState(model=model, optimizer=adam, rng=rng, epochs_done=epochs_done)
 
 
@@ -212,35 +214,30 @@ class Checkpoint:
     config_hash: str
     adam_t: int
     vocab: np.ndarray  # the token table's buckets, see DualEncoder
-    # the tensors, which the loader fills
-    params: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    # the tensors, flat in `parameter_layout` order, which the loader fills
+    params: Optional[np.ndarray] = None
+    adam_m: Optional[np.ndarray] = None
+    adam_v: Optional[np.ndarray] = None
 
     def model(self) -> DualEncoder:
-        """The model on the loaded arrays, shared, for a caller that never steps it."""
-        return DualEncoder(self.model_config, params=self.params, vocab=self.vocab)
+        """The model on the loaded parameters, shared, for a caller that never steps it."""
+        return DualEncoder(self.model_config, flat=self.params, vocab=self.vocab)
 
     def restore(self) -> TrainState:
-        """`model()`, an optimizer holding the loaded moments, and the generator. Steps write
-        `params` in place; the loaded moments are freed, `adam_m` and `adam_v` name its copies."""
+        """`model()`, an optimizer on the loaded moments, and the generator.
+        Steps write `params`, `adam_m` and `adam_v` in place."""
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng_state
-        state = _build_state(self.run, self.model(), rng, self.epochs_done)
-        state.optimizer.load_state_dict(
-            {"t": self.adam_t, "m": self.adam_m, "v": self.adam_v}
-        )
-        self.adam_m, self.adam_v = state.optimizer.m, state.optimizer.v
-        return state
+        return _build_state(self.run, self.model(), rng, self.epochs_done,
+                            self.adam_t, self.adam_m, self.adam_v)
 
 
 def _checkpoint_pieces(
     state: TrainState, run: RunConfig, label_space_hash: str
 ) -> list[bytes | memoryview]:
-    """The file in order: magic, prefix, header, then every parameter, Adam
-    first moment and second moment, each a view of its float64 array."""
-    params = state.model.parameters()
-    manifest = [[name, list(p.data.shape)] for name, p, _ in params]
+    """The file in order: magic, prefix, header, then the parameters, Adam's
+    first moments and second moments, each a view of its flat float64 array."""
+    manifest = [[name, list(p.data.shape)] for name, p, _ in state.model.parameters()]
     header = {
         "version": CHECKPOINT_VERSION,
         "run": asdict(run),
@@ -254,11 +251,9 @@ def _checkpoint_pieces(
         "params": manifest,
     }
     head = json.dumps(header, sort_keys=True).encode()
-    pieces = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(head)), head]
-    for arrays in ({name: p.data for name, p, _ in params}, state.optimizer.m, state.optimizer.v):
-        for name, _, _ in params:
-            pieces.append(memoryview(np.ascontiguousarray(arrays[name], dtype="<f8")))
-    return pieces
+    tensors = (state.model.flat, state.optimizer.m, state.optimizer.v)
+    return [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(head)), head,
+            *(memoryview(np.ascontiguousarray(a, dtype="<f8")) for a in tensors)]
 
 
 def write_replacing(path, pieces: Iterable[bytes]) -> None:
@@ -339,20 +334,21 @@ def _read_checkpoint(fh: BinaryIO, size: int) -> Checkpoint:
         if checkpoint.config_hash != config_hash(checkpoint.run, checkpoint.label_space_hash):
             raise BadCheckpoint("config_hash does not match the run config and label space hash")
         layout = parameter_layout(checkpoint.model_config, checkpoint.vocab.size)
-        manifest = [(name, shape) for name, shape, _ in layout]
-        if header["params"] != [[name, list(shape)] for name, shape in manifest]:
+        if header["params"] != [[name, list(shape)] for name, shape, _ in layout]:
             raise BadCheckpoint("tensor manifest does not match the model config")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCheckpoint(f"corrupt header: {exc!r}") from exc
     del header  # a small file's load then peaks at its tensors alone
-    tensor_bytes = sum(8 * math.prod(shape) for _, shape in manifest)
-    if size != 12 + head_len + 3 * tensor_bytes:
+    n_values = sum(math.prod(shape) for _, shape, _ in layout)
+    if size != 12 + head_len + 3 * 8 * n_values:
         raise BadCheckpoint(f"checkpoint size {size} disagrees with its manifest")
-    for arrays in (checkpoint.params, checkpoint.adam_m, checkpoint.adam_v):
-        for name, shape in manifest:
-            arrays[name] = np.empty(shape, dtype="<f8")
-            if fh.readinto(arrays[name]) != arrays[name].nbytes:
-                raise BadCheckpoint("checkpoint file changed while it was read")
-            if not np.isfinite(arrays[name]).all():
+    for tensors in ("params", "adam_m", "adam_v"):
+        flat = np.empty(n_values, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:
+            raise BadCheckpoint("checkpoint file changed while it was read")
+        # one parameter's slice at a time: the load's peak stays near the file's size
+        for (name, _, _), view in zip(layout, parameter_views(flat, layout)):
+            if not np.isfinite(view).all():
                 raise BadCheckpoint(f"tensor {name!r} holds non-finite values")
+        setattr(checkpoint, tensors, flat)
     return checkpoint

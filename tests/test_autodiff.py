@@ -206,7 +206,7 @@ class TestElementwiseOps:
         """A log_tau projected onto either bound can still move."""
         assert tau_grad(0.0) == (TAU_MAX, 1.0)
         model = small_model()
-        model.log_tau.data = np.float64(-9.0)
+        model.log_tau.data[...] = -9.0
         clamp_log_tau(model.log_tau)
         probe(model.tau(), 1.0).backward()
         assert float(model.log_tau.grad) > 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from mrcontrast.autodiff import Tensor, node
 from mrcontrast.errors import NonFiniteGradient
-from mrcontrast.model import TAU_MAX, TAU_MIN
+from mrcontrast.model import TAU_MAX, TAU_MIN, parameter_views
 from mrcontrast import optim
 from mrcontrast.optim import Adam, clamp_log_tau, effective_lr
 
@@ -25,6 +25,17 @@ def reference_step(p, g, m, v, t, config, decay):
     v_hat = v / (1.0 - beta2 ** t)
     p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p, m, v
+
+
+def on_one_buffer(*entries, **kwargs):
+    """(tensors, Adam) for (name, value, decay) entries: the tensors are views
+    of one flat buffer holding the values in order, as a model's parameters
+    are; `kwargs` go to Adam (its config, and t, m and v to resume from)."""
+    flat = np.concatenate([np.ravel(value) for _, value, _ in entries]).astype(np.float64)
+    layout = [(name, np.shape(value), decay) for name, value, decay in entries]
+    tensors = [Tensor(view, requires_grad=True) for view in parameter_views(flat, layout)]
+    params = [(name, t, decay) for (name, _, decay), t in zip(entries, tensors)]
+    return tensors, Adam(flat, params, **kwargs)
 
 
 class TestEffectiveLr:
@@ -50,9 +61,8 @@ class TestStepArithmetic:
         rng = np.random.default_rng(0)
         p0 = rng.normal(size=(3, 2))
         g0 = rng.normal(size=(3, 2))
-        t = Tensor(p0.copy(), requires_grad=True)
+        (t,), opt = on_one_buffer(("w", p0, True), **self.config())
         t.grad = g0.copy()
-        opt = Adam([("w", t, True)], **self.config())
         lr_eff = opt.step()
 
         want, m, v = reference_step(
@@ -60,14 +70,13 @@ class TestStepArithmetic:
         )
         assert lr_eff == effective_lr(0.01, 3, 1)
         np.testing.assert_array_equal(t.data, want)
-        np.testing.assert_array_equal(opt.m["w"], m)
-        np.testing.assert_array_equal(opt.v["w"], v)
+        np.testing.assert_array_equal(opt.m.reshape(m.shape), m)
+        np.testing.assert_array_equal(opt.v.reshape(v.shape), v)
 
     def test_three_steps_match_reference(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=5)
-        t = Tensor(p.copy(), requires_grad=True)
-        opt = Adam([("w", t, True)], **self.config())
+        (t,), opt = on_one_buffer(("w", p, True), **self.config())
         m = np.zeros_like(p)
         v = np.zeros_like(p)
         for step in range(1, 4):
@@ -80,38 +89,27 @@ class TestStepArithmetic:
     def test_decay_skipped_for_flagged_parameters(self):
         p0 = np.full(4, 10.0)
         g0 = np.zeros(4)
-        no_decay = Tensor(p0.copy(), requires_grad=True)
+        (no_decay,), opt = on_one_buffer(("b", p0, False), **self.config())
         no_decay.grad = g0.copy()
-        opt = Adam([("b", no_decay, False)], **self.config())
         opt.step()
         np.testing.assert_array_equal(no_decay.data, p0)
 
     def test_decay_shrinks_weights_before_moments(self):
         """With zero gradient the update is exactly the decay factor."""
         p0 = np.full(4, 10.0)
-        t = Tensor(p0.copy(), requires_grad=True)
+        (t,), opt = on_one_buffer(("w", p0, True), **self.config())
         t.grad = np.zeros(4)
-        config = self.config()
-        opt = Adam([("w", t, True)], **config)
         lr_eff = opt.step()
         np.testing.assert_array_equal(t.data, p0 * (1.0 - lr_eff * 0.2))
 
-    def test_missing_gradient_skips_parameter(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        b = Tensor(np.ones(2), requires_grad=True)
-        a.grad = np.full(2, 0.5)
-        opt = Adam([("a", a, True), ("b", b, True)], **self.config())
-        opt.step()
-        assert not np.array_equal(a.data, np.ones(2))
-        np.testing.assert_array_equal(b.data, np.ones(2))
-        assert opt.t == 1
-
     def test_non_finite_gradient_raises(self):
-        t = Tensor(np.ones(2), requires_grad=True)
-        t.grad = np.array([1.0, np.inf])
-        opt = Adam([("w", t, True)], **self.config())
-        with pytest.raises(NonFiniteGradient):
+        """The error names the parameter; no element moves."""
+        (a, b), opt = on_one_buffer(("a", np.ones(3), True), ("b", np.ones(2), True),
+                                    **self.config())
+        a.grad, b.grad = np.full(3, 0.5), np.array([1.0, np.inf])
+        with pytest.raises(NonFiniteGradient, match="non-finite gradient for b"):
             opt.step()
+        assert (opt.flat == 1.0).all() and not opt.m.any() and not opt.v.any()
 
 
 class TestState:
@@ -119,38 +117,32 @@ class TestState:
         rng = np.random.default_rng(2)
         config = dict(lr=0.01, weight_decay=0.2, warmup_steps=5)
 
-        def fresh():
-            t = Tensor(np.ones(3), requires_grad=True)
-            return t, Adam([("w", t, True)], **config)
-
-        t1, opt1 = fresh()
+        (t1,), opt1 = on_one_buffer(("w", np.ones(3), True), **config)
         grads = [rng.normal(size=3) for _ in range(4)]
         for g in grads[:2]:
             t1.grad = g.copy()
             opt1.step()
-        saved_state = {"t": opt1.t, "m": dict(opt1.m), "v": dict(opt1.v)}
-        saved_data = t1.data.copy()
 
-        t2, opt2 = fresh()
-        t2.data = saved_data.copy()
-        opt2.load_state_dict(saved_state)
+        (t2,), opt2 = on_one_buffer(("w", t1.data.copy(), True), **config,
+                                    t=opt1.t, m=opt1.m.copy(), v=opt1.v.copy())
         for g in grads[2:]:
             t1.grad = g.copy()
             t2.grad = g.copy()
             opt1.step()
             opt2.step()
-        np.testing.assert_array_equal(t1.data, t2.data)
+        assert t1.data.tobytes() == t2.data.tobytes()
+        assert opt1.m.tobytes() == opt2.m.tobytes() and opt1.v.tobytes() == opt2.v.tobytes()
 
-    def test_state_dict_copies_are_independent(self):
-        t = Tensor(np.ones(2), requires_grad=True)
-        opt = Adam([("w", t, True)], lr=1e-4, weight_decay=0.2, warmup_steps=2000)
-        state = {"t": 3, "m": {"w": np.zeros(2)}, "v": {"w": np.zeros(2)}}
-        opt.load_state_dict(state)
-        state["m"]["w"][:] = 99.0
-        state["v"]["w"][:] = 99.0
-        np.testing.assert_array_equal(opt.m["w"], 0.0)
-        np.testing.assert_array_equal(opt.v["w"], 0.0)
-        assert opt.t == 3
+    def test_given_moments_are_stepped_in_place(self):
+        """Adam keeps the t, m and v it is built on, not copies: a checkpoint's
+        loaded moments are the resumed run's."""
+        m, v = np.full(2, 0.5), np.full(2, 0.25)
+        (t,), opt = on_one_buffer(("w", np.ones(2), True), lr=1e-4, weight_decay=0.2,
+                                  warmup_steps=2000, t=3, m=m, v=v)
+        t.grad = np.ones(2)
+        opt.step()
+        assert opt.t == 4 and opt.m is m and opt.v is v
+        assert (m != 0.5).all() and (v != 0.25).all()
 
 
 class TestClampLogTau:
@@ -162,16 +154,24 @@ class TestClampLogTau:
         clamp_log_tau(lo)
         assert float(lo.data) == math.log(TAU_MIN)
 
+    def test_clamps_in_place(self):
+        """The clamp writes log_tau's own array, a view of the model's buffer."""
+        flat = np.array([1.0, 3.0])
+        t = Tensor(flat[1:].reshape(()), requires_grad=True)
+        before = t.data
+        clamp_log_tau(t)
+        assert t.data is before and flat[1] == math.log(TAU_MAX)
+
     def test_interior_untouched(self):
         t = Tensor(np.float64(math.log(0.07)), requires_grad=True)
         clamp_log_tau(t)
         assert float(t.data) == math.log(0.07)
 
 
-class TestRowRestrictedStep:
-    """Adam updates every row densely, so every bit equals reference_step's,
-    and a row that no step gives a gradient keeps its bits (the token table's
-    rows outside a batch's prompts)."""
+class TestDenseStep:
+    """Adam updates every element of the buffer densely, so every bit equals
+    reference_step's, and a row that no step gives a gradient keeps its bits
+    (the token table's rows outside a batch's prompts)."""
 
     def config(self):
         return dict(lr=0.05, weight_decay=0.2, warmup_steps=3)
@@ -188,30 +188,30 @@ class TestRowRestrictedStep:
         return {"table": table, "bias": np.where(step > 2, rng.normal(size=4), 0.0),
                 "scalar": np.float64(rng.normal())}
 
-    def fresh(self):
-        rng = np.random.default_rng(7)
-        shapes = {"table": (6, 3), "bias": (4,), "scalar": ()}
-        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        values["table"][4, 0] = -0.0
-        tensors = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
-        params = [("table", tensors["table"], True), ("bias", tensors["bias"], False),
-                  ("scalar", tensors["scalar"], False)]
-        return tensors, Adam(params, **self.config()), values
+    def fresh(self, values=None, **state):
+        """Tensors and Adam on one buffer, from seed-7 values or `values`, and
+        a fresh Adam or one on `state` (t, m, v)."""
+        if values is None:
+            rng = np.random.default_rng(7)
+            shapes = {"table": (6, 3), "bias": (4,), "scalar": ()}
+            values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            values["table"][4, 0] = -0.0
+        decay = {"table": True, "bias": False, "scalar": False}
+        tensors, opt = on_one_buffer(*((k, values[k], decay[k]) for k in decay),
+                                     **self.config(), **state)
+        return dict(zip(decay, tensors)), opt, values
 
     def test_matches_dense_reference_with_resume(self):
         rng = np.random.default_rng(3)
         tensors, opt, p = self.fresh()
+        p = {k: x.copy() for k, x in p.items()}
         decay = {"table": True, "bias": False, "scalar": False}
-        m = {k: np.zeros_like(v) for k, v in p.items()}
+        m = {k: np.zeros_like(x) for k, x in p.items()}
         v = {k: np.zeros_like(x) for k, x in p.items()}
         for step in range(1, 9):
             if step == 5:  # resume a fresh optimizer from the saved state
-                state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
                 saved = {k: t.data.copy() for k, t in tensors.items()}
-                tensors, opt, _ = self.fresh()
-                for k, t in tensors.items():
-                    t.data = saved[k]
-                opt.load_state_dict(state)
+                tensors, opt, _ = self.fresh(saved, t=opt.t, m=opt.m.copy(), v=opt.v.copy())
             grads = self.grads(step, rng)
             for k, t in tensors.items():
                 t.grad = grads[k].copy()
@@ -220,9 +220,9 @@ class TestRowRestrictedStep:
             opt.step()
             for k, t in tensors.items():
                 assert t.data.shape == p[k].shape, (step, k)
-                assert np.asarray(t.data).tobytes() == p[k].tobytes(), (step, k)
-                assert opt.m[k].tobytes() == m[k].tobytes(), (step, k)
-                assert opt.v[k].tobytes() == v[k].tobytes(), (step, k)
+                assert t.data.tobytes() == p[k].tobytes(), (step, k)
+            assert opt.m.tobytes() == b"".join(m[k].tobytes() for k in decay), step
+            assert opt.v.tobytes() == b"".join(v[k].tobytes() for k in decay), step
         assert m["table"][2].all() and not v["table"][2].any()
         assert not m["table"][4].any() and np.signbit(p["table"][4, 0])
 
@@ -232,33 +232,32 @@ class TestRowRestrictedStep:
         still decays. Row 2 is all +0.0 and keeps its -0.0 parameter."""
         monkeypatch.setattr(optim, "BETA1", 0.3)
         config = dict(lr=0.1, weight_decay=0.0, warmup_steps=0)
-        t = Tensor(np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, -0.0]]), requires_grad=True)
-        opt = Adam([("w", t, True)], **config)
-        opt.load_state_dict({"t": 4, "m": {"w": np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])},
-                             "v": {"w": np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])}})
+        m0 = np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])
+        v0 = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        (t,), opt = on_one_buffer(("w", np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, -0.0]]), True),
+                                  **config, t=4, m=m0.ravel(), v=v0.ravel())
         t.grad = np.zeros((3, 2))
-        want, m, v = reference_step(t.data.copy(), t.grad, opt.m["w"].copy(),
-                                    opt.v["w"].copy(), 5, config, True)
+        want, m, v = reference_step(t.data.copy(), t.grad, m0.copy(), v0.copy(), 5, config, True)
         opt.step()
         assert t.data.tobytes() == want.tobytes()
-        assert opt.m["w"].tobytes() == m.tobytes()
-        assert opt.v["w"].tobytes() == v.tobytes()
-        assert not np.signbit(opt.m["w"]).any()
+        assert opt.m.tobytes() == m.tobytes()
+        assert opt.v.tobytes() == v.tobytes()
+        assert not np.signbit(opt.m).any()
 
     def test_a_step_writes_into_the_parameters_own_array(self):
-        """Decay and update happen in place, also for a 0-d parameter whose
-        value was assigned as a numpy scalar (as clamp_log_tau does)."""
-        t = Tensor(np.ones((3, 2)), requires_grad=True)
-        s = Tensor(1.0, requires_grad=True)
-        s.data = np.float64(1.0)
-        before = t.data
-        want, _, _ = reference_step(before.copy(), 0.5, 0.0, 0.0, 1, self.config(), True)
+        """Decay and update happen in place in the buffer, also for a 0-d
+        parameter: every tensor keeps its view."""
+        (t, s), opt = on_one_buffer(("w", np.ones((3, 2)), True), ("s", np.float64(1.0), False),
+                                    **self.config())
+        before = (t.data, s.data)
+        want, _, _ = reference_step(np.ones((3, 2)), 0.5, 0.0, 0.0, 1, self.config(), True)
         t.grad = np.full((3, 2), 0.5)
         s.grad = np.float64(0.5)
-        Adam([("w", t, True), ("s", s, False)], **self.config()).step()
-        assert t.data is before
-        assert before.tobytes() == want.tobytes()
+        opt.step()
+        assert t.data is before[0] and s.data is before[1]
+        assert t.data.tobytes() == want.tobytes()
         assert float(s.data) == reference_step(1.0, 0.5, 0.0, 0.0, 1, self.config(), False)[0]
+        assert opt.flat.tobytes() == want.tobytes() + s.data.tobytes()
 
     def test_dense_steps_match_the_reference_with_resume(self):
         """Gradients arrive through backward(), +0.0 off each step's rows (row
@@ -269,16 +268,13 @@ class TestRowRestrictedStep:
         rng = np.random.default_rng(11)
         p = rng.normal(size=(6, 3))
         p[5, 2] = -0.0
-        t = Tensor(p.copy(), requires_grad=True)
-        opt = Adam([("table", t, True)], **config)
+        (t,), opt = on_one_buffer(("table", p, True), **config)
         m, v = np.zeros_like(p), np.zeros_like(p)
         schedule = [[0, 2], [2], [1, 2, 4], [0], [3], [3, 0], [4]]
         for step, rows in enumerate(schedule, start=1):
             if step == 4:
-                state = {"t": opt.t, "m": dict(opt.m), "v": dict(opt.v)}
-                t = Tensor(t.data.copy(), requires_grad=True)
-                opt = Adam([("table", t, True)], **config)
-                opt.load_state_dict(state)
+                (t,), opt = on_one_buffer(("table", t.data.copy(), True), **config,
+                                          t=opt.t, m=opt.m.copy(), v=opt.v.copy())
             g = np.zeros_like(p)
             g[rows] = rng.normal(size=(len(rows), 3))
             g[4] = 0.0
@@ -287,17 +283,16 @@ class TestRowRestrictedStep:
             t.grad = None
             p, m, v = reference_step(p, g, m, v, step, config, True)
             assert t.data.tobytes() == p.tobytes(), step
-            assert opt.m["table"].tobytes() == m.tobytes(), step
-            assert opt.v["table"].tobytes() == v.tobytes(), step
+            assert opt.m.tobytes() == m.tobytes(), step
+            assert opt.v.tobytes() == v.tobytes(), step
         assert np.signbit(t.data[5, 2])
 
     def test_rows_without_a_gradient_keep_their_bits(self):
         """Without decay, rows 0 and 2 never get a gradient over ten dense
         steps: their parameters keep every bit, -0.0 included, and their
         moments stay +0.0."""
-        t = Tensor(np.array([[-0.0, 1.5], [2.0, 3.0], [0.25, -0.0]]), requires_grad=True)
-        before = t.data.copy()
-        opt = Adam([("w", t, True)], lr=0.1, weight_decay=0.0, warmup_steps=3)
+        before = np.array([[-0.0, 1.5], [2.0, 3.0], [0.25, -0.0]])
+        (t,), opt = on_one_buffer(("w", before, True), lr=0.1, weight_decay=0.0, warmup_steps=3)
         rng = np.random.default_rng(2)
         for _ in range(10):
             t.grad = np.zeros((3, 2))
@@ -305,5 +300,5 @@ class TestRowRestrictedStep:
             opt.step()
         assert t.data[[0, 2]].tobytes() == before[[0, 2]].tobytes()
         assert (t.data[1] != before[1]).all()
-        for moment in (opt.m["w"], opt.v["w"]):
+        for moment in (opt.m.reshape(3, 2), opt.v.reshape(3, 2)):
             assert not moment[[0, 2]].view(np.int64).any()

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import threading
@@ -16,7 +17,10 @@ import pytest
 from mrcontrast import train
 from mrcontrast.errors import BadCheckpoint, DataError
 from mrcontrast.evaluate import run_evaluation
-from mrcontrast.model import TAU_MAX, TAU_MIN, DualEncoder, ModelConfig
+from mrcontrast.model import (
+    TAU_MAX, TAU_MIN, DualEncoder, ModelConfig, parameter_layout, parameter_views,
+)
+from mrcontrast.optim import clamp_log_tau
 from mrcontrast.prompts import VOCAB_SIZE, PromptBank, PromptConfig, tokenize
 from mrcontrast.train import (
     CHECKPOINT_VERSION,
@@ -54,6 +58,24 @@ def small_blob(tiny_dataset):
     untrained = checkpoint_bytes(untrained_state, run, space.hash_hex)
     state = train_model(slices, space, ids, run, resume_from=checkpoint_from_bytes(untrained))
     return checkpoint_bytes(state, run, space.hash_hex)
+
+
+def named(model, flat):
+    """{name: view} of a flat array in `model`'s parameter layout."""
+    layout = parameter_layout(model.config, model.vocab.size)
+    return {name: view for (name, _, _), view in zip(layout, parameter_views(flat, layout))}
+
+
+def assert_views_of_one_buffer(model):
+    """Every parameter's data is the view of `model.flat` at its layout offset."""
+    base, offset = model.flat.__array_interface__["data"][0], 0
+    for (name, shape, _), (_, p, _) in zip(parameter_layout(model.config, model.vocab.size),
+                                           model.parameters()):
+        assert p.data.shape == shape and p.data.flags.c_contiguous, name
+        assert np.shares_memory(p.data, model.flat), name
+        assert p.data.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += math.prod(shape)
+    assert offset == model.flat.size
 
 
 def rewrite_header(blob: bytes, edit, version: int = CHECKPOINT_VERSION) -> bytes:
@@ -291,9 +313,10 @@ class TestTrainModel:
             rows = vocab if name == "tok_table" else ...
             assert p.data.tobytes() == q.data[rows].tobytes(), name
             for moments in ("m", "v"):
-                mine, theirs = (getattr(s.optimizer, moments)[name] for s in (state, full))
+                mine, theirs = (named(s.model, getattr(s.optimizer, moments))[name]
+                                for s in (state, full))
                 assert mine.tobytes() == theirs[rows].tobytes(), (name, moments)
-        assert not np.delete(full.optimizer.v["tok_table"], vocab, axis=0).any()
+        assert not np.delete(named(full.model, full.optimizer.v)["tok_table"], vocab, axis=0).any()
 
         features, scan_ids, _ = dataset_arrays(slices)
         train_mask, eval_mask = split_by_scan(scan_ids, run.val_fraction, run.seed)
@@ -334,10 +357,11 @@ class TestCheckpoint:
         assert ckpt.config_hash == cfg
         assert ckpt.adam_t == state.optimizer.t
         assert ckpt.rng_state == state.rng.bit_generator.state
+        assert ckpt.params.tobytes() == state.model.flat.tobytes()
+        assert ckpt.adam_m.tobytes() == state.optimizer.m.tobytes()
+        assert ckpt.adam_v.tobytes() == state.optimizer.v.tobytes()
         for name, p, _ in state.model.parameters():
-            assert ckpt.params[name].tobytes() == p.data.tobytes()
-            assert ckpt.adam_m[name].tobytes() == state.optimizer.m[name].tobytes()
-            assert ckpt.adam_v[name].tobytes() == state.optimizer.v[name].tobytes()
+            assert named(state.model, ckpt.params)[name].tobytes() == p.data.tobytes()
 
     def test_save_writes_checkpoint_bytes(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
@@ -379,18 +403,39 @@ class TestCheckpoint:
         want = checkpoint_from_bytes(small_blob)
         assert ckpt.run == want.run and ckpt.adam_t == want.adam_t
         for tensors in ("params", "adam_m", "adam_v"):
-            got, wanted = getattr(ckpt, tensors), getattr(want, tensors)
-            assert all(got[name].tobytes() == wanted[name].tobytes() for name in wanted)
+            assert getattr(ckpt, tensors).tobytes() == getattr(want, tensors).tobytes()
 
     def test_model_takes_the_loaded_parameters(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, state, run, space.hash_hex)
         ckpt = load_checkpoint(path)
-        model, resumed = ckpt.model(), ckpt.restore().model
-        for m in (model, resumed):
+        model, resumed = ckpt.model(), ckpt.restore()
+        for m in (model, resumed.model):
+            assert m.flat is ckpt.params
             for name, p, _ in m.parameters():
-                assert p.data is ckpt.params[name]
+                assert p.data.base is ckpt.params, name
+        assert resumed.optimizer.flat is ckpt.params
+        assert resumed.optimizer.m is ckpt.adam_m and resumed.optimizer.v is ckpt.adam_v
+
+    def test_parameters_stay_views_of_one_buffer(self, tiny_run, tmp_path):
+        """A fresh model, a loaded one and a resumed one after an epoch of
+        steps: each parameter is the view of `flat` at its layout offset, and
+        the temperature's clamp keeps it so; else Adam's update misses it."""
+        slices, space, ids, run, _ = tiny_run
+        path = str(tmp_path / "three.ckpt")
+        train_model(slices, space, ids, replace(run, epochs=3), checkpoint_path=path)
+        resumed = train_model(slices, space, ids, run, resume_from=load_checkpoint(path))
+        assert resumed.optimizer.t == 20
+        fresh = DualEncoder(ModelConfig(d_in=3, d_hidden=4, d_emb=3, d_tok=2), seed=1,
+                            vocab=np.array([5, 9, VOCAB_SIZE]))
+        for model in (fresh, load_checkpoint(path).model(), resumed.model):
+            assert_views_of_one_buffer(model)
+            model.log_tau.data[...] = 3.0
+            clamp_log_tau(model.log_tau)
+            assert_views_of_one_buffer(model)
+            assert model.flat[-1] == math.log(TAU_MAX)
+        assert resumed.optimizer.flat is resumed.model.flat
 
     def test_restore_rebuilds_identical_state(self, tiny_run, tmp_path):
         _, space, _, run, state = tiny_run
